@@ -35,16 +35,19 @@ Design rules:
   ``get`` whose stored key differs (hash collision, foreign file) is a
   miss.
 * **Bounded size.** The store holds at most ``max_bytes`` of entries
-  (``REPRO_CACHE_MAX_BYTES``, default 1 GiB, ``0`` = unlimited);
-  every ``put`` that crosses the budget evicts least-recently-*used*
-  entries first — a ``get`` hit touches the file's mtime — so long
-  sweep campaigns cannot grow the cache without limit and the hot
-  working set survives.
+  (``REPRO_CACHE_MAX_BYTES``, default 1 GiB, ``0`` = unlimited); the
+  write that crosses the budget evicts least-recently-*used* entry
+  groups first — a hit touches the one file it read, and a group ages
+  by its newest member — so long sweep campaigns cannot grow the
+  cache without limit and the hot working set survives.  Each
+  instance charges its writes to a running byte tally and lists the
+  directory only when that tally is unknown, would cross the budget,
+  or has grown by ``max_bytes // 16`` since its last scan.
 * **Sibling artifacts.** A key may carry raw byte artifacts next to
   its pickle entry (``put_artifact`` / ``artifact_path``) — the native
   tier stores a kernel's ``.c`` source and compiled ``.so`` this way.
   Artifacts share the entry's digest stem, count toward the size
-  budget, are touched and evicted *as a unit* with their pickle, and
+  budget, age and are evicted *as a unit* with their pickle, and
   quarantine to ``<name>.<suffix>.corrupt`` like any other corruption.
 """
 
@@ -99,7 +102,13 @@ class DiskCache:
         self.evictions = 0
         self.corrupt_quarantined = 0
         self.write_failures = 0
+        self.scans = 0
         self.disabled = False
+        # Bytes on disk as of this instance's last scan plus its own
+        # writes since (None: unknown, scan on the next write), and the
+        # bytes written since that scan.
+        self._tally: int | None = None
+        self._unscanned = 0
 
     def _path(self, key: str) -> Path:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -144,13 +153,16 @@ class DiskCache:
         return value
 
     def _touch(self, path: Path) -> None:
-        # Touch for LRU recency: eviction takes oldest group mtime
-        # first, and an entry's sibling artifacts age with it.
-        for member in self._siblings(path):
-            try:
-                os.utime(member)
-            except OSError:
-                pass
+        """Refresh the mtime of the file a hit read (best-effort).
+
+        Only that one file: eviction ages a group by its newest member,
+        so touching it keeps the whole group warm without listing the
+        shard directory for siblings.
+        """
+        try:
+            os.utime(path)
+        except OSError:
+            pass
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupted entry aside as ``*.corrupt`` (best-effort).
@@ -186,23 +198,29 @@ class DiskCache:
             self._quarantine(member)
 
     def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key``; failures are silently dropped.
+        """Store ``value`` under ``key``; failures are silently dropped."""
+        self._write(self._path(key), lambda handle: pickle.dump(
+            (key, value), handle, protocol=pickle.HIGHEST_PROTOCOL))
 
-        Persistent write failure (read-only directory, full disk)
-        degrades the whole disk tier to read-only after
-        :data:`WRITE_FAILURE_LIMIT` consecutive misfires, with one
-        recorded warning — in-process memos keep the run correct.
+    def _write(self, path: Path, fill) -> int:
+        """Atomically write ``path`` through ``fill(handle)``.
+
+        Returns the bytes written — 0 when the tier is off or the write
+        failed — after charging them to the size budget.  Persistent
+        write failure (read-only directory, full disk) degrades the
+        whole disk tier to read-only after :data:`WRITE_FAILURE_LIMIT`
+        consecutive misfires, with one recorded warning — in-process
+        memos keep the run correct.
         """
         if self.disabled:
-            return
-        path = self._path(key)
+            return 0
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump((key, value), handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
+                fill(handle)
+                written = handle.tell()
             os.replace(tmp, path)
             tmp = None
             self.puts += 1
@@ -222,10 +240,11 @@ class DiskCache:
                     f"{self.write_failures} attempts; continuing with "
                     f"in-process caching only",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-            return
-        self._evict_if_needed()
+            return 0
+        self._evict_if_needed(written)
+        return written
 
     # -- raw byte artifacts (native-tier .c / .so siblings) --------------
 
@@ -237,38 +256,8 @@ class DiskCache:
         a dead disk disables the whole tier, and the size budget
         enforced over the *group* (entry plus artifacts).
         """
-        if self.disabled:
-            return
-        path = self._path(key).with_suffix(suffix)
-        tmp = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-            tmp = None
-            self.puts += 1
-            self.write_failures = 0
-        except Exception:
-            self.errors += 1
-            self.write_failures += 1
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            if self.write_failures >= WRITE_FAILURE_LIMIT:
-                self.disabled = True
-                warnings.warn(
-                    f"repro disk cache at {self.root} is unwritable after "
-                    f"{self.write_failures} attempts; continuing with "
-                    f"in-process caching only",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        self._evict_if_needed()
+        self._write(self._path(key).with_suffix(suffix),
+                    lambda handle: handle.write(data))
 
     def put_artifact_file(self, key: str, suffix: str, src: Path) -> None:
         """Store an existing file as ``key``'s ``suffix`` artifact.
@@ -284,44 +273,17 @@ class DiskCache:
         Same atomic tmp+rename and never-fail discipline as
         :meth:`put_artifact`.
         """
-        if self.disabled:
-            return
-        path = self._path(key).with_suffix(suffix)
-        tmp = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            os.close(fd)
-            shutil.copyfile(src, tmp)
-            os.replace(tmp, path)
-            tmp = None
-            self.puts += 1
-            self.write_failures = 0
-        except Exception:
-            self.errors += 1
-            self.write_failures += 1
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            if self.write_failures >= WRITE_FAILURE_LIMIT:
-                self.disabled = True
-                warnings.warn(
-                    f"repro disk cache at {self.root} is unwritable after "
-                    f"{self.write_failures} attempts; continuing with "
-                    f"in-process caching only",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        self._evict_if_needed()
+        def fill(handle):
+            with open(src, "rb") as source:
+                shutil.copyfileobj(source, handle)
+
+        self._write(self._path(key).with_suffix(suffix), fill)
 
     def artifact_path(self, key: str, suffix: str) -> Path | None:
         """The on-disk path of ``key``'s ``suffix`` artifact, or None.
 
-        Touches the whole entry group on a hit, like :meth:`get`, so
-        an artifact read keeps its pickle sibling warm too.
+        Touches the artifact on a hit, like :meth:`get`; since a group
+        ages by its newest member, that keeps its pickle warm too.
         """
         path = self._path(key).with_suffix(suffix)
         try:
@@ -329,23 +291,43 @@ class DiskCache:
                 return None
         except OSError:
             return None
-        self._touch(self._path(key))
+        self._touch(path)
         return path
 
-    def _evict_if_needed(self) -> None:
-        """Drop least-recently-used entry *groups* until under ``max_bytes``.
+    def _evict_if_needed(self, written: int) -> None:
+        """Charge ``written`` bytes to the tally; scan and evict when due.
 
-        A group is every file sharing one digest stem — the pickle
-        entry plus any sibling artifacts (``.c``/``.so``) — sized as a
-        sum, aged by its most recent member, and unlinked as a unit so
-        a surviving ``.so`` can never outlive the metadata that
-        validates it.  Best-effort and never-fail like everything else
-        here: entries racing with concurrent workers may vanish
-        mid-scan (fine — the goal was deletion), and any other error
-        simply leaves the cache over budget until the next ``put``.
+        A full scan runs only when the tally is unknown (first write,
+        after a ``max_bytes == 0`` stretch or a failed scan), when this
+        write takes it past ``max_bytes``, or once this instance has
+        written ``max_bytes // 16`` since its last scan — so N writers
+        sharing a directory, each blind to the others' writes between
+        its scans, overshoot the budget by at most N × ``max_bytes``/16.
+
+        The scan sizes every entry *group* — every file sharing one
+        digest stem, the pickle entry plus any sibling artifacts
+        (``.c``/``.so``) — as a sum, ages it by its most recent member,
+        drops least-recently-used groups as a unit (a surviving ``.so``
+        can never outlive the metadata that validates it) until under
+        budget, and resets the tally to the true total.  Best-effort and
+        never-fail like everything else here: entries racing with
+        concurrent workers may vanish mid-scan (fine — the goal was
+        deletion), and any other error leaves the tally unknown.
         """
         if not self.max_bytes:
+            self._tally = None
             return
+        # One read of the tally: threads sharing this instance may race
+        # a scan that resets it.  A charge lost to such a race only
+        # delays the next scan, which recounts the true total.
+        tally = self._tally
+        self._unscanned += written
+        if (tally is not None and tally + written <= self.max_bytes
+                and self._unscanned < self.max_bytes // 16):
+            self._tally = tally + written
+            return
+        self.scans += 1
+        self._tally, self._unscanned = None, 0
         try:
             groups: dict[Path, list] = {}
             total = 0
@@ -362,26 +344,26 @@ class DiskCache:
                 entry[1] += stat.st_size
                 entry[2].append(path)
                 total += stat.st_size
-            if total <= self.max_bytes:
-                return
-            ordered = sorted(
-                (mtime, size, members)
-                for mtime, size, members in groups.values()
-            )
-            for _, size, members in ordered:
-                removed = False
-                for path in members:
-                    try:
-                        path.unlink()
-                        removed = True
-                    except OSError:
+            if total > self.max_bytes:
+                ordered = sorted(
+                    (mtime, size, members)
+                    for mtime, size, members in groups.values()
+                )
+                for _, size, members in ordered:
+                    removed = False
+                    for path in members:
+                        try:
+                            path.unlink()
+                            removed = True
+                        except OSError:
+                            continue
+                    if not removed:
                         continue
-                if not removed:
-                    continue
-                self.evictions += 1
-                total -= size
-                if total <= self.max_bytes:
-                    break
+                    self.evictions += 1
+                    total -= size
+                    if total <= self.max_bytes:
+                        break
+            self._tally = total
         except Exception:
             self.errors += 1
 
@@ -391,6 +373,7 @@ class DiskCache:
                 "evictions": self.evictions,
                 "corrupt_quarantined": self.corrupt_quarantined,
                 "write_failures": self.write_failures,
+                "scans": self.scans,
                 "disabled": int(self.disabled)}
 
 

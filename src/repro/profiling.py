@@ -99,9 +99,10 @@ class PhaseProfile:
             lines.append("cache hit rates:")
             lines.extend(cache_lines)
         evictions = self.counts.get("disk_evictions", 0)
-        if evictions:
-            lines.append(f"  disk cache     {evictions} evictions "
-                         f"(REPRO_CACHE_MAX_BYTES)")
+        scans = self.counts.get("disk_scans", 0)
+        if evictions or scans:
+            lines.append(f"  disk cache     {evictions} evictions, "
+                         f"{scans} scans (REPRO_CACHE_MAX_BYTES)")
         mode_simd = self.counts.get("native_mode_simd", 0)
         mode_scalar = self.counts.get("native_mode_scalar", 0)
         if mode_simd or mode_scalar:

@@ -515,3 +515,98 @@ class TestDiskCacheEviction:
             assert "evictions" in profile.format()
         finally:
             reset_cache_dir()
+
+    @staticmethod
+    def _disk_bytes(root):
+        return sum(p.stat().st_size for p in root.glob("??/*")
+                   if not p.name.endswith((".tmp", ".corrupt")))
+
+    def test_puts_under_budget_scan_once(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache", max_bytes=1 << 30)
+        for i in range(256):
+            cache.put(f"k{i}", b"x" * 64)
+        assert cache.stats()["scans"] == 1
+        assert cache.evictions == 0
+
+    def test_crossing_put_scans_once_and_evicts_oldest(self, tmp_path):
+        import os
+        import time
+
+        cache = DiskCache(tmp_path / "cache", max_bytes=8192)
+        self._fill(cache, ["old", "mid", "new"])
+        os.utime(cache._path("old"), (1, 1))
+        # The first write scans and learns the tally; it stays under
+        # budget and below the max_bytes // 16 rescan interval.
+        cache.put("probe", b"")
+        later = time.time() + 100
+        os.utime(cache._path("probe"), (later, later))
+        assert cache.stats()["scans"] == 1
+        cache.put("push", b"x" * 2048)
+        assert cache.stats()["scans"] == 2
+        assert cache.evictions == 1
+        assert cache.get("old") is None
+        assert all(cache.get(k) is not None
+                   for k in ("mid", "new", "probe", "push"))
+
+    def test_zero_budget_stretch_forgets_the_tally(self, tmp_path):
+        cache = DiskCache(tmp_path / "cache", max_bytes=8192)
+        cache.put("first", b"")
+        assert cache.stats()["scans"] == 1
+        self._fill(cache, [f"k{i}" for i in range(8)])
+        # Too small to cross a stale tally or reach the rescan
+        # interval: only a forgotten tally makes this put scan.
+        cache.put("k8", b"")
+        assert cache.stats()["scans"] == 2
+        assert cache.evictions > 0
+        assert self._disk_bytes(cache.root) <= 8192
+
+    def test_concurrent_writers_overshoot_is_bounded(self, tmp_path):
+        """Two instances sharing a directory, each blind to the other's
+        writes between its own scans, overshoot by at most 2/16."""
+        budget = 32 * 1024
+        writers = [DiskCache(tmp_path / "cache", max_bytes=budget)
+                   for _ in range(2)]
+        worst = 0
+        for i in range(200):
+            writers[i % 2].put(f"k{i}", b"x" * 500)
+            worst = max(worst, self._disk_bytes(tmp_path / "cache"))
+        assert worst <= budget * (1 + 2 / 16)
+        assert sum(w.evictions for w in writers) > 0
+
+    def test_threads_racing_scans_never_raise(self, tmp_path):
+        """Threads sharing one instance race each other's scans, which
+        reset the tally mid-charge: every put still completes silently."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        cache = DiskCache(tmp_path / "cache", max_bytes=16 * 1024)
+
+        def writer(t):
+            for i in range(80):
+                cache.put(f"t{t}-{i}", b"x" * 600)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(writer, t) for t in range(4)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.stats()["errors"] == 0
+        assert cache.evictions > 0
+
+    def test_scans_surface_in_profile(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "scanned"))
+        from repro.cache import reset_cache_dir
+
+        reset_cache_dir()
+        try:
+            profile = PhaseProfile()
+            measure_many(_ragged_class((45, 61), seed=992),
+                         sweep_mode="batched", profile=profile)
+            assert profile.counts.get("disk_scans", 0) >= 1
+            assert "scans" in profile.format()
+        finally:
+            reset_cache_dir()

@@ -371,6 +371,68 @@ class TestArtifactStore:
         assert cache.artifact_path("new", ".so") is not None
         assert cache.stats()["evictions"] == 1
 
+    @staticmethod
+    def _two_aged_groups(tmp_path):
+        """Groups "hot" and "cold" (.so + .c + pickle), all at mtime 1."""
+        import os
+
+        from repro.cache import DiskCache
+
+        cache = DiskCache(tmp_path / "cache", max_bytes=10000)
+        for key in ("hot", "cold"):
+            cache.put_artifact(key, ".so", bytes(3000))
+            cache.put_artifact(key, ".c", b"int x;")
+            cache.put(key, {"meta": key})
+        for path in cache.root.glob("??/*"):
+            os.utime(path, (1, 1))
+        return cache
+
+    def test_get_hit_touches_only_the_pickle_yet_keeps_its_group(
+            self, tmp_path):
+        """A hit refreshes only the file it read; the group ages by its
+        newest member, so the older .so/.c survive the next eviction."""
+        cache = self._two_aged_groups(tmp_path)
+        hot = cache._path("hot")
+        assert cache.get("hot") == {"meta": "hot"}
+        assert hot.stat().st_mtime > 1
+        assert hot.with_suffix(".so").stat().st_mtime == 1
+        assert hot.with_suffix(".c").stat().st_mtime == 1
+        cache.put_artifact("push", ".so", bytes(4000))
+        assert cache.get("cold") is None
+        assert cache.artifact_path("cold", ".so") is None
+        assert cache.artifact_path("hot", ".so") is not None
+        assert cache.artifact_path("hot", ".c") is not None
+        assert cache.stats()["evictions"] == 1
+
+    def test_artifact_path_hit_keeps_its_pickle(self, tmp_path):
+        cache = self._two_aged_groups(tmp_path)
+        hot = cache._path("hot")
+        assert cache.artifact_path("hot", ".so") is not None
+        assert hot.with_suffix(".so").stat().st_mtime > 1
+        assert hot.stat().st_mtime == 1
+        cache.put_artifact("push", ".so", bytes(4000))
+        assert cache.artifact_path("cold", ".so") is None
+        assert cache.get("hot") == {"meta": "hot"}
+        assert cache.stats()["evictions"] == 1
+
+    def test_hits_never_list_a_directory(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        from repro.cache import DiskCache
+
+        cache = DiskCache(tmp_path / "cache")
+        cache.put("k", {"meta": 1})
+        cache.put_artifact("k", ".so", b"\x00")
+
+        def no_listing(self, *args, **kwargs):
+            raise AssertionError(f"a cache hit listed {self}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "glob", no_listing)
+            assert cache.get("k") == {"meta": 1}
+            assert cache.artifact_path("k", ".so") is not None
+        assert cache.stats()["hits"] == 1
+
     def test_quarantine_covers_the_whole_group(self, tmp_path):
         from repro.cache import DiskCache
 

@@ -127,6 +127,21 @@ class TestProtocol:
                 await srv.close()
         run(scenario())
 
+    def test_stats_report_disk_cache_scans(self):
+        from repro.cache import get_cache
+
+        async def scenario():
+            srv = await _start()
+            try:
+                get_cache().put("serve-stats-probe", 1)
+                status, body = await srv.fetch("GET", "/stats")
+                assert status == 200
+                disk = json.loads(body)["disk_cache"]
+                assert disk["puts"] >= 1 and disk["scans"] >= 1
+            finally:
+                await srv.close()
+        run(scenario())
+
     def test_simdize_and_verify(self):
         async def scenario():
             srv = await _start()
