@@ -23,13 +23,8 @@ Measurements over a fixed, seeded Figure-11 sweep:
   compiler.
 * **compile pipeline** — cold kernel acquisition one-cc-per-signature
   vs one batched multi-kernel translation unit
-  (``compilequeue.precompile``), plus the async queue's foreground
-  cost: time to the first sweep results on the jit delegate while the
-  compiler runs behind them, vs the same pass on jit.  Bars: <= 6 cc
-  invocations for the full signature set, >= 1.25x batched cold
-  speedup, async foreground within 1.5x of jit when a spare core can
-  absorb the compiler (3x on single-CPU hosts, where the foreground
-  timeshares with cc) and always ahead of the blocking batch.
+  (``compilequeue.precompile``).  Bars: <= 6 cc invocations for the
+  full signature set and >= 1.25x batched cold speedup.
 * **scalar-engine time** — the scalar-reference engines on the same
   loops, bytes (per-iteration interpreter) vs numpy (whole-array
   shifted-window evaluation); bar: >= 10x.
@@ -38,30 +33,17 @@ Measurements over a fixed, seeded Figure-11 sweep:
   engines forced to bytes vs both forced to numpy, at the same
   paper-scale trip; bar: >= 5x.  This is the number that used to be
   scalar-dominated before the batched scalar engine existed.
-* **sweep time** — ``measure_many`` serial vs multi-process with
-  chunked task submission.  Recorded for information only: on the
-  single-core CI host this shows honest pool overhead, not a gain.
-* **batched sweep** — ``--sweep-mode batched`` (group configs by
-  program signature, run each class as one config-batched jit call)
-  vs the per-config path, serial and at 2 workers, plus the
-  signature-class size histogram.  The emitted Measurements are
-  asserted identical between modes; the bar is a >= 1.25x wall-clock
-  win on both the serial and the equal-worker comparison.
 * **native simd** — the vector-extension emitter vs the scalar-lane
   emitter on identical pre-marshalled steady-kernel calls (the
   marshalling around one ctypes crossing is mode-invariant and would
-  drown the kernel body at engine level), plus whole-run and
-  batch-driver views and a measured aligned-vs-shifted kernel pair.
-  Bars: >= 1.3x on the direct steady path and a >= 1.05x measured
-  realignment overhead — the paper's aligned-access claim on real
-  hardware.  Skipped when cc fails the vector-extension probe.
-* **native batch** — the C batch driver (one ctypes crossing per
-  signature class, row loop in C) vs config-batched jit at the engine
-  ``run_batch`` level on the fig11 signature classes, plus a
-  per-config native axis and the honest end-to-end batched-sweep
-  split, serial and at 2 workers.  Bars: >= 1.5x over jit
-  ``run_batch``, >= 90% of signature classes executed by the C
-  driver, and measurements byte-identical across the two tiers.
+  drown the kernel body at engine level), plus a whole-run view and a
+  measured aligned-vs-shifted kernel pair.  Bars: >= 1.3x on the
+  direct steady path and a >= 1.05x measured realignment overhead —
+  the paper's aligned-access claim on real hardware.  Skipped when cc
+  fails the vector-extension probe.
+
+The sweep-level figures (worker counts, cold and warm caches, the
+serving tier) are measured end to end by ``perfbench/``.
 
 Results land in ``BENCH_interp.json`` at the repo root and in
 ``benchmarks/results/speed.*.txt``.
@@ -76,13 +58,12 @@ import platform
 import random
 import tempfile
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
 from repro.bench import SweepConfig, figure_configs, measure_many
-from repro.bench.runner import _cached_simdize, _program_class_key
+from repro.bench.runner import _cached_simdize
 from repro.bench.synth import synthesize
 from repro.cache import reset_cache_dir, set_cache_dir
 from repro.machine import get_backend, get_scalar_backend, numpy_available
@@ -97,7 +78,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: at a paper-scale trip count so the steady loop dominates.
 SPEED_COUNT = 3 if FULL else 2
 SPEED_TRIP = 2039
-SWEEP_TRIP = 257
 ROUNDS = 3
 
 
@@ -148,16 +128,12 @@ def _time_scalar_engine(engine, workloads: list[_Workload]) -> float:
     return best
 
 
-def _time_sweep(configs: list[SweepConfig], jobs: int,
-                backend: str = "auto", scalar_backend: str = "auto",
-                sweep_mode: str = "periter", rounds: int = 1) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        measure_many(configs, jobs=jobs, backend=backend,
-                     scalar_backend=scalar_backend, sweep_mode=sweep_mode)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_sweep(configs: list[SweepConfig], backend: str,
+                scalar_backend: str) -> float:
+    start = time.perf_counter()
+    measure_many(configs, jobs=1, backend=backend,
+                 scalar_backend=scalar_backend)
+    return time.perf_counter() - start
 
 
 def test_backend_speed():
@@ -329,18 +305,14 @@ def test_backend_speed():
             "disk_hit_rate": round(native_hit_rate, 2),
         }
 
-    # The batched, asynchronous compile pipeline on the same signature
-    # set: cold acquisition one-cc-per-kernel (the path CI forces with
-    # REPRO_NATIVE_PRECOMPILE=0) vs one batched precompile, then the
-    # async queue's foreground cost — time to the first sweep results
-    # on the jit delegate while cc runs behind them — against the same
-    # first pass on the jit engine.
+    # The batched compile pipeline on the same signature set: cold
+    # acquisition one-cc-per-kernel (the path CI forces with
+    # REPRO_NATIVE_PRECOMPILE=0) vs one batched precompile.
     pipeline_section: dict
     if "skipped" in native_section:
         pipeline_section = {"skipped": native_section["skipped"]}
         pipeline_invocations = None
         pipeline_cold_speedup = None
-        async_ratio = None
     else:
         from repro.machine import compilequeue
 
@@ -382,45 +354,11 @@ def test_backend_speed():
                 reset_cache_dir()
                 native_mod.clear_memory_cache()
 
-        with tempfile.TemporaryDirectory() as cache_root:
-            set_cache_dir(cache_root)
-            try:
-                jit.clear_memory_cache()
-                native_mod.clear_memory_cache()
-                compilequeue.set_async_compile(True)
-                astats0 = dict(native_mod.STATS)
-                start = time.perf_counter()
-                for w in unique:
-                    get_backend("native").run(w.program, w.space,
-                                              w.mem.clone(), w.bindings)
-                async_first_s = time.perf_counter() - start
-                compilequeue.drain(timeout=120.0)
-                astats1 = dict(native_mod.STATS)
-            finally:
-                compilequeue.set_async_compile(None)
-                reset_cache_dir()
-                jit.clear_memory_cache()
-                native_mod.clear_memory_cache()
-
-        with tempfile.TemporaryDirectory() as cache_root:
-            set_cache_dir(cache_root)
-            try:
-                jit.clear_memory_cache()
-                start = time.perf_counter()
-                for w in unique:
-                    get_backend("jit").run(w.program, w.space,
-                                           w.mem.clone(), w.bindings)
-                jit_first_s = time.perf_counter() - start
-            finally:
-                reset_cache_dir()
-                jit.clear_memory_cache()
-
         perkernel_invocations = (pstats1["cc_invocations"]
                                  - pstats0["cc_invocations"])
         pipeline_invocations = (pstats2["cc_invocations"]
                                 - pstats1["cc_invocations"])
         pipeline_cold_speedup = perkernel_cold_s / pipeline_cold_s
-        async_ratio = async_first_s / jit_first_s
         pipeline_section = {
             "signatures": len(unique),
             "perkernel_cold_s": round(perkernel_cold_s, 4),
@@ -429,14 +367,6 @@ def test_backend_speed():
             "pipeline_cc_invocations": pipeline_invocations,
             "pipeline_tus": pstats2["tus"] - pstats1["tus"],
             "cold_speedup": round(pipeline_cold_speedup, 2),
-            "async_first_result_s": round(async_first_s, 4),
-            "jit_first_result_s": round(jit_first_s, 4),
-            "async_overhead_ratio": round(async_ratio, 2),
-            "async_cc_invocations": (astats1["cc_invocations"]
-                                     - astats0["cc_invocations"]),
-            "async_cc_s": round(astats1["async_cc_s"]
-                                - astats0["async_cc_s"], 4),
-            "hot_swaps": astats1["hot_swaps"] - astats0["hot_swaps"],
         }
 
     scalar_bytes_s = _time_scalar_engine(get_scalar_backend("bytes"), workloads)
@@ -450,192 +380,9 @@ def test_backend_speed():
     verify_configs = [
         c for _, c in figure_configs(False, count=SPEED_COUNT, trip=SPEED_TRIP)
     ]
-    verify_bytes_s = _time_sweep(verify_configs, jobs=1,
-                                 backend="bytes", scalar_backend="bytes")
-    verify_numpy_s = _time_sweep(verify_configs, jobs=1,
-                                 backend="numpy", scalar_backend="numpy")
+    verify_bytes_s = _time_sweep(verify_configs, "bytes", "bytes")
+    verify_numpy_s = _time_sweep(verify_configs, "numpy", "numpy")
     verify_speedup = verify_bytes_s / verify_numpy_s
-
-    sweep_configs = [
-        c for _, c in figure_configs(False, count=SPEED_COUNT, trip=SWEEP_TRIP)
-    ]
-    # At least 2 so the ProcessPoolExecutor path always runs; on a
-    # single-core host this records honest pool overhead, not a gain.
-    jobs_n = max(2, min(4, os.cpu_count() or 1))
-    sweep_serial_s = _time_sweep(sweep_configs, jobs=1)
-    sweep_parallel_s = _time_sweep(sweep_configs, jobs=jobs_n)
-
-    # Structure-batched sweep vs the per-config path, on a larger
-    # figure subset so multi-config signature classes actually occur.
-    # Everything is warmed first (simdize memo + jit kernels against a
-    # throwaway disk cache), the Measurements are asserted identical
-    # between modes, and then each path is timed best-of-ROUNDS —
-    # serial and at the same worker count — so the comparison is pure
-    # wall clock on equal cache state.
-    batch_configs = [
-        c for _, c in figure_configs(False, count=2 * SPEED_COUNT,
-                                     trip=SWEEP_TRIP)
-    ]
-    class_keys = []
-    for config in batch_configs:
-        syn = synthesize(config.params, config.seed, config.V)
-        result = _cached_simdize(syn.loop, config.V, config.options)
-        class_keys.append(_program_class_key(config, result))
-    size_histogram = Counter(Counter(class_keys).values())
-
-    with tempfile.TemporaryDirectory() as cache_root:
-        set_cache_dir(cache_root)
-        try:
-            base = measure_many(batch_configs, jobs=1)
-            assert measure_many(batch_configs, jobs=1,
-                                sweep_mode="batched") == base
-            batch_periter_s = _time_sweep(batch_configs, jobs=1,
-                                          rounds=ROUNDS)
-            batch_serial_s = _time_sweep(batch_configs, jobs=1,
-                                         sweep_mode="batched", rounds=ROUNDS)
-            batch_periter_jobs_s = _time_sweep(batch_configs, jobs=jobs_n,
-                                               rounds=ROUNDS)
-            batch_jobs_s = _time_sweep(batch_configs, jobs=jobs_n,
-                                       sweep_mode="batched", rounds=ROUNDS)
-        finally:
-            reset_cache_dir()
-            jit.clear_memory_cache()
-    batch_speedup = batch_periter_s / batch_serial_s
-    batch_jobs_speedup = batch_periter_jobs_s / batch_jobs_s
-
-    # Batched-class native execution: the C batch driver runs a whole
-    # signature class behind one ctypes crossing.  Two views: the
-    # engine-level run_batch comparison on the fig11 signature classes
-    # at a steady-dominated trip (this carries the 1.5x acceptance
-    # bar), and the honest end-to-end sweep split, serial and at
-    # jobs_n, where mode-invariant per-config costs (scalar reference,
-    # verification, memory setup) dilute the engine gap.
-    if native_mod._compiler_identity()[0] is None:
-        native_batch_section = {"skipped": "no C compiler on host"}
-        native_batch_speedup = None
-        driver_coverage = None
-    else:
-        from collections import OrderedDict as _ODict
-
-        from repro.profiling import PhaseProfile
-
-        nb_configs = [
-            c for _, c in figure_configs(False, count=2 * SPEED_COUNT,
-                                         trip=SPEED_TRIP)
-        ]
-        nb_classes: "_ODict[object, list]" = _ODict()
-        for config in nb_configs:
-            syn = synthesize(config.params, config.seed, config.V)
-            result = _cached_simdize(syn.loop, config.V, config.options)
-            rng = random.Random(config.seed ^ 0x5EED)
-            space = make_space(syn.loop, config.V, rng, syn.base_residues)
-            mem = space.make_memory()
-            fill_random(space, mem, rng)
-            bindings = RunBindings(
-                trip=syn.params.trip if syn.loop.runtime_upper else None)
-            nb_classes.setdefault(
-                _program_class_key(config, result), []).append(
-                (result.program, space, mem, bindings))
-
-        def _time_run_batch(name: str) -> float:
-            engine = get_backend(name)
-            best = float("inf")
-            for _ in range(ROUNDS):
-                groups = [[(p, s, m.clone(), b) for p, s, m, b in group]
-                          for group in nb_classes.values()]
-                start = time.perf_counter()
-                for group in groups:
-                    engine.run_batch(group)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        def _time_per_run(name: str) -> float:
-            engine = get_backend(name)
-            best = float("inf")
-            for _ in range(ROUNDS):
-                groups = [[(p, s, m.clone(), b) for p, s, m, b in group]
-                          for group in nb_classes.values()]
-                start = time.perf_counter()
-                for group in groups:
-                    for p, s, m, b in group:
-                        engine.run(p, s, m, b)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        with tempfile.TemporaryDirectory() as cache_root:
-            set_cache_dir(cache_root)
-            try:
-                compilequeue.precompile(
-                    [group[0][0] for group in nb_classes.values()])
-                for name in ("jit", "native"):  # warm kernels + .so
-                    _time_run_batch(name)
-                nb_jit_s = _time_run_batch("jit")
-                nb_native_s = _time_run_batch("native")
-                nb_periter_s = _time_per_run("native")
-                # End-to-end sweep split at the same worker counts as
-                # sweep_batched, on equal warm cache state.
-                nbe_jit_s = _time_sweep(batch_configs, jobs=1,
-                                        backend="jit",
-                                        sweep_mode="batched", rounds=ROUNDS)
-                nbe_native_s = _time_sweep(batch_configs, jobs=1,
-                                           backend="native",
-                                           sweep_mode="batched",
-                                           rounds=ROUNDS)
-                nbe_jit_jobs_s = _time_sweep(batch_configs, jobs=jobs_n,
-                                             backend="jit",
-                                             sweep_mode="batched",
-                                             rounds=ROUNDS)
-                nbe_native_jobs_s = _time_sweep(batch_configs, jobs=jobs_n,
-                                                backend="native",
-                                                sweep_mode="batched",
-                                                rounds=ROUNDS)
-                # Driver coverage on the fig11 sweep itself: every
-                # signature class should execute through the C batch
-                # driver (multi-config classes) or the whole-run
-                # driver (singletons), not the jit fallback.
-                nb_profile = PhaseProfile()
-                nb_native_meas = measure_many(batch_configs, jobs=1,
-                                              backend="native",
-                                              sweep_mode="batched",
-                                              profile=nb_profile)
-                nb_class_count = nb_profile.counts.get("batch_classes", 0)
-                nb_driver_classes = (
-                    nb_profile.counts.get("native_batch_calls", 0)
-                    + nb_profile.counts.get("native_whole_runs", 0))
-                # Byte-identical measurements across tiers: the native
-                # batch drivers must reproduce the jit-batched sweep
-                # exactly.
-                assert nb_native_meas == measure_many(
-                    batch_configs, jobs=1, backend="jit",
-                    sweep_mode="batched")
-            finally:
-                reset_cache_dir()
-                jit.clear_memory_cache()
-                native_mod.clear_memory_cache()
-        native_batch_speedup = nb_jit_s / nb_native_s
-        driver_coverage = (nb_driver_classes / nb_class_count
-                           if nb_class_count else 0.0)
-        native_batch_section = {
-            "configs": len(nb_configs),
-            "signature_classes": len(nb_classes),
-            "trip": SPEED_TRIP,
-            "jit_batch_s": round(nb_jit_s, 4),
-            "native_batch_s": round(nb_native_s, 4),
-            "speedup_vs_jit_batch": round(native_batch_speedup, 2),
-            "native_periter_s": round(nb_periter_s, 4),
-            "speedup_vs_native_periter": round(nb_periter_s / nb_native_s,
-                                               2),
-            "driver_class_coverage": round(driver_coverage, 3),
-            "sweep_trip": SWEEP_TRIP,
-            "sweep_jit_serial_s": round(nbe_jit_s, 4),
-            "sweep_native_serial_s": round(nbe_native_s, 4),
-            "sweep_serial_speedup": round(nbe_jit_s / nbe_native_s, 2),
-            "sweep_jobs": jobs_n,
-            "sweep_jit_jobs_s": round(nbe_jit_jobs_s, 4),
-            "sweep_native_jobs_s": round(nbe_native_jobs_s, 4),
-            "sweep_jobs_speedup": round(nbe_jit_jobs_s / nbe_native_jobs_s,
-                                        2),
-        }
 
     # True-SIMD emitter: scalar-lane vs vector-extension codegen on the
     # same signature set, plus a measured aligned-vs-shifted kernel
@@ -644,8 +391,7 @@ def test_backend_speed():
     # the Python-side marshalling around one ctypes crossing (~20 us)
     # is mode-invariant and would otherwise drown the ~2 us kernel
     # body, so engine-level timing cannot see the codegen difference.
-    # Whole-run and batch-driver views are recorded honestly (diluted)
-    # but unasserted.
+    # The whole-run view is recorded honestly (diluted) but unasserted.
     if native_mod._compiler_identity()[0] is None:
         native_simd_section = {"skipped": "no C compiler on host"}
         simd_steady_speedup = None
@@ -723,15 +469,11 @@ def test_backend_speed():
                     kernels = len(calls)
                     del calls  # release buffer exports
                     whole_s = _time_engine(get_backend("native"), workloads)
-                    compilequeue.precompile(
-                        [group[0][0] for group in nb_classes.values()])
-                    _time_run_batch("native")  # warm the batch kernels
-                    batch_s = _time_run_batch("native")
                 finally:
                     reset_cache_dir()
                     jit.clear_memory_cache()
                     native_mod.clear_memory_cache()
-            return kernels, steady_s, whole_s, batch_s
+            return kernels, steady_s, whole_s
 
         # The pair runs at a much longer trip than the sweep workloads:
         # one steady call must spend far longer in the loop body than
@@ -764,10 +506,9 @@ def test_backend_speed():
             return best / reps
 
         try:
-            scalar_kernels, simd_scalar_steady_s, simd_scalar_whole_s, \
-                simd_scalar_batch_s = _mode_times(False)
-            simd_kernels, simd_steady_s, simd_whole_s, simd_batch_s = \
-                _mode_times(True)
+            scalar_kernels, simd_scalar_steady_s, simd_scalar_whole_s = \
+                _mode_times(False)
+            simd_kernels, simd_steady_s, simd_whole_s = _mode_times(True)
 
             # Aligned-vs-shifted pair under the vector-ext emitter: the
             # same computation with zero-offset accesses (all streams
@@ -809,9 +550,6 @@ def test_backend_speed():
             "scalar_lane_whole_s": round(simd_scalar_whole_s, 4),
             "vector_ext_whole_s": round(simd_whole_s, 4),
             "whole_speedup": round(simd_scalar_whole_s / simd_whole_s, 2),
-            "scalar_lane_batch_s": round(simd_scalar_batch_s, 4),
-            "vector_ext_batch_s": round(simd_batch_s, 4),
-            "batch_speedup": round(simd_scalar_batch_s / simd_batch_s, 2),
             "pair_trip": PAIR_TRIP,
             "aligned_steady_s": round(aligned_steady_s, 7),
             "shifted_steady_s": round(shifted_steady_s, 7),
@@ -863,34 +601,6 @@ def test_backend_speed():
             "all_numpy_s": round(verify_numpy_s, 4),
             "speedup": round(verify_speedup, 2),
         },
-        "sweep_end_to_end": {
-            "configs": len(sweep_configs),
-            "trip": SWEEP_TRIP,
-            "jobs": jobs_n,
-            "serial_s": round(sweep_serial_s, 4),
-            "parallel_s": round(sweep_parallel_s, 4),
-            "speedup": round(sweep_serial_s / sweep_parallel_s, 2),
-        },
-        "sweep_batched": {
-            "configs": len(batch_configs),
-            "trip": SWEEP_TRIP,
-            "signature_classes": len(set(class_keys)),
-            # {class size: number of classes of that size} — singleton
-            # classes take the per-run fast path, larger ones run as
-            # one config-batched kernel call.
-            "class_sizes": {
-                str(size): count
-                for size, count in sorted(size_histogram.items())
-            },
-            "periter_serial_s": round(batch_periter_s, 4),
-            "batched_serial_s": round(batch_serial_s, 4),
-            "speedup": round(batch_speedup, 2),
-            "jobs": jobs_n,
-            "periter_jobs_s": round(batch_periter_jobs_s, 4),
-            "batched_jobs_s": round(batch_jobs_s, 4),
-            "jobs_speedup": round(batch_jobs_speedup, 2),
-        },
-        "native_batch": native_batch_section,
         "native_simd": native_simd_section,
     }
     from repro.reporting import atomic_write_text
@@ -940,9 +650,6 @@ def test_backend_speed():
             f"  batched cold    {pipeline_cold_s:8.4f} s "
             f"({pipeline_invocations} cc invocation, "
             f"{pipeline_cold_speedup:.1f}x)",
-            f"  async first results {async_first_s:8.4f} s vs jit "
-            f"{jit_first_s:8.4f} s ({async_ratio:.2f}x foreground; "
-            f"{pipeline_section['hot_swaps']} hot swaps)",
         ]
     lines += [
         f"scalar reference over {len(workloads)} loops (trip {SPEED_TRIP}, "
@@ -952,41 +659,7 @@ def test_backend_speed():
         f"verify path over {len(verify_configs)} configs (trip {SPEED_TRIP}):",
         f"  all-bytes {verify_bytes_s:8.4f} s",
         f"  all-numpy {verify_numpy_s:8.4f} s   ({verify_speedup:.1f}x)",
-        f"measure_many over {len(sweep_configs)} configs (trip {SWEEP_TRIP}):",
-        f"  jobs=1 {sweep_serial_s:8.4f} s",
-        f"  jobs={jobs_n} {sweep_parallel_s:7.4f} s   "
-        f"({sweep_serial_s / sweep_parallel_s:.1f}x)",
-        f"batched sweep over {len(batch_configs)} configs "
-        f"(trip {SWEEP_TRIP}, {len(set(class_keys))} signature classes, "
-        f"best of {ROUNDS}):",
-        f"  periter jobs=1 {batch_periter_s:8.4f} s",
-        f"  batched jobs=1 {batch_serial_s:8.4f} s   ({batch_speedup:.1f}x)",
-        f"  periter jobs={jobs_n} {batch_periter_jobs_s:7.4f} s",
-        f"  batched jobs={jobs_n} {batch_jobs_s:7.4f} s   "
-        f"({batch_jobs_speedup:.1f}x)",
     ]
-    if "skipped" in native_batch_section:
-        lines.append(
-            f"native batch driver: skipped "
-            f"({native_batch_section['skipped']})")
-    else:
-        nb = native_batch_section
-        lines += [
-            f"native batch driver over {nb['configs']} configs "
-            f"({nb['signature_classes']} classes, trip {SPEED_TRIP}, "
-            f"best of {ROUNDS}):",
-            f"  run_batch   jit {nb_jit_s:8.4f} s  native "
-            f"{nb_native_s:8.4f} s   ({native_batch_speedup:.1f}x)",
-            f"  per-config native {nb_periter_s:8.4f} s   "
-            f"({nb['speedup_vs_native_periter']:.1f}x batched win)",
-            f"  driver class coverage {nb_driver_classes}/{nb_class_count} "
-            f"({driver_coverage * 100:.0f}%)",
-            f"  end-to-end sweep jobs=1: jit {nbe_jit_s:8.4f} s  native "
-            f"{nbe_native_s:8.4f} s   ({nb['sweep_serial_speedup']:.2f}x)",
-            f"  end-to-end sweep jobs={jobs_n}: jit {nbe_jit_jobs_s:7.4f} s  "
-            f"native {nbe_native_jobs_s:7.4f} s   "
-            f"({nb['sweep_jobs_speedup']:.2f}x)",
-        ]
     if "skipped" in native_simd_section:
         lines.append(
             f"native simd emitter: skipped "
@@ -1003,9 +676,6 @@ def test_backend_speed():
             f"  whole   scalar-lane {simd_scalar_whole_s:8.4f} s   "
             f"vector-ext {simd_whole_s:8.4f} s   "
             f"({ns['whole_speedup']:.2f}x)",
-            f"  batch   scalar-lane {simd_scalar_batch_s:8.4f} s   "
-            f"vector-ext {simd_batch_s:8.4f} s   "
-            f"({ns['batch_speedup']:.2f}x)",
             f"  realignment pair: aligned {aligned_steady_s * 1e9:7.0f} ns  "
             f"shifted {shifted_steady_s * 1e9:7.0f} ns per call   "
             f"({realignment_overhead:.2f}x overhead)",
@@ -1034,55 +704,17 @@ def test_backend_speed():
         # The compile pipeline: one batched cc invocation replaces one
         # per signature, and the batch is measurably faster than the
         # singleton path even after gcc's fixed per-launch overhead is
-        # subtracted.  The async foreground bar is host-aware: with a
-        # spare core the first jit-delegated pass runs within 1.5x of
-        # pure jit while cc proceeds beside it, but on a single-CPU
-        # host the foreground *timeshares the core with the compiler*
-        # (measured ~2.2x), so the bar there only excludes pathological
-        # serialization — the real claim on such hosts is the absolute
-        # one: first results land before the batched compile alone
-        # would have returned.
+        # subtracted.
         assert pipeline_invocations <= 6, (
             f"pipeline used {pipeline_invocations} cc invocations "
             f"for {pipeline_section['signatures']} signatures")
         assert pipeline_cold_speedup >= 1.25, (
             f"batched cold compile only {pipeline_cold_speedup:.2f}x "
             f"over per-kernel")
-        async_bar = 1.5 if (os.cpu_count() or 1) > 1 else 3.0
-        assert async_ratio <= async_bar, (
-            f"async first results cost {async_ratio:.2f}x the jit "
-            f"first pass (bar {async_bar}x)")
-        assert async_first_s < pipeline_cold_s, (
-            f"async first results ({async_first_s:.2f} s) arrived "
-            f"later than the blocking batched compile "
-            f"({pipeline_cold_s:.2f} s)")
     assert scalar_speedup >= 10.0, (
         f"numpy scalar engine only {scalar_speedup:.1f}x faster")
     assert verify_speedup >= 5.0, (
         f"end-to-end verify path only {verify_speedup:.1f}x faster")
-    # The batched-sweep win is bounded by the jit-vs-numpy engine gap
-    # diluted by the mode-invariant per-config costs (memory setup,
-    # scalar reference, scoring) — measured ~2x serial and ~1.7x at 2
-    # workers on this workload, so the bar sits at 1.25x with noise
-    # margin, on both the serial and the equal-worker comparison.
-    assert batch_speedup >= 1.25, (
-        f"batched sweep only {batch_speedup:.2f}x over per-config")
-    assert batch_jobs_speedup >= 1.25, (
-        f"batched sweep at {jobs_n} jobs only {batch_jobs_speedup:.2f}x "
-        f"over per-config at {jobs_n} jobs")
-    if "skipped" not in native_batch_section:
-        # The C batch driver against config-batched jit at the engine
-        # level, where the per-class ctypes-crossing collapse is not
-        # diluted by mode-invariant sweep costs (measured ~2.7x; the
-        # end-to-end split above is recorded honestly but unasserted).
-        # Nearly every fig11 signature class must actually go through
-        # the C driver — batch or whole-run — not the jit fallback.
-        assert native_batch_speedup >= 1.5, (
-            f"native run_batch only {native_batch_speedup:.2f}x over "
-            f"jit run_batch")
-        assert driver_coverage >= 0.9, (
-            f"C driver covered only {nb_driver_classes}/{nb_class_count} "
-            f"signature classes")
     if "skipped" not in native_simd_section:
         # The vector-extension emitter against the scalar-lane one on
         # identical pre-marshalled steady calls (measured ~3-4x here;

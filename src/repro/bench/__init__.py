@@ -19,11 +19,9 @@ from repro.bench.figures import (
 )
 from repro.bench.lowerbound import LowerBound, lower_bound, peak_speedup, seq_opd
 from repro.bench.runner import (
-    SWEEP_MODES,
     Measurement,
     SuiteResult,
     SweepConfig,
-    measure_batch,
     measure_loop,
     measure_many,
     measure_suite,
@@ -51,8 +49,8 @@ __all__ = [
     "FigureBar", "FigureResult", "figure", "figure11", "figure12",
     "figure_configs",
     "LowerBound", "lower_bound", "peak_speedup", "seq_opd",
-    "SWEEP_MODES", "Measurement", "SuiteResult", "SweepConfig",
-    "measure_batch", "measure_loop", "measure_many", "measure_suite",
+    "Measurement", "SuiteResult", "SweepConfig",
+    "measure_loop", "measure_many", "measure_suite",
     "MAX_OFFSET", "SynthParams", "SynthesizedLoop", "synthesize",
     "synthesize_suite",
     "TABLE_ROWS", "TableResult", "TableRow", "measure_row", "table1", "table2",

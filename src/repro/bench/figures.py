@@ -148,28 +148,23 @@ def figure(
     backend: str = "auto",
     scalar_backend: str = "auto",
     profile=None,
-    sweep_mode: str = "periter",
     run_policy=None,
 ) -> FigureResult:
     """Measure every Figure 11/12 scheme bar.
 
     All (scheme × loop) configurations go through one
     :func:`~repro.bench.runner.measure_many` call, so ``jobs > 1``
-    parallelizes across the whole figure, not per bar, and
-    ``sweep_mode="batched"`` executes each program-signature class of
-    the figure as one batched kernel call (identical numbers, less
-    wall clock).  ``run_policy`` is the sweep's
-    :class:`~repro.bench.runner.RunPolicy`; configs that still fail
-    after its retries are dropped from their bar's aggregate (a bar
-    with no surviving configs raises).
+    parallelizes across the whole figure, not per bar.  ``run_policy``
+    is the sweep's :class:`~repro.bench.runner.RunPolicy`; configs that
+    still fail after its retries are dropped from their bar's aggregate
+    (a bar with no surviving configs raises).
     """
     labelled = figure_configs(offset_reassoc, count, trip, V, base_seed,
                               unroll, loads)
     measurements = measure_many([c for _, c in labelled], jobs=jobs,
                                 backend=backend,
                                 scalar_backend=scalar_backend,
-                                profile=profile, sweep_mode=sweep_mode,
-                                run_policy=run_policy)
+                                profile=profile, run_policy=run_policy)
     by_label: dict[str, list] = {}
     for (label, _), m in zip(labelled, measurements):
         if isinstance(m, Measurement):

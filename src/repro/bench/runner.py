@@ -40,7 +40,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro import faults
@@ -53,17 +53,7 @@ from repro.machine.scalar import RunBindings
 from repro.profiling import PhaseProfile, timed
 from repro.simdize.driver import SimdizeResult, simdize
 from repro.simdize.options import SimdOptions
-from repro.simdize.verify import (
-    fill_random,
-    make_space,
-    verify_equivalence,
-    verify_equivalence_batch,
-)
-
-#: Accepted ``sweep_mode`` values: ``periter`` measures configs one at
-#: a time (the historical path); ``batched`` groups configs by program
-#: signature and executes each class as one batched kernel call.
-SWEEP_MODES = ("periter", "batched")
+from repro.simdize.verify import fill_random, make_space, verify_equivalence
 
 #: Bump when SimdizeResult's shape (or anything it transitively pickles)
 #: changes: stale disk entries must miss, not deserialize wrongly.
@@ -179,20 +169,6 @@ def measure_loop(
     report = verify_equivalence(result.program, space, mem, bindings,
                                 backend=backend, scalar_backend=scalar_backend,
                                 profile=profile)
-    return _finish_measurement(syn, options, V, scheme, result, report)
-
-
-def _finish_measurement(
-    syn: SynthesizedLoop,
-    options: SimdOptions,
-    V: int,
-    scheme: str | None,
-    result: SimdizeResult,
-    report,
-) -> Measurement:
-    """Score one verified run — shared by the per-config and batched
-    paths so both produce field-identical Measurements."""
-    loop = syn.loop
     lb = lower_bound(
         loop,
         V,
@@ -278,7 +254,6 @@ def measure_suite(
     backend: str = "auto",
     scalar_backend: str = "auto",
     profile: PhaseProfile | None = None,
-    sweep_mode: str = "periter",
     run_policy: "RunPolicy | None" = None,
 ) -> SuiteResult:
     """Measure every loop of a suite under one scheme.
@@ -288,14 +263,13 @@ def measure_suite(
     *every* config failed there is nothing to aggregate and a
     :class:`~repro.errors.BenchError` is raised.
     """
-    if jobs > 1 or sweep_mode != "periter" or run_policy is not None:
+    if jobs > 1 or run_policy is not None:
         configs = [
             SweepConfig(syn.params, syn.seed, options, V, scheme) for syn in suite
         ]
         rows = measure_many(configs, jobs=jobs, backend=backend,
                             scalar_backend=scalar_backend,
-                            profile=profile, sweep_mode=sweep_mode,
-                            run_policy=run_policy)
+                            profile=profile, run_policy=run_policy)
         measurements = [m for m in rows if isinstance(m, Measurement)]
         if not measurements:
             raise BenchError(
@@ -587,107 +561,6 @@ def _supervise(tasks, worker, make_job, jobs, policy, profile,
                 profile.count("serial_fallbacks")
 
 
-# ---------------------------------------------------------------------------
-# Structure-batched sweeps
-# ---------------------------------------------------------------------------
-
-def _program_class_key(config: SweepConfig, result: SimdizeResult):
-    """The signature-class grouping key for one simdized config.
-
-    With NumPy present this is the jit engine's structural program
-    signature — the exact key its kernel cache uses, so every config
-    in a class shares one compiled kernel and one batched call.
-    Without NumPy, batching degrades to per-run execution anyway
-    (:func:`~repro.machine.backend.run_vector_batch`), so the loop
-    signature tuple is key enough.
-    """
-    if numpy_available():
-        from repro.machine.jit import _cached_signature
-
-        return _cached_signature(result.program)
-    return result.class_key()
-
-
-def measure_batch(
-    configs: list[SweepConfig],
-    backend: str = "auto",
-    scalar_backend: str = "auto",
-    profile: PhaseProfile | None = None,
-) -> list[Measurement]:
-    """Measure sweep configs grouped into program-signature classes.
-
-    Element-wise identical to :func:`measure_loop` per config — same
-    synthesis, same seeded random memories, same verification oracle,
-    same Measurement fields — but the vector executions of each
-    signature class happen as ONE batched backend call
-    (:func:`~repro.simdize.verify.verify_equivalence_batch`) instead
-    of one per config.  Because batching is the whole point here,
-    ``backend="auto"`` resolves to the jit engine (the only one with
-    a native config-batch axis) when NumPy is available; its results
-    are bit-identical to the bytes oracle, so the only observable
-    difference is wall clock.  Results come back in input order.
-
-    With a ``profile``, per-class stats accumulate under
-    ``batch_classes`` / ``batch_configs`` / ``batch_fallbacks``.
-    """
-    if backend == "auto" and numpy_available():
-        backend = "jit"
-    syns: list[SynthesizedLoop] = []
-    for config in configs:
-        with timed(profile, "synthesize"):
-            syns.append(synthesize(config.params, config.seed, config.V))
-    simdized: list[SimdizeResult] = []
-    classes: "OrderedDict[object, list[int]]" = OrderedDict()
-    for idx, (config, syn) in enumerate(zip(configs, syns)):
-        with timed(profile, "simdize"):
-            result = _cached_simdize(syn.loop, config.V, config.options,
-                                     profile)
-        simdized.append(result)
-        classes.setdefault(_program_class_key(config, result), []).append(idx)
-    if backend == "native" and numpy_available():
-        # Precompile-ahead: the signature classes are known before any
-        # config runs, so every cold native kernel compiles in one (or
-        # few) batched translation units instead of one cc per class.
-        from repro.machine import compilequeue
-
-        compilequeue.precompile(
-            [simdized[indices[0]].program for indices in classes.values()],
-            profile,
-        )
-    measurements: list[Measurement | None] = [None] * len(configs)
-    for indices in classes.values():
-        items = []
-        for idx in indices:
-            config, syn = configs[idx], syns[idx]
-            # Exactly measure_loop's derivation: the data rng seeds
-            # from the config seed, so batch composition cannot change
-            # any config's memory image.
-            rng = random.Random(config.seed ^ 0x5EED)
-            space = make_space(syn.loop, config.V, rng, syn.base_residues)
-            mem = space.make_memory()
-            fill_random(space, mem, rng)
-            bindings = RunBindings(
-                trip=syn.params.trip if syn.loop.runtime_upper else None
-            )
-            items.append((simdized[idx].program, space, mem, bindings))
-        reports = verify_equivalence_batch(
-            items, backend=backend, scalar_backend=scalar_backend,
-            profile=profile,
-        )
-        if profile is not None:
-            profile.count("batch_classes")
-            profile.count("batch_configs", len(indices))
-            fallbacks = sum(1 for r in reports if r.used_fallback)
-            if fallbacks:
-                profile.count("batch_fallbacks", fallbacks)
-        for idx, report in zip(indices, reports):
-            measurements[idx] = _finish_measurement(
-                syns[idx], configs[idx].options, configs[idx].V,
-                configs[idx].scheme, simdized[idx], report,
-            )
-    return measurements
-
-
 def _disk_stats_snapshot() -> dict:
     cache = get_cache()
     return cache.stats() if cache is not None else {}
@@ -710,52 +583,6 @@ def _fold_disk_stats(profile: PhaseProfile | None, before: dict) -> None:
         delta = after.get(stat, 0) - before.get(stat, 0)
         if delta > 0:
             profile.count(f"disk_{stat}", delta)
-
-
-def _measure_batch_chunk(
-    job: tuple[list[SweepConfig], str, str, str | None, bool]
-) -> tuple[list[Measurement], PhaseProfile | None]:
-    """Worker entry point for batched sweeps: one or more whole
-    signature classes per task (same job tuple as
-    :func:`_measure_sweep_chunk`)."""
-    faults.fault("worker")
-    chunk, backend, scalar_backend, cache_dir, want_profile = job
-    if cache_dir is not None:
-        set_cache_dir(Path(cache_dir) if cache_dir else None)
-    profile = PhaseProfile() if want_profile else None
-    before = _disk_stats_snapshot() if want_profile else {}
-    out = measure_batch(chunk, backend=backend,
-                        scalar_backend=scalar_backend, profile=profile)
-    _fold_disk_stats(profile, before)
-    return out, profile
-
-
-def _batched_bins(configs: list[SweepConfig], jobs: int) -> list[list[int]]:
-    """Partition config indices into worker bins, whole families at a
-    time.
-
-    Families group by ``(params, V)`` — computable without synthesizing
-    and coarser than any program-signature class (configs lowered from
-    different param sets can't share a program; different *schemes* of
-    one param set sometimes can) — so no class is ever split across
-    processes and every worker batches maximally.  Runtime-trip params
-    normalize ``trip`` out of the key: the trip count is a run-time
-    binding there, so configs differing only in trip share program
-    signatures.  Greedy largest-family-first balancing keeps bins even.
-    """
-    families: "OrderedDict[object, list[int]]" = OrderedDict()
-    for idx, config in enumerate(configs):
-        params = config.params
-        if params.runtime_trip:
-            params = replace(params, trip=0)
-        families.setdefault((params, config.V), []).append(idx)
-    bins: list[list[int]] = [[] for _ in range(min(jobs, len(families)))]
-    loads = [0] * len(bins)
-    for indices in sorted(families.values(), key=len, reverse=True):
-        target = loads.index(min(loads))
-        bins[target].extend(indices)
-        loads[target] += len(indices)
-    return [b for b in bins if b]
 
 
 #: Most pending configs a parent will prewarm ahead of its workers:
@@ -847,28 +674,16 @@ def measure_many(
     backend: str = "auto",
     scalar_backend: str = "auto",
     profile: PhaseProfile | None = None,
-    sweep_mode: str = "periter",
     run_policy: RunPolicy | None = None,
 ) -> list:
     """Measure many sweep configs, optionally fanned over processes.
 
-    Results are returned in input order and element-wise identical in
-    every ``sweep_mode`` — the modes only change *how* the vector
-    executions are dispatched, never what any config computes.
-
-    ``sweep_mode="periter"`` measures one config at a time.
-    ``jobs <= 1`` runs serially in this process (and benefits from the
-    shared simdize memo); larger ``jobs`` submits manually batched
-    chunks to a ``ProcessPoolExecutor`` — one task per chunk, ~4 chunks
-    per worker — so task pickling is amortized over many configs.
-
-    ``sweep_mode="batched"`` routes through :func:`measure_batch`:
-    configs grouped into program-signature classes, one config-batched
-    kernel call per class.  With ``jobs > 1`` each worker receives
-    whole config *families* (``(params, V, options)`` groups — a
-    synthesis-free superset of the signature classes), so no class is
-    ever split across processes and the per-task overhead that capped
-    per-config scaling disappears with it.
+    Results are returned in input order, one config measured at a
+    time.  ``jobs <= 1`` runs serially in this process (and benefits
+    from the shared simdize memo); larger ``jobs`` submits manually
+    batched chunks to a ``ProcessPoolExecutor`` — one task per chunk,
+    ~4 chunks per worker — so task pickling is amortized over many
+    configs.
 
     Each worker keeps its own memo but shares the parent's *disk* cache
     directory, so lowering done by one worker is a disk hit for the
@@ -896,10 +711,6 @@ def measure_many(
     propagates (the CLI maps it to exit code 3), so a later ``resume``
     run reproduces the full table byte-identically.
     """
-    if sweep_mode not in SWEEP_MODES:
-        raise BenchError(
-            f"unknown sweep mode {sweep_mode!r}; choose from {SWEEP_MODES}"
-        )
     # Parse REPRO_FAULT up front: a grammar error is a usage mistake
     # that should fail the sweep immediately, not be retried per config
     # in every worker.
@@ -963,52 +774,40 @@ def measure_many(
                 cache_root = current_cache_dir()
                 cache_dir = str(cache_root) if cache_root is not None else ""
             if len(pending) <= _PREWARM_LIMIT and (
-                    effective_jobs > 1
-                    or (backend == "native" and sweep_mode == "periter")):
-                # Batched+serial skips this: measure_batch precompiles
-                # its own signature classes after grouping.
+                    effective_jobs > 1 or backend == "native"):
                 _prewarm_pending([configs[i] for i in pending], backend,
                                  profile)
-            if sweep_mode == "batched":
-                worker = _measure_batch_chunk
-                if effective_jobs <= 1 or len(pending) <= 1:
+            if effective_jobs <= 1 or len(pending) <= 1:
+                if policy.checkpoint is not None and len(pending) > 1:
+                    # Serial checkpointed sweeps run one task per
+                    # config: the journal then records progress at
+                    # every config boundary, and a stop signal
+                    # (SIGTERM/SIGINT) lands between configs instead
+                    # of waiting out the whole sweep.
+                    bins = [[idx] for idx in pending]
+                else:
                     bins = [list(pending)]
-                else:
-                    sub = [configs[i] for i in pending]
-                    bins = [[pending[i] for i in indices]
-                            for indices in _batched_bins(sub, effective_jobs)]
             else:
-                worker = _measure_sweep_chunk
-                if effective_jobs <= 1 or len(pending) <= 1:
-                    if policy.checkpoint is not None and len(pending) > 1:
-                        # Serial checkpointed sweeps run one task per
-                        # config: the journal then records progress at
-                        # every config boundary, and a stop signal
-                        # (SIGTERM/SIGINT) lands between configs
-                        # instead of waiting out the whole sweep.
-                        bins = [[idx] for idx in pending]
-                    else:
-                        bins = [list(pending)]
+                # One balanced chunk per worker by default — task
+                # dispatch/pickling is the scaling killer on small
+                # sweeps.  Under a chunk timeout or armed faults, finer
+                # chunks bound the blast radius of a kill or timeout to
+                # a few configs.
+                if policy.timeout is not None or faults.active():
+                    chunks = effective_jobs * 4
                 else:
-                    # One balanced chunk per worker by default — task
-                    # dispatch/pickling is the scaling killer on small
-                    # sweeps.  Under a chunk timeout or armed faults,
-                    # finer chunks bound the blast radius of a kill or
-                    # timeout to a few configs.
-                    if policy.timeout is not None or faults.active():
-                        chunks = effective_jobs * 4
-                    else:
-                        chunks = effective_jobs
-                    chunksize = max(1, -(-len(pending) // chunks))
-                    bins = [pending[i:i + chunksize]
-                            for i in range(0, len(pending), chunksize)]
+                    chunks = effective_jobs
+                chunksize = max(1, -(-len(pending) // chunks))
+                bins = [pending[i:i + chunksize]
+                        for i in range(0, len(pending), chunksize)]
 
             def make_job(indices: list[int]):
                 return ([configs[i] for i in indices], backend,
                         scalar_backend, cache_dir, want_profile)
 
-            _supervise([_Task(b) for b in bins], worker, make_job,
-                       effective_jobs, policy, profile, on_done, on_failed)
+            _supervise([_Task(b) for b in bins], _measure_sweep_chunk,
+                       make_job, effective_jobs, policy, profile, on_done,
+                       on_failed)
     finally:
         _disarm_stop_signals(stop_handlers)
         if journal is not None:

@@ -100,7 +100,6 @@ def measure_row(
     backend: str = "auto",
     scalar_backend: str = "auto",
     profile=None,
-    sweep_mode: str = "periter",
     run_policy=None,
 ) -> TableRow:
     """Measure one ``S{s}*L{l}`` row under every candidate scheme."""
@@ -119,7 +118,6 @@ def measure_row(
                                            jobs=jobs, backend=backend,
                                            scalar_backend=scalar_backend,
                                            profile=profile,
-                                           sweep_mode=sweep_mode,
                                            run_policy=run_policy)
 
     all_runtime: dict[str, SuiteResult] = {}
@@ -130,7 +128,6 @@ def measure_row(
                                            jobs=jobs, backend=backend,
                                            scalar_backend=scalar_backend,
                                            profile=profile,
-                                           sweep_mode=sweep_mode,
                                            run_policy=run_policy)
 
     best_ct = max(all_compile.values(), key=lambda r: r.speedup)
@@ -147,14 +144,12 @@ def measure_row(
 def table1(count: int = 50, trip: int = 997, base_seed: int = 0,
            unroll: int = BENCH_UNROLL, jobs: int = 1,
            backend: str = "auto", scalar_backend: str = "auto",
-           profile=None, sweep_mode: str = "periter",
-           run_policy=None) -> TableResult:
+           profile=None, run_policy=None) -> TableResult:
     """Table 1: speedups with 4 int32 elements per 16-byte register."""
     rows = [
         measure_row(s, l, INT32, count, trip, 16, base_seed, unroll,
                     jobs=jobs, backend=backend, scalar_backend=scalar_backend,
-                    profile=profile, sweep_mode=sweep_mode,
-                    run_policy=run_policy)
+                    profile=profile, run_policy=run_policy)
         for s, l in TABLE_ROWS
     ]
     return TableResult(
@@ -167,14 +162,12 @@ def table1(count: int = 50, trip: int = 997, base_seed: int = 0,
 def table2(count: int = 50, trip: int = 997, base_seed: int = 0,
            unroll: int = BENCH_UNROLL, jobs: int = 1,
            backend: str = "auto", scalar_backend: str = "auto",
-           profile=None, sweep_mode: str = "periter",
-           run_policy=None) -> TableResult:
+           profile=None, run_policy=None) -> TableResult:
     """Table 2: speedups with 8 int16 elements per 16-byte register."""
     rows = [
         measure_row(s, l, INT16, count, trip, 16, base_seed, unroll,
                     jobs=jobs, backend=backend, scalar_backend=scalar_backend,
-                    profile=profile, sweep_mode=sweep_mode,
-                    run_policy=run_policy)
+                    profile=profile, run_policy=run_policy)
         for s, l in TABLE_ROWS
     ]
     return TableResult(

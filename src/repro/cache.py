@@ -38,11 +38,13 @@ Design rules:
   (``REPRO_CACHE_MAX_BYTES``, default 1 GiB, ``0`` = unlimited); the
   write that crosses the budget evicts least-recently-*used* entry
   groups first — a hit touches the one file it read, and a group ages
-  by its newest member — so long sweep campaigns cannot grow the
-  cache without limit and the hot working set survives.  Each
-  instance charges its writes to a running byte tally and lists the
-  directory only when that tally is unknown, would cross the budget,
-  or has grown by ``max_bytes // 16`` since its last scan.
+  by its newest member — down to 7/8 of the budget, so long sweep
+  campaigns cannot grow the cache without limit, the hot working set
+  survives, and the writes after an eviction do not cross the budget
+  again at once.  Each instance charges its writes to a running byte
+  tally and lists the directory only when that tally is unknown,
+  would cross the budget, or has grown by ``max_bytes // 16`` since
+  its last scan.
 * **Sibling artifacts.** A key may carry raw byte artifacts next to
   its pickle entry (``put_artifact`` / ``artifact_path``) — the native
   tier stores a kernel's ``.c`` source and compiled ``.so`` this way.
@@ -307,12 +309,15 @@ class DiskCache:
         The scan sizes every entry *group* — every file sharing one
         digest stem, the pickle entry plus any sibling artifacts
         (``.c``/``.so``) — as a sum, ages it by its most recent member,
-        drops least-recently-used groups as a unit (a surviving ``.so``
-        can never outlive the metadata that validates it) until under
-        budget, and resets the tally to the true total.  Best-effort and
-        never-fail like everything else here: entries racing with
-        concurrent workers may vanish mid-scan (fine — the goal was
-        deletion), and any other error leaves the tally unknown.
+        and resets the tally to the true total.  Over budget, it drops
+        least-recently-used groups as a unit (a surviving ``.so`` can
+        never outlive the metadata that validates it) until the total is
+        at most 7/8 of ``max_bytes``; the freed eighth lets the next
+        writes land without crossing the budget and rescanning at once.
+        Best-effort and never-fail like everything else here: entries
+        racing with concurrent workers may vanish mid-scan (fine — the
+        goal was deletion), and any other error leaves the tally
+        unknown.
         """
         if not self.max_bytes:
             self._tally = None
@@ -345,6 +350,7 @@ class DiskCache:
                 entry[2].append(path)
                 total += stat.st_size
             if total > self.max_bytes:
+                low_water = self.max_bytes * 7 // 8
                 ordered = sorted(
                     (mtime, size, members)
                     for mtime, size, members in groups.values()
@@ -361,7 +367,7 @@ class DiskCache:
                         continue
                     self.evictions += 1
                     total -= size
-                    if total <= self.max_bytes:
+                    if total <= low_water:
                         break
             self._tally = total
         except Exception:

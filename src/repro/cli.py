@@ -88,12 +88,6 @@ def _add_perf_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="disk cache for compiled artifacts (default "
                              "~/.cache/repro or $REPRO_CACHE_DIR; '' disables)")
-    parser.add_argument("--async-compile", action="store_true",
-                        dest="async_compile",
-                        help="compile native kernels on a background thread "
-                             "and hot-swap them in as they land; runs start "
-                             "immediately on the jit tier (same as "
-                             "REPRO_NATIVE_ASYNC=1)")
 
 
 def _apply_cache_dir(args: argparse.Namespace) -> None:
@@ -101,23 +95,6 @@ def _apply_cache_dir(args: argparse.Namespace) -> None:
         from repro.cache import set_cache_dir
 
         set_cache_dir(args.cache_dir if args.cache_dir else None)
-    if getattr(args, "async_compile", False):
-        from repro.machine import compilequeue
-
-        compilequeue.set_async_compile(True)
-
-
-def _drain_async_compiles() -> None:
-    """Wait out queued background native compiles before exiting.
-
-    Their hot-swaps can no longer help this invocation, but the
-    compiled artifacts land in the shared disk cache so the *next*
-    process starts warm — the whole point of compiling ahead.
-    """
-    from repro.machine import compilequeue
-
-    if compilequeue.async_enabled():
-        compilequeue.drain(timeout=60.0)
 
 
 def _make_profile(args: argparse.Namespace):
@@ -178,7 +155,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"note: backend degraded to {fb['tier']!r} after a "
               f"{fb['phase']} failure in {'/'.join(fb['failed'])} "
               f"({fb['reason']})")
-    _drain_async_compiles()
     if profile is not None:
         print()
         print(profile.format())
@@ -257,7 +233,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sweep = dict(count=args.count, trip=args.trip_count, jobs=args.jobs,
                  backend=args.exec_backend,
                  scalar_backend=args.scalar_backend, profile=profile,
-                 sweep_mode=args.sweep_mode, run_policy=policy)
+                 run_policy=policy)
     builders = {
         "table1": lambda: table1(**sweep),
         "table2": lambda: table2(**sweep),
@@ -267,7 +243,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     }
     result = builders[args.name]()
     print(result.format())
-    _drain_async_compiles()
     if profile is not None:
         print()
         print(profile.format())
@@ -352,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loop trip count (paper uses ~1000)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the sweep (1 = serial)")
-    p.add_argument("--sweep-mode", default="periter", dest="sweep_mode",
-                   choices=["periter", "batched"],
-                   help="sweep execution strategy: periter measures one "
-                        "config at a time; batched runs each program-"
-                        "signature class as one batched kernel call "
-                        "(identical output, less wall clock)")
     p.add_argument("--max-retries", type=int, default=2, dest="max_retries",
                    help="re-attempts per failing sweep config before it is "
                         "reported as failed (default 2)")
@@ -406,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="disk cache for compiled artifacts (default "
                         "~/.cache/repro or $REPRO_CACHE_DIR; '' disables)")
-    p.set_defaults(func=cmd_serve, async_compile=False)
+    p.set_defaults(func=cmd_serve)
 
     return parser
 

@@ -491,17 +491,14 @@ def kernel_unit_prelude(V: int, dtype: DataType, simd: bool = False) -> str:
     would collide); all helpers are ``static inline`` so the resulting
     objects link together without symbol clashes.
 
-    Each signature contributes three exported functions: the steady
-    kernel ``simdal_steady_<digest>``, the whole-run driver
+    Each signature contributes two exported functions: the steady
+    kernel ``simdal_steady_<digest>`` and the whole-run driver
     ``simdal_run_<digest>`` (prologue/epilogue sections plus the
-    steady call), and the class batch driver
-    ``simdal_steady_batch_<digest>`` whose row loop calls the run
-    driver once per config.  ``SIMDAL_NOINLINE`` marks the steady
-    kernel and run driver so ``cc -O3`` optimizes each exported body
-    exactly once instead of re-inlining the steady loop into every
-    caller — the drivers' win is fewer ctypes crossings, not inlining,
-    and duplicated inlining made batched translation units ~6x slower
-    to compile.
+    steady call).  ``SIMDAL_NOINLINE`` marks both so ``cc -O3``
+    optimizes each exported body exactly once instead of re-inlining
+    the steady loop into its caller — the driver's win is fewer ctypes
+    crossings, not inlining, and duplicated inlining made batched
+    translation units ~6x slower to compile.
     """
     helpers = simd_helpers(V, dtype) if simd \
         else PortableBackend().helpers(V, dtype)

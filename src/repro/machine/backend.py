@@ -163,18 +163,10 @@ def get_backend(name: str = "auto") -> ExecutionBackend:
 # a genuine program error (bad shift amount, unbound register) raises
 # the same exception from the oracle that the fast tier raised.
 #
-# Hot-swap interplay: in asynchronous compile mode (REPRO_NATIVE_ASYNC,
-# repro.machine.compilequeue) the native tier never *fails* on a cold
-# kernel — acquisition returns a jit-delegating kernel immediately and
-# the compiled machine code is swapped in mid-sweep when the background
-# queue delivers it.  That swap happens inside the native tier, below
-# this chain: no degradation is recorded (the run never failed), and a
-# background compile failure just leaves the kernel delegating to jit
-# forever.  The chain still matters on the synchronous path (cc
-# failures, compiler-less hosts, REPRO_FAULT=compile:raise) — and in
-# async mode an injected compile fault fires inside the queue worker,
-# so figures stay byte-identical while the degradation simply does not
-# need recording.
+# Native kernel acquisition is synchronous: a cc failure, a host with
+# no compiler, or REPRO_FAULT=compile:raise fails the native attempt
+# before any memory mutation, and the chain records the native → jit
+# degradation on the result.
 
 #: Ordered fallback tiers per requested vector backend.
 DEGRADATION_CHAIN: dict[str, tuple[str, ...]] = {
@@ -220,10 +212,6 @@ class _ResilientChain:
         # The head tier resolves eagerly so an explicitly requested
         # but unavailable engine still raises the friendly error.
         self._engines: dict[str, object] = {tiers[0]: resolve(tiers[0])}
-
-    @property
-    def primary(self):
-        return self._engines[self.tiers[0]]
 
     def engine_for(self, tier: str):
         engine = self._engines.get(tier)
@@ -297,43 +285,13 @@ class ResilientBackend:
         return result
 
     def run_batch(self, runs: list) -> list:
-        """Batched execution with whole-batch degradation.
+        """Run ``(program, space, mem, bindings)`` tuples in order.
 
-        The primary tier's native batch is tried first; any failure
-        restores every run's memory and re-executes config by config
-        through :meth:`run`, so one poisoned config degrades alone
-        instead of sinking its signature class.  Leaving the batch
-        path is never silent: every result of a class that ran
-        config-by-config carries a structured ``batch_fallback``
-        record — whether the primary tier has no batch execution at
-        all (numpy/bytes heads) or its batched call failed — which
-        the ``--profile`` resilience section aggregates.
+        Each run goes through :meth:`run`, so every config degrades on
+        its own.  The serve micro-batcher calls this once per batch.
         """
-        primary = self._chain.primary
-        tier = self._chain.tiers[0]
-        batch = getattr(primary, "run_batch", None)
-        batch_fallback: dict | None = None
-        if batch is None:
-            batch_fallback = {"tier": tier, "phase": "batch",
-                              "reason": "tier has no batch execution"}
-        elif len(self._chain.tiers) == 1:
-            return batch(runs)
-        else:
-            snapshots = [mem.snapshot() for _, _, mem, _ in runs]
-            try:
-                return batch(runs)
-            except Exception as exc:
-                for (_, _, mem, _), snap in zip(runs, snapshots):
-                    mem.raw()[:] = snap
-                batch_fallback = {
-                    "tier": tier, "phase": "batch",
-                    "reason": f"{type(exc).__name__}: {exc}",
-                }
-        results = [self.run(program, space, mem, bindings)
-                   for program, space, mem, bindings in runs]
-        for result in results:
-            result.batch_fallback = batch_fallback
-        return results
+        return [self.run(program, space, mem, bindings)
+                for program, space, mem, bindings in runs]
 
 
 class ResilientScalarBackend:
@@ -383,23 +341,6 @@ def get_resilient_scalar_backend(name: str = "auto") -> ScalarBackend:
     return ResilientScalarBackend(name)
 
 
-def run_vector_batch(engine: ExecutionBackend, runs: list) -> list:
-    """Run ``(program, space, mem, bindings)`` tuples as one batch.
-
-    Engines with a native ``run_batch`` (the jit engine executes whole
-    signature classes in one config-batched kernel call) get the entire
-    list; every other engine degrades to per-run :meth:`run` calls with
-    identical semantics, so callers can batch against any backend and
-    the differential tests can compare batch results across the whole
-    registry.  Results come back in input order.
-    """
-    native = getattr(engine, "run_batch", None)
-    if native is not None:
-        return native(runs)
-    return [engine.run(program, space, mem, bindings)
-            for program, space, mem, bindings in runs]
-
-
 def jit_compile_stats() -> dict:
     """A snapshot of the compiled engines' compile/cache counters.
 
@@ -408,10 +349,9 @@ def jit_compile_stats() -> dict:
     interpreter must not be forced to import it.  The jit engine's
     counters appear under their own names; the native engine's are
     folded in under a ``native_`` prefix (``native_cc_s``,
-    ``native_memory_hits``, and since v4 the emitter-mode/probe and
-    batch-attribution counters ``native_mode_simd``,
-    ``native_simd_probes``, ``native_batch_marshal_us``, …) so one
-    snapshot covers both tiers.
+    ``native_memory_hits``, the emitter-mode and probe counters
+    ``native_mode_simd``, ``native_simd_probes``, …) so one snapshot
+    covers both tiers.
     """
     import sys
 

@@ -70,20 +70,12 @@ class VectorRunResult:
     ``{"tier": ran, "phase": where-it-failed, "reason": first error,
     "failed": (tiers that failed, in order)}``.  ``None`` means the
     requested tier ran clean.
-
-    ``batch_fallback`` is the batch-level analogue: the resilient
-    chain sets it on every result of a batched call whose primary tier
-    lacked (or failed) batch execution, so the runs re-executed config
-    by config — ``{"tier": primary, "phase": "batch", "reason": why}``.
-    Counters and memory are identical either way; the record only
-    makes the degradation visible in the profile's resilience section.
     """
 
     counters: OpCounters
     trip: int
     used_fallback: bool
     fallback: dict | None = None
-    batch_fallback: dict | None = None
 
     @property
     def ops(self) -> int:

@@ -13,6 +13,8 @@ chains, reduction folds, straight-lined prologue/epilogue splices,
 structural operation counts — is decided **once**, lowered to Python
 source, ``compile()``d, and cached; the materialized kernel only does
 the per-*run* work (window bounds, collision checks, the fused ops).
+"Batched" throughout means vectorised across the steady loop's
+iterations: one kernel call executes exactly one run.
 
 Correctness contract is npbackend's, verbatim: final memory bytes and
 :class:`~repro.machine.counters.OpCounters` are bit-identical to the
@@ -81,7 +83,8 @@ from repro.vir.vstmt import Section, SetS, SetV, VStmt, VStoreS
 
 #: Bump when the generated-kernel layout or helper semantics change:
 #: disk entries written by older code must never materialize.
-KERNEL_CODE_VERSION = 2
+#: v3: kernels drop their config-batched half; one call runs one run.
+KERNEL_CODE_VERSION = 3
 
 #: Compile/cache counters (process-wide; snapshot via
 #: :func:`repro.machine.backend.jit_compile_stats`).
@@ -253,8 +256,7 @@ class _Kernel:
     """A materialized spec; any function is None when not compiled."""
 
     spec: _KernelSpec
-    fn: object | None      # batched steady loop (one run)
-    bfn: object | None     # config-batched steady loop (many runs)
+    fn: object | None      # batched steady loop
     pre: object | None     # preheader + prologue sections
     post: object | None    # epilogue sections
 
@@ -271,24 +273,10 @@ class _SteadyEmitter:
     decides where a broadcast is required (``np.concatenate`` needs
     equal row counts; ufuncs and window stores broadcast natively), so
     the generated code carries no per-call shape dispatch at all.
-
-    In ``batch`` mode the same walk lowers the statement sequence to a
-    *config-batched* kernel ``_bkernel(ctx)`` instead: variant values
-    are ``(rows, V)`` with one row per (config, iteration) pair —
-    configs stacked in segment order, ragged trip counts welcome —
-    and invariant values are ``(C, V)``, one row per config.  Because
-    both modes walk the same sequence with the same structural cache
-    keys, the constant tables (windows, binops, folds, splats, iotas,
-    shift/point exprs) come out identical, and one spec serves both
-    kernels.  Shape ambiguity (``C == rows`` whenever every config has
-    one steady iteration) is resolved by baking each value's variant
-    tag into the emitted source as a literal argument, never inferred
-    from array shapes at run time.
     """
 
-    def __init__(self, V: int, batch: bool = False):
+    def __init__(self, V: int):
         self.V = V
-        self.batch = batch
         self.lines: list[str] = []
         self.cache: dict = {}          # structural key -> emitted temp name
         self.win_keys: list = []       # unique (array, elem), B-table order
@@ -324,13 +312,7 @@ class _SteadyEmitter:
         if name is None:
             idx = self._base_index(addr)
             name = f"{'w' if kind == 'load' else 'sw'}{idx}"
-            if self.batch:
-                # Gathered copy, not a view: the collision analysis
-                # guarantees the copy equals what a live view would
-                # read (stores never alias an unsnapshotted load).
-                self.line(f"{name} = _bwin({idx}, ctx)")
-            else:
-                self.line(f"{name} = _win({buffer}, B[{idx}], n)")
+            self.line(f"{name} = _win({buffer}, B[{idx}], n)")
             self.cache[key] = name
         return name
 
@@ -364,26 +346,17 @@ class _SteadyEmitter:
             idx = len(table)
             table.append(amount)
             name = f"{prefix}{idx}"
-            if self.batch:
-                # Batch callers pre-evaluate and range-check every
-                # config's amount (configs with out-of-range values
-                # are routed to the per-config kernel so the error
-                # raises there); ctx holds one ``(C,)`` array each.
-                attr = "shifts" if kind == "shift" else "points"
-                self.line(f"{name} = ctx.{attr}[{idx}]")
-            else:
-                self.line(f"{name} = {check}(_peek(env, _{name}))")
+            self.line(f"{name} = {check}(_peek(env, _{name}))")
             self.cache[key] = name
         return name
 
     def _concat_pair(self, a: str, av: bool, b: str, bv: bool) -> tuple[str, str]:
         """Operand texts for concatenate: broadcast the invariant side."""
         if av != bv:
-            expand = "_bx({}, ctx)" if self.batch else "_bc({}, n)"
             if not av:
-                a = expand.format(a)
+                a = f"_bc({a}, n)"
             else:
-                b = expand.format(b)
+                b = f"_bc({b}, n)"
         return a, b
 
     def emit(self, expr: VExpr, pos: int) -> tuple[str, bool]:
@@ -400,10 +373,7 @@ class _SteadyEmitter:
                 name = self.cache.get(key)
                 if name is None:
                     name = f"iv{len([k for k in self.cache if k[0] == 'inv'])}"
-                    if self.batch:
-                        self.line(f"{name} = _binv(ctx, {expr.name!r})")
-                    else:
-                        self.line(f"{name} = _invreg(env, {expr.name!r})")
+                    self.line(f"{name} = _invreg(env, {expr.name!r})")
                     self.cache[key] = name
                 return name, False
             if defining < pos:
@@ -415,41 +385,26 @@ class _SteadyEmitter:
             name = self.cache.get(key)
             if name is None:
                 name = f"cy{len([k for k in self.cache if k[0] == 'carry'])}"
-                if self.batch:
-                    self.line(
-                        f"{name} = _bcy(ctx, {expr.name!r}, "
-                        f"{self.regvar[expr.name]}, "
-                        f"{self.reg_variant[expr.name]})"
-                    )
-                else:
-                    self.line(
-                        f"{name} = _carry(env, {expr.name!r}, "
-                        f"{self.regvar[expr.name]}, n)"
-                    )
+                self.line(
+                    f"{name} = _carry(env, {expr.name!r}, "
+                    f"{self.regvar[expr.name]}, n)"
+                )
                 self.cache[key] = name
             return name, True
         if isinstance(expr, VShiftPairE):
             a, av = self.emit(expr.a, pos)
             b, bv = self.emit(expr.b, pos)
             s = self._index_amount(expr.shift, "shift")
-            variant = av or bv
-            if self.batch and not isinstance(expr.shift, int):
-                # Runtime shift: each config takes its own window.
-                a, b = self._concat_pair(a, av, b, bv)
-                return f"_btake({a}, {b}, {s}, ctx, {variant})", variant
             a, b = self._concat_pair(a, av, b, bv)
             text = f"np.concatenate(({a}, {b}), axis=1)[:, {s}:{s} + {V}]"
-            return text, variant
+            return text, av or bv
         if isinstance(expr, VSpliceE):
             a, av = self.emit(expr.a, pos)
             b, bv = self.emit(expr.b, pos)
             p = self._index_amount(expr.point, "point")
-            variant = av or bv
-            if self.batch and not isinstance(expr.point, int):
-                a, b = self._concat_pair(a, av, b, bv)
-                return f"_bsplice({a}, {b}, {p}, ctx, {variant})", variant
             a, b = self._concat_pair(a, av, b, bv)
-            return f"np.concatenate(({a}[:, :{p}], {b}[:, {p}:]), axis=1)", variant
+            text = f"np.concatenate(({a}[:, :{p}], {b}[:, {p}:]), axis=1)"
+            return text, av or bv
         if isinstance(expr, VSplatE):
             key = ("splat", expr)
             name = self.cache.get(key)
@@ -457,10 +412,7 @@ class _SteadyEmitter:
                 idx = len(self.splats)
                 self.splats.append((expr.operand, expr.dtype))
                 name = f"spv{idx}"
-                if self.batch:
-                    self.line(f"{name} = _bsp{idx}(ctx)")
-                else:
-                    self.line(f"{name} = _sp{idx}(env)")
+                self.line(f"{name} = _sp{idx}(env)")
                 self.cache[key] = name
             return name, False
         if isinstance(expr, VBinE):
@@ -475,10 +427,7 @@ class _SteadyEmitter:
                 idx = len(self.iotas)
                 self.iotas.append((expr.bias, expr.dtype))
                 name = f"io{idx}"
-                if self.batch:
-                    self.line(f"{name} = _bio{idx}(ctx)")
-                else:
-                    self.line(f"{name} = _io{idx}(lb, n)")
+                self.line(f"{name} = _io{idx}(lb, n)")
                 self.cache[key] = name
             return name, True
 
@@ -521,61 +470,37 @@ def _emit_steady(program: VProgram, spec_fields: dict) -> bool:
     if order is None:
         return False
 
-    def emit_one(batch: bool) -> _SteadyEmitter:
-        em = _SteadyEmitter(V, batch)
-        em.assign_pos = assign_pos
-        if not batch:
-            em.line("B, mem_u8, read_u8 = _prelude(env, lb, n)")
-        for pos in order:
-            stmt = seq[pos]
-            assert isinstance(stmt, SetV)
-            var = f"R{pos}"
-            if pos in reductions:
-                expr = stmt.expr
-                assert isinstance(expr, VBinE)
-                rhs_text, rhs_variant = em.emit(reductions[pos], pos)
-                idx = len(em.folds)
-                em.folds.append((expr.op.name, expr.dtype, stmt.reg))
-                if batch:
-                    em.line(f"{var} = _bf{idx}(ctx, {rhs_text}, {rhs_variant})")
-                else:
-                    em.line(f"{var} = _f{idx}(env, {rhs_text}, n)")
-                variant = False
-            else:
-                text, variant = em.emit(stmt.expr, pos)
-                em.line(f"{var} = {text}")
-            em.regvar[stmt.reg] = var
-            em.reg_variant[stmt.reg] = variant
-        for pos, stmt in enumerate(seq):
-            if isinstance(stmt, VStoreS):
-                text, src_variant = em.emit(stmt.src, pos)
-                if batch:
-                    idx = em._base_index(stmt.addr)
-                    em.stores.append((stmt.addr.array, stmt.addr.elem, pos))
-                    em.line(f"_bst({idx}, ctx, {text}, {src_variant})")
-                else:
-                    window = em._window(stmt.addr, "mem_u8", "store")
-                    em.stores.append((stmt.addr.array, stmt.addr.elem, pos))
-                    em.line(f"{window}[:] = {text}")
-        # Final register values feed the epilogue.
-        for pos in order:
-            stmt = seq[pos]
-            if batch:
-                em.line(f"_bfinal(ctx, {stmt.reg!r}, {em.regvar[stmt.reg]}, "
-                        f"{em.reg_variant[stmt.reg]})")
-            else:
-                em.line(f"env.vregs[{stmt.reg!r}] = "
-                        f"{em.regvar[stmt.reg]}[-1].tobytes()")
-        return em
-
-    em = emit_one(batch=False)
-    bem = emit_one(batch=True)
-    # Both passes walk the same sequence with the same cache keys, so
-    # the constant tables must agree; the spec stores them once.
-    assert (em.win_keys, em.loads, em.stores, em.binops, em.folds,
-            em.splats, em.iotas, em.shifts, em.points) == \
-           (bem.win_keys, bem.loads, bem.stores, bem.binops, bem.folds,
-            bem.splats, bem.iotas, bem.shifts, bem.points)
+    em = _SteadyEmitter(V)
+    em.assign_pos = assign_pos
+    em.line("B, mem_u8, read_u8 = _prelude(env, lb, n)")
+    for pos in order:
+        stmt = seq[pos]
+        assert isinstance(stmt, SetV)
+        var = f"R{pos}"
+        if pos in reductions:
+            expr = stmt.expr
+            assert isinstance(expr, VBinE)
+            rhs_text, _ = em.emit(reductions[pos], pos)
+            idx = len(em.folds)
+            em.folds.append((expr.op.name, expr.dtype, stmt.reg))
+            em.line(f"{var} = _f{idx}(env, {rhs_text}, n)")
+            variant = False
+        else:
+            text, variant = em.emit(stmt.expr, pos)
+            em.line(f"{var} = {text}")
+        em.regvar[stmt.reg] = var
+        em.reg_variant[stmt.reg] = variant
+    for pos, stmt in enumerate(seq):
+        if isinstance(stmt, VStoreS):
+            text, _ = em.emit(stmt.src, pos)
+            window = em._window(stmt.addr, "mem_u8", "store")
+            em.stores.append((stmt.addr.array, stmt.addr.elem, pos))
+            em.line(f"{window}[:] = {text}")
+    # Final register values feed the epilogue.
+    for pos in order:
+        stmt = seq[pos]
+        em.line(f"env.vregs[{stmt.reg!r}] = "
+                f"{em.regvar[stmt.reg]}[-1].tobytes()")
 
     per_iter = OpCounters()
     for stmt in seq:
@@ -599,9 +524,6 @@ def _emit_steady(program: VProgram, spec_fields: dict) -> bool:
     spec_fields["_kernel_src"] = (
         "def _kernel(env, lb, n):\n"
         + "\n".join("    " + line for line in em.lines) + "\n"
-        + "\n"
-        + "def _bkernel(ctx):\n"
-        + "\n".join("    " + line for line in (bem.lines or ["pass"])) + "\n"
     )
     return True
 
@@ -997,8 +919,8 @@ def _window_bases(spec: _KernelSpec, env, lb: int, n: int):
     load/store collisions, cross-iteration store/store collisions.
     Returns ``(bases, snapshot)``: one window base per spec.win_keys
     entry, and whether loads must read a pre-loop memory snapshot.
-    Shared by the per-run kernel prelude and the config-batch builder,
-    so both paths accept and reject exactly the same runs.
+    Shared by the kernel prelude and the native tier's invoke tables,
+    so both tiers accept and reject exactly the same runs.
     """
     V, stride = spec.V, spec.stride
     win_keys, loads, stores = spec.win_keys, spec.loads, spec.stores
@@ -1077,208 +999,6 @@ def _make_bc(V: int):
     return bc
 
 
-# ---------------------------------------------------------------------------
-# Config-batch execution (one kernel call per signature class)
-# ---------------------------------------------------------------------------
-#
-# The batched kernel sees a _BatchCtx: C runs of the *same* program
-# stacked along a config axis.  Variant values are (rows, V) where
-# rows = sum of the per-config steady iteration counts — config c owns
-# the contiguous row segment [seg_starts[c], seg_ends[c]), so ragged
-# trip counts need no padding or masking: segment boundaries do the
-# work (reduceat folds, seg_starts carry injection, seg_ends-1
-# finals).  Invariant values are (C, V), one row per config, expanded
-# to the row axis via ``row_cfg`` (row -> owning config) only where an
-# op mixes the two shapes.  Memory is the concatenation of every
-# run's buffer, so a window index is just a per-config base offset
-# plus the usual in-run strided layout; stores scatter into the flat
-# image and ``writeback`` copies each segment into its run's Memory.
-
-class _BatchCtx:
-    """Stacked per-run state for one batched kernel invocation."""
-
-    def __init__(self, spec: _KernelSpec, items: list):
-        # items: (env, lb, n, bases, snapshot, shifts, points) per run,
-        # every run already validated by _window_bases and the
-        # shift/point range checks.
-        self.V = spec.V
-        self.stride = spec.stride
-        self.envs = [item[0] for item in items]
-        ns = np.array([item[2] for item in items], dtype=np.int64)
-        lbs = np.array([item[1] for item in items], dtype=np.int64)
-        ends = np.cumsum(ns)
-        self.seg_ends = ends
-        self.seg_starts = ends - ns
-        self.rows = int(ends[-1])
-        self.row_cfg = np.repeat(np.arange(len(items)), ns)
-        self.local_t = (np.arange(self.rows, dtype=np.int64)
-                        - self.seg_starts[self.row_cfg])
-        self.i_vals = lbs[self.row_cfg] + spec.step * self.local_t
-        sizes = [env.mem.size for env in self.envs]
-        self.mem_offsets = np.cumsum([0] + sizes[:-1])
-        self.mem_flat = np.concatenate(
-            [np.frombuffer(env.mem.raw(), dtype=np.uint8)
-             for env in self.envs]
-        )
-        snapshot = any(item[4] for item in items)
-        self.read_flat = self.mem_flat.copy() if snapshot else self.mem_flat
-        bases = np.array([item[3] for item in items],
-                         dtype=np.int64).reshape(len(items), len(spec.win_keys))
-        self.gbase = self.mem_offsets[:, None] + bases  # (C, windows)
-        self.shifts = [np.array([item[5][j] for item in items])
-                       for j in range(len(spec.shifts))]
-        self.points = [np.array([item[6][j] for item in items])
-                       for j in range(len(spec.points))]
-
-    def _segments(self, k: int, buffer):
-        """Per-config (slice, strided window view) pairs for window k.
-
-        Window starts within a config advance by the uniform kernel
-        stride, so each config's rows are one ``as_strided`` view into
-        the flat image — no per-row index arrays.  Store windows never
-        overlap (the stride is a multiple of V), which is what lets
-        the per-run kernel assign through these same views.
-        """
-        as_strided = np.lib.stride_tricks.as_strided
-        for c, (start, end) in enumerate(zip(self.seg_starts, self.seg_ends)):
-            view = as_strided(buffer[self.gbase[c, k]:],
-                              shape=(int(end - start), self.V),
-                              strides=(self.stride, 1))
-            yield slice(int(start), int(end)), view
-
-    def window(self, k: int) -> np.ndarray:
-        """(rows, V) copy of window table entry k across all configs."""
-        out = np.empty((self.rows, self.V), dtype=np.uint8)
-        for rows, view in self._segments(k, self.read_flat):
-            out[rows] = view
-        return out
-
-    def store(self, k: int, block) -> None:
-        """Write a (rows, V) block through window table entry k."""
-        for rows, view in self._segments(k, self.mem_flat):
-            view[:] = block[rows]
-
-    def writeback(self) -> None:
-        """Copy each run's flat-image segment back into its Memory."""
-        for offset, env in zip(self.mem_offsets, self.envs):
-            end = offset + env.mem.size
-            env.mem.raw()[:] = self.mem_flat[offset:end].tobytes()
-
-
-def _bx(rows, ctx):
-    """Expand an invariant (C, V) value to one row per iteration."""
-    return rows[ctx.row_cfg]
-
-
-def _bwin(k, ctx):
-    return ctx.window(k)
-
-
-def _bst(k, ctx, rows, variant):
-    ctx.store(k, rows if variant else rows[ctx.row_cfg])
-
-
-def _btake(a, b, amounts, ctx, variant):
-    """Per-row window [s, s+V) of hstack(a, b) — runtime vshiftpair."""
-    cat = np.concatenate((a, b), axis=1)
-    per_row = amounts[ctx.row_cfg] if variant else amounts
-    idx = per_row[:, None] + np.arange(ctx.V)
-    return np.take_along_axis(cat, idx, axis=1)
-
-
-def _bsplice(a, b, amounts, ctx, variant):
-    """Per-row a[:p] + b[p:] of two V-byte rows — runtime vsplice."""
-    cat = np.concatenate((a, b), axis=1)
-    per_row = amounts[ctx.row_cfg] if variant else amounts
-    j = np.arange(ctx.V)
-    idx = j + ctx.V * (j >= per_row[:, None])
-    return np.take_along_axis(cat, idx, axis=1)
-
-
-def _binv_rows(ctx, name):
-    """Every run's value of a vector register, stacked as (C, V)."""
-    return np.stack([
-        np.frombuffer(interp._read_vreg(env, name), dtype=np.uint8)
-        for env in ctx.envs
-    ])
-
-
-def _binv(ctx, name):
-    return _binv_rows(ctx, name)
-
-
-def _bcy(ctx, name, rows, variant):
-    """Loop-carried read: row t sees iteration t-1, segment heads see
-    each run's pre-loop register value."""
-    full = rows if variant else rows[ctx.row_cfg]
-    out = np.empty((ctx.rows, ctx.V), dtype=np.uint8)
-    out[1:] = full[:-1]
-    out[ctx.seg_starts] = _binv_rows(ctx, name)
-    return out
-
-
-def _bfinal(ctx, name, rows, variant):
-    """Each run's last-iteration register value feeds its epilogue."""
-    finals = rows[ctx.seg_ends - 1] if variant else rows
-    for env, row in zip(ctx.envs, finals):
-        env.vregs[name] = row.tobytes()
-
-
-def _make_bfold(name: str, dtype, reg: str, V: int):
-    """Per-segment seeded reduction: _make_fold along the config axis.
-
-    Each run's init row is inserted at its segment head, then one
-    ``reduceat`` folds every segment in a single call — the pinned
-    accumulation dtype keeps narrow-lane wraparound exact, as in the
-    per-run fold.
-    """
-    if name in _BITWISE:
-        ufunc = _BITWISE[name]
-        fmt = None
-    else:
-        fmt = f"<{'i' if dtype.signed and name in ('min', 'max') else 'u'}{dtype.size}"
-        ufunc = {"add": np.add, "mul": np.multiply,
-                 "min": np.minimum, "max": np.maximum}[name]
-
-    def bfold(ctx, rows, variant):
-        full = rows if variant else rows[ctx.row_cfg]
-        inits = _binv_rows(ctx, reg)
-        block = np.insert(np.ascontiguousarray(full), ctx.seg_starts,
-                          inits, axis=0)
-        # Init rows shift every later segment start by its index.
-        starts = ctx.seg_starts + np.arange(len(ctx.envs))
-        if fmt is None:
-            return ufunc.reduceat(block, starts, axis=0)
-        lanes = block.view(fmt)
-        out = ufunc.reduceat(lanes, starts, axis=0, dtype=lanes.dtype)
-        return np.ascontiguousarray(out).view(np.uint8)
-
-    return bfold
-
-
-def _make_bsplat(operand: SExpr, dtype, V: int):
-    splat = _make_splat(operand, dtype, V)
-
-    def bsplat(ctx):
-        return np.concatenate([splat(env) for env in ctx.envs], axis=0)
-
-    return bsplat
-
-
-def _make_biota(bias: int, dtype, V: int):
-    B = V // dtype.size
-    mask = (1 << dtype.bits) - 1
-    fmt = f"<u{dtype.size}"
-
-    def biota(ctx):
-        m = (ctx.i_vals + bias) * dtype.size // V
-        lanes = m[:, None] * B + np.arange(B, dtype=np.int64)
-        lanes &= mask
-        return lanes.astype(fmt).view(np.uint8)
-
-    return biota
-
-
 def _make_byte_binop(name: str, dtype, V: int):
     """vec.vbinop's lane semantics over one V-byte pair, via NumPy.
 
@@ -1348,7 +1068,7 @@ def _bump_all(counters, counts):
 def _materialize(spec: _KernelSpec) -> tuple:
     """Compile a spec's source against its rebuilt helper namespace."""
     if not spec.source:
-        return None, None, None, None
+        return None, None, None
     ns: dict = {
         "np": np,
         "MachineError": MachineError,
@@ -1369,26 +1089,15 @@ def _materialize(spec: _KernelSpec) -> tuple:
             "_bc": _make_bc(spec.V),
             "_cks": _make_check(spec.V, "vshiftpair shift"),
             "_ckp": _make_check(spec.V, "vsplice point"),
-            "_bx": _bx,
-            "_bwin": _bwin,
-            "_bst": _bst,
-            "_btake": _btake,
-            "_bsplice": _bsplice,
-            "_binv": _binv,
-            "_bcy": _bcy,
-            "_bfinal": _bfinal,
         })
         for idx, (name, dtype) in enumerate(spec.binops):
             ns[f"_b{idx}"] = _make_binop(name, dtype)
         for idx, (name, dtype, reg) in enumerate(spec.folds):
             ns[f"_f{idx}"] = _make_fold(name, dtype, reg, spec.V)
-            ns[f"_bf{idx}"] = _make_bfold(name, dtype, reg, spec.V)
         for idx, (operand, dtype) in enumerate(spec.splats):
             ns[f"_sp{idx}"] = _make_splat(operand, dtype, spec.V)
-            ns[f"_bsp{idx}"] = _make_bsplat(operand, dtype, spec.V)
         for idx, (bias, dtype) in enumerate(spec.iotas):
             ns[f"_io{idx}"] = _make_iota(bias, dtype, spec.step, spec.V)
-            ns[f"_bio{idx}"] = _make_biota(bias, dtype, spec.V)
         for idx, expr in enumerate(spec.shifts):
             ns[f"_sh{idx}"] = expr
         for idx, expr in enumerate(spec.points):
@@ -1404,8 +1113,7 @@ def _materialize(spec: _KernelSpec) -> tuple:
             ns[f"_cnt{idx}"] = counts
     code = compile(spec.source, "<repro-jit-kernel>", "exec")
     exec(code, ns)
-    return (ns.get("_kernel"), ns.get("_bkernel"),
-            ns.get("_pre"), ns.get("_post"))
+    return ns.get("_kernel"), ns.get("_pre"), ns.get("_post")
 
 
 # ---------------------------------------------------------------------------
@@ -1447,9 +1155,9 @@ def get_kernel(program: VProgram) -> _Kernel:
         STATS["codegens"] += 1
         if disk is not None:
             disk.put(_disk_key(signature), spec)
-    fn, bfn, pre, post = _materialize(spec)
+    fn, pre, post = _materialize(spec)
     STATS["compile_s"] += time.perf_counter() - start
-    kernel = _Kernel(spec=spec, fn=fn, bfn=bfn, pre=pre, post=post)
+    kernel = _Kernel(spec=spec, fn=fn, pre=pre, post=post)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.popitem(last=False)
     _KERNEL_CACHE[signature] = kernel
@@ -1468,12 +1176,11 @@ def clear_memory_cache() -> None:
 class JitBackend:
     """Compile-once execution of vector programs (bit-exact vs bytes).
 
-    The ``_kernel_for`` / ``_steady`` / ``_steady_batch`` /
-    ``_finish_env`` / ``_batch_finish`` hooks are the entire subclass
-    surface: the native backend (:mod:`repro.machine.native`) overrides
-    them to swap the steady loop — or the whole guarded run — for a
-    compiled C kernel while inheriting the guard, section, and trip
-    machinery unchanged.
+    The ``_kernel_for`` / ``_steady`` / ``_finish_env`` hooks are the
+    entire subclass surface: the native backend
+    (:mod:`repro.machine.native`) overrides them to swap the steady
+    loop — or the whole guarded run — for a compiled C kernel while
+    inheriting the guard, section, and trip machinery unchanged.
     """
 
     name = "jit"
@@ -1483,9 +1190,6 @@ class JitBackend:
 
     def _steady(self, env, steady, kernel) -> bool:
         return _run_steady(env, steady, kernel)
-
-    def _steady_batch(self, live, kernel) -> dict:
-        return _run_steady_batch(live, kernel)
 
     def _finish_env(self, env, kernel) -> bool:
         """Preheader/prologue, steady loop, epilogue for one guarded env.
@@ -1511,32 +1215,6 @@ class JitBackend:
             for section in program.epilogue:
                 interp._exec_section(env, section)
         return fell_back
-
-    def _batch_finish(self, live, results, kernel) -> None:
-        """Sections + steady + results for the guarded (live) envs.
-
-        The batch twin of :meth:`_finish_env`: the native backend
-        overrides it to marshal every accepted env into one C batch
-        driver call, delegating declined envs back here.
-        """
-        for _, env in live:
-            if kernel.pre is not None:
-                kernel.pre(env)
-            else:
-                interp._exec_stmts(env, env.program.preheader, i=None)
-                for section in env.program.prologue:
-                    interp._exec_section(env, section)
-        fell: dict[int, bool] = {i: False for i, _ in live}
-        if live[0][1].program.steady is not None:
-            fell = self._steady_batch(live, kernel)
-        for i, env in live:
-            if kernel.post is not None:
-                kernel.post(env)
-            else:
-                for section in env.program.epilogue:
-                    interp._exec_section(env, section)
-            results[i] = VectorRunResult(env.counters, env.trip,
-                                         used_fallback=fell[i])
 
     def run(
         self,
@@ -1570,131 +1248,12 @@ class JitBackend:
         fell_back = self._finish_env(env, kernel)
         return VectorRunResult(env.counters, env.trip, used_fallback=fell_back)
 
-    def run_batch(self, runs) -> list:
-        """Execute ``(program, space, mem, bindings)`` runs as a batch.
-
-        All programs must share one structural signature (the caller
-        groups sweep configs by :func:`program_signature`); each run
-        keeps its *own* program for everything value-dependent — trip
-        resolution, guard fallbacks on its own source loop, interp
-        section replay — while the class's single compiled kernel
-        serves every run.
-
-        Semantically identical to calling :meth:`run` per element —
-        same final memories, counters, trips, fallback flags — but
-        every run that passes the per-run batching checks executes the
-        steady loop in ONE config-batched kernel call, so a signature
-        class of C sweep configs costs one NumPy dispatch sequence
-        instead of C.
-        """
-        _fault("execute")  # before any state mutates: degradation-safe
-        results: list = [None] * len(runs)
-        live: list[tuple[int, interp._Env]] = []
-        signature = None
-        for i, (program, space, mem, bindings) in enumerate(runs):
-            if signature is None:
-                signature = _cached_signature(program)
-            elif _cached_signature(program) != signature:
-                raise MachineError(
-                    "run_batch requires one structural signature per batch"
-                )
-            env = interp._Env(program, space, mem,
-                              bindings or RunBindings(), None)
-            env.counters.bump(CALL, 2)
-            if program.guard_min_trip is not None:
-                env.counters.bump(BRANCH)
-                if env.trip <= program.guard_min_trip:
-                    scalar = NumpyScalarBackend().run(
-                        program.source, space, mem, env.bindings
-                    )
-                    env.counters.merge(scalar.counters)
-                    results[i] = VectorRunResult(env.counters, env.trip,
-                                                 used_fallback=True)
-                    continue
-            elif (env.trip != program.source.upper
-                  and isinstance(program.source.upper, int)):
-                raise MachineError("compile-time trip count mismatch")
-            live.append((i, env))
-        if not live:
-            return results
-        kernel = self._kernel_for(live[0][1].program)
-        self._batch_finish(live, results, kernel)
-        return results
-
 
 def _checked_amount(env, expr, V: int, what: str) -> int:
     value = npbackend._peek_s(env, expr)
     if not 0 <= value <= V:
         raise MachineError(f"{what} {value} outside [0, {V}]")
     return value
-
-
-def _run_steady_batch(live, kernel: _Kernel) -> dict:
-    """Run the steady loop for every live env, batching where possible.
-
-    Per-env outcomes mirror :func:`_run_steady` exactly: envs the
-    window analysis rejects replay the per-iteration fallback
-    (``used_fallback=True``), envs with out-of-range runtime
-    shift/point values re-raise through the per-run kernel, and the
-    rest execute as one ``_bkernel`` call over the stacked config axis.
-    """
-    spec = kernel.spec
-    fell: dict[int, bool] = {}
-    if len(live) == 1 or kernel.bfn is None:
-        # Nothing to stack: skip the batch planning entirely — the
-        # per-run kernel's own prelude redoes the window analysis, so
-        # planning here would be pure double work for singleton classes.
-        for i, env in live:
-            fell[i] = _run_steady(env, env.program.steady, kernel)
-        return fell
-    batch: list = []     # validated (env, lb, n, bases, snapshot, sh, pt, i)
-    solo: list = []      # (i, env, lb, ub) replayed through the per-run path
-    for i, env in live:
-        steady = env.program.steady
-        # Bounds evaluate exactly once per env (SBin evaluation bumps
-        # SCALAR); the solo path reuses these values.
-        lb = interp._eval_s(env, steady.lb)
-        ub = interp._eval_s(env, steady.ub)
-        if steady.step <= 0 or kernel.fn is None:
-            solo.append((i, env, lb, ub))
-            continue
-        n = len(range(lb, ub, steady.step))
-        if n == 0:
-            fell[i] = False
-            continue
-        try:
-            bases, snapshot = _window_bases(spec, env, lb, n)
-            shifts = [_checked_amount(env, expr, spec.V, "vshiftpair shift")
-                      for expr in spec.shifts]
-            points = [_checked_amount(env, expr, spec.V, "vsplice point")
-                      for expr in spec.points]
-        except _Unbatchable:
-            npbackend._steady_periter(env, steady, lb, ub)
-            fell[i] = True
-            continue
-        except MachineError:
-            # Out-of-range amount (or unset register): replay the
-            # per-run kernel so the identical error raises from the
-            # same execution point it would in run().
-            solo.append((i, env, lb, ub))
-            continue
-        batch.append((env, lb, n, bases, snapshot, shifts, points, i))
-    if batch and (len(batch) == 1 or kernel.bfn is None):
-        solo += [(item[7], item[0], item[1],
-                  item[1] + item[2] * spec.step) for item in batch]
-        batch = []
-    if batch:
-        ctx = _BatchCtx(spec, [item[:7] for item in batch])
-        kernel.bfn(ctx)
-        if spec.stores:
-            ctx.writeback()
-        for env, _, n, *_rest in batch:
-            _bump_steady_counters(env, spec, n)
-        for item in batch:
-            fell[item[7]] = False
-    for i, env, lb, ub in solo:
-        fell[i] = _run_steady_at(env, env.program.steady, kernel, lb, ub)
-    return fell
 
 
 def _bump_steady_counters(env: interp._Env, spec: _KernelSpec, n: int) -> None:
@@ -1711,11 +1270,6 @@ def _run_steady(env: interp._Env, steady, kernel: _Kernel) -> bool:
     """Run the compiled steady kernel; True when the per-iteration path ran."""
     lb = interp._eval_s(env, steady.lb)
     ub = interp._eval_s(env, steady.ub)
-    return _run_steady_at(env, steady, kernel, lb, ub)
-
-
-def _run_steady_at(env: interp._Env, steady, kernel: _Kernel,
-                   lb: int, ub: int) -> bool:
     if steady.step <= 0:
         npbackend._steady_periter(env, steady, lb, ub)
         return True

@@ -12,13 +12,11 @@ the shared object via :mod:`ctypes`, and invokes it on the run's
 existing byte buffers with zero-copy pointer passing.
 
 Division of labour — native is the jit engine with the hot path
-swapped out.  Since the v3 ABI the translation unit carries three
-entry points per signature: the steady kernel, a whole-run driver
+swapped out.  The translation unit carries two entry points per
+signature: the steady kernel and a whole-run driver
 ``simdal_run_<digest>`` (prologue/epilogue vector sections lowered as
-flag-gated blocks fed by a per-run slot table), and a class driver
-``simdal_steady_batch_<digest>`` whose row loop lives inside C — so an
-accepted run is **one** ctypes crossing and a batched signature class
-is one crossing total.  The split that keeps figures exact:
+flag-gated blocks fed by a per-run slot table), so an accepted run is
+**one** ctypes crossing.  The split that keeps figures exact:
 
 * everything value-dependent — scalar registers, section conditions
   and addressing, guard fallback, trip resolution, and all counter
@@ -40,10 +38,7 @@ Compilation itself goes through the pipeline in
 :mod:`repro.machine.compilequeue`: every kernel is emitted as a
 uniquely named ``simdal_steady_<digest>`` function so many signatures
 can share one translation unit and one ``cc`` invocation (the sweep
-runners precompile whole campaigns this way before workers fork), and
-``REPRO_NATIVE_ASYNC=1`` moves compilation to a background thread that
-hot-swaps the machine code into the live kernel object while runs
-proceed on the jit tier.
+runners precompile whole campaigns this way before workers fork).
 
 Kernels are cached at two tiers keyed on the structural signature:
 an in-process LRU of loaded ``ctypes`` functions, and the shared disk
@@ -123,11 +118,13 @@ from repro.vir.vstmt import SetS, SetV, VStoreS
 #: written by older code must never load.  v2: per-signature
 #: ``simdal_steady_<digest>`` symbols (batched translation units).
 #: v3: whole-run ``simdal_run_<digest>`` (lowered prologue/epilogue
-#: sections) and the class batch driver ``simdal_steady_batch_<digest>``.
+#: sections) and a class batch driver.
 #: v4: two emitter modes (scalar-lane / vector-extension), ``restrict``
 #: parameters, aligned ``_a`` loads/stores backed by the aligned-buffer
-#: marshalling, and batch-row segments padded to the buffer alignment.
-NATIVE_CODE_VERSION = 4
+#: marshalling.
+#: v5: the class batch driver is gone; each unit exports two functions
+#: per signature.
+NATIVE_CODE_VERSION = 5
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).
@@ -144,15 +141,7 @@ STATS = {
     "tus": 0,              # translation units fed to those invocations
     "tu_kernels": 0,       # kernels carried by successful batches
     "precompiled": 0,      # kernels compiled ahead by the sweep pipeline
-    "async_compiles": 0,   # jobs submitted to the background queue
-    "hot_swaps": 0,        # async kernels swapped in behind a live run
-    "async_failures": 0,   # background jobs that failed (stayed on jit)
-    "queue_depth_max": 0,  # high-water mark of the background queue
-    "async_cc_s": 0.0,     # background compiler seconds (overlap run time)
-    "async_load_s": 0.0,   # background .so load seconds
     "whole_runs": 0,       # accepted runs executed as one C call end-to-end
-    "batch_calls": 0,      # class batch-driver invocations (one per class)
-    "batch_rows": 0,       # runs carried by those batch-driver calls
     "simd_kernels": 0,     # kernels emitted for the vector-ext prelude
     "scalar_kernels": 0,   # kernels emitted for the scalar-lane prelude
     "simd_probes": 0,      # vector-extension capability probes compiled
@@ -160,9 +149,6 @@ STATS = {
     "flag_probes": 0,      # -march=native flag probes compiled
     "mode_simd": 0,        # cold acquisitions keyed in vector-ext mode
     "mode_scalar": 0,      # cold acquisitions keyed in scalar-lane mode
-    "batch_marshal_us": 0,  # µs marshalling rows for batch/run drivers
-    "batch_copy_us": 0,    # µs in the flat gather/scatter memory copies
-    "batch_c_us": 0,       # µs inside the C batch driver itself
 }
 
 #: Prefix of every steady-loop kernel symbol; the per-signature name
@@ -189,11 +175,6 @@ def kernel_symbol(signature: str) -> str:
 def run_symbol(signature: str) -> str:
     """The whole-run driver symbol: sections + guarded steady call."""
     return f"simdal_run_{_sig_digest(signature)}"
-
-
-def batch_symbol(signature: str) -> str:
-    """The class batch-driver symbol: the row loop over whole runs."""
-    return f"simdal_steady_batch_{_sig_digest(signature)}"
 
 
 class NativeUnavailable(MachineError):
@@ -237,7 +218,7 @@ class _CantEmit(Exception):
 # and reductions need no special lowering, and every run accepted by
 # _window_bases produces the same bytes the batched jit kernel does.
 #
-# Since NATIVE_CODE_VERSION 3 every kernel ships two more functions in
+# Since NATIVE_CODE_VERSION 3 every kernel ships a second function in
 # the same translation unit:
 #
 #   void simdal_run(uint8_t *mem, int64_t lb, int64_t n,
@@ -254,18 +235,7 @@ class _CantEmit(Exception):
 # shift/splice amounts — in the emitter's traversal order.  Everything
 # value-dependent (scalar registers, conditions, addressing, bounds
 # checks) is resolved at marshal time on a shadow env, so the C side
-# is pure straight-line vector code over mem/vregs.  And:
-#
-#   void simdal_steady_batch(uint8_t *mem, int64_t rows,
-#                            const int64_t *lbn, const int64_t *wb,
-#                            const int64_t *scal, const uint8_t *cvec,
-#                            uint8_t *vregs, const int64_t *sect)
-#
-# the class batch driver: ``mem`` is the flat concatenation of every
-# run's memory image and ``lbn`` holds (mem offset, lb, n) per row;
-# the row loop lives inside C and calls simdal_run once per row with
-# that row's slice of the wb/scal/cvec/vregs/sect tables (compile-time
-# row strides), so a whole signature class costs ONE ctypes crossing.
+# is pure straight-line vector code over mem/vregs.
 
 @dataclass
 class _NativeMeta:
@@ -283,7 +253,6 @@ class _NativeMeta:
     splats: tuple = ()       # (operand SExpr, dtype) per cvec block
     bad_amounts: tuple = ()  # (what, value) compile-time out-of-range
     run_symbol: str = ""     # simdal_run_<digest> (whole-run driver)
-    batch_symbol: str = ""   # simdal_steady_batch_<digest> (row loop)
     sections_c: bool = False  # prologue/epilogue lowered into simdal_run
     sect_len: int = 0        # per-run sect[] table length
     sect_spans: tuple = ()   # (base, count) per section, prologue first
@@ -297,10 +266,7 @@ class _NativeKernel:
     meta: _NativeMeta | None
     cfn: object | None       # ctypes steady fn, or None to delegate to jit
     rfn: object = None       # ctypes whole-run driver (simdal_run)
-    bcfn: object = None      # ctypes class batch driver (simdal_steady_batch)
     plan: object = None      # lazy per-process _InvokePlan (never pickled)
-    pending: bool = False    # queued on the async pipeline (cfn arrives
-    #                          via hot-swap; delegates to jit meanwhile)
 
     @property
     def spec(self) -> jit._KernelSpec:
@@ -338,7 +304,7 @@ class _KernelEmitter:
         self.assign_pos: dict[str, int] = {}
         self._sect_cursor = 0
         # Alignment suffixes for load/store helpers.  Buffer bases
-        # (mem, vregs, cvec, batch-row segments) come from the aligned
+        # (mem, vregs, cvec) come from the aligned
         # allocator, and every emitted offset — window/section bases
         # (V-truncated) and vregs/cvec slots (k*V) — is a multiple of
         # V, so slot accesses (_av) are V-aligned whenever V divides
@@ -555,32 +521,6 @@ class _KernelEmitter:
         lines.append("}")
         return lines
 
-    def _emit_batch(self, sect_len: int) -> list[str]:
-        symbol = batch_symbol(self.spec.signature)
-        rsym = run_symbol(self.spec.signature)
-        V = self.V
-        nw = len(self.spec.win_keys)
-        ns = len(self.shifts) + len(self.points)
-        nc = len(self.splats) * V
-        nv = len(self.names) * V
-        pad = " " * (len(symbol) + 6)
-        return [
-            f"void {symbol}(uint8_t *mem, int64_t rows, const int64_t *lbn,",
-            f"{pad}const int64_t *wb, const int64_t *scal,",
-            f"{pad}const uint8_t *cvec, uint8_t *vregs,",
-            f"{pad}const int64_t *sect) {{",
-            "    /* lbn mem offsets are padded to the allocator alignment",
-            "       by the Python gather, so each row's mem base keeps the",
-            "       alignment promise simdal_run's loads rely on. */",
-            "    for (int64_t r = 0; r < rows; r++) {",
-            f"        {rsym}(mem + lbn[3 * r], lbn[3 * r + 1], "
-            f"lbn[3 * r + 2],",
-            f"            wb + r * {nw}, scal + r * {ns}, cvec + r * {nc},",
-            f"            vregs + r * {nv}, sect + r * {sect_len});",
-            "    }",
-            "}",
-        ]
-
     def emit(self) -> tuple[str, _NativeMeta]:
         steady = self.program.steady
         seq = list(steady.body) + list(steady.bottom)
@@ -633,15 +573,13 @@ class _KernelEmitter:
                 f"v{self.slot(name)});"
             )
         lines.append("}")
-        # The whole-run and batch drivers follow the steady kernel in
-        # the same unit (definition-before-use, non-static so other
-        # translation units never collide on the digest-unique names).
+        # The whole-run driver follows the steady kernel in the same
+        # unit (definition-before-use, non-static so other translation
+        # units never collide on the digest-unique names).
         pro_blocks, epi_blocks, spans, sections_c = self._emit_sections()
         sect_len = self._sect_cursor if sections_c else 0
         lines.append("")
         lines.extend(self._emit_run(pro_blocks, epi_blocks))
-        lines.append("")
-        lines.extend(self._emit_batch(sect_len))
         meta = _NativeMeta(
             signature=self.spec.signature,
             symbol=symbol,
@@ -653,7 +591,6 @@ class _KernelEmitter:
             splats=tuple(self.splats),
             bad_amounts=tuple(self.bad_amounts),
             run_symbol=run_symbol(self.spec.signature),
-            batch_symbol=batch_symbol(self.spec.signature),
             sections_c=sections_c,
             sect_len=sect_len,
             sect_spans=spans,
@@ -1020,7 +957,7 @@ def _bind_symbol(lib, symbol: str):
 
 
 def _bind_functions(lib, meta: _NativeMeta):
-    """Resolve (steady, whole-run, batch) for one signature's kernel."""
+    """Resolve (steady, whole-run) for one signature's kernel."""
     cfn = _bind_symbol(lib, meta.symbol)
     rfn = getattr(lib, meta.run_symbol)
     rfn.restype = None
@@ -1034,19 +971,7 @@ def _bind_functions(lib, meta: _NativeMeta):
         ctypes.POINTER(ctypes.c_uint8),   # vregs
         ctypes.POINTER(ctypes.c_int64),   # sect
     ]
-    bcfn = getattr(lib, meta.batch_symbol)
-    bcfn.restype = None
-    bcfn.argtypes = [
-        ctypes.POINTER(ctypes.c_uint8),   # mem (flat concatenation)
-        ctypes.c_int64,                   # rows
-        ctypes.POINTER(ctypes.c_int64),   # lbn (mem offset, lb, n) per row
-        ctypes.POINTER(ctypes.c_int64),   # wb rows
-        ctypes.POINTER(ctypes.c_int64),   # scal rows
-        ctypes.POINTER(ctypes.c_uint8),   # cvec rows
-        ctypes.POINTER(ctypes.c_uint8),   # vregs rows
-        ctypes.POINTER(ctypes.c_int64),   # sect rows
-    ]
-    return cfn, rfn, bcfn
+    return cfn, rfn
 
 
 def _load_so(path: Path, meta: _NativeMeta):
@@ -1113,8 +1038,7 @@ def _load_from_disk(disk, key: str, signature: str,
     """
     entry = disk.get(key)
     if (not isinstance(entry, _NativeMeta) or entry.signature != signature
-            or not entry.symbol or not entry.run_symbol
-            or not entry.batch_symbol):
+            or not entry.symbol or not entry.run_symbol):
         return None
     so_path = disk.artifact_path(key, ".so")
     if so_path is None:
@@ -1125,12 +1049,12 @@ def _load_from_disk(disk, key: str, signature: str,
         if hashlib.sha256(data).hexdigest() != entry.so_sha256:
             raise OSError("shared object digest mismatch")
         start = time.perf_counter()
-        cfn, rfn, bcfn = _load_so(so_path, entry)
+        cfn, rfn = _load_so(so_path, entry)
         STATS["load_s"] += time.perf_counter() - start
     except Exception:
         disk.quarantine_artifacts(key)
         return None
-    return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn, bcfn=bcfn)
+    return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn)
 
 
 def _compile_native(key: str, signature: str, jk: jit._Kernel,
@@ -1148,40 +1072,8 @@ def _compile_native(key: str, signature: str, jk: jit._Kernel,
         reason = failures.get(signature, "native compile failed")
         _FAILED[key] = reason
         raise NativeUnavailable(reason)
-    (cfn, rfn, bcfn), meta = pair
-    return _NativeKernel(jk=jk, meta=meta, cfn=cfn, rfn=rfn, bcfn=bcfn)
-
-
-def _acquire_async(signature: str, jk: jit._Kernel,
-                   program: VProgram) -> _NativeKernel:
-    """Non-blocking acquisition: delegate to jit now, hot-swap later.
-
-    The foreground never launches the compiler.  A warm disk object
-    still loads synchronously (milliseconds, and it keeps warm runs on
-    machine code from the first call); anything colder caches a
-    ``pending`` placeholder that delegates to jit and queues the
-    compile on the background thread, which mutates the *same* kernel
-    object when the ``.so`` lands.  Queue failures leave the
-    placeholder delegating forever — silent by design, so async
-    first-result latency stays within a hair of plain jit.
-    """
-    cc, identity = _require_compiler()
-    key = _disk_key(signature, identity)
-    failed = _FAILED.get(key)
-    if failed is not None:
-        raise NativeUnavailable(failed)
-    disk = get_cache()
-    if disk is not None:
-        kernel = _load_from_disk(disk, key, signature, jk)
-        if kernel is not None:
-            STATS["disk_hits"] += 1
-            _cache_put(signature, kernel)
-            return kernel
-        STATS["disk_misses"] += 1
-    kernel = _NativeKernel(jk=jk, meta=None, cfn=None, pending=True)
-    _cache_put(signature, kernel)
-    compilequeue.enqueue(signature, key, jk, program, kernel)
-    return kernel
+    (cfn, rfn), meta = pair
+    return _NativeKernel(jk=jk, meta=meta, cfn=cfn, rfn=rfn)
 
 
 def get_native_kernel(program: VProgram) -> _NativeKernel:
@@ -1200,11 +1092,6 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
         kernel = _NativeKernel(jk=jk, meta=None, cfn=None)
         _cache_put(signature, kernel)
         return kernel
-    if compilequeue.async_enabled():
-        # The injected compile fault fires inside the queue worker in
-        # async mode (the foreground compiles nothing), so the run
-        # itself never degrades — it just stays on jit.
-        return _acquire_async(signature, jk, program)
     _fault("compile")  # REPRO_FAULT=compile:… fails the cc step here
     cc, identity = _require_compiler()
     key = _disk_key(signature, identity)
@@ -1285,8 +1172,7 @@ class _InvokePlan:
                                  for name in meta.out_regs)
         self.all_offsets = {name: k * V for name, k in slots.items()}
         self.vregs_len = max(1, len(meta.vreg_names) * V)
-        # Batch-row table strides (must match the compile-time strides
-        # baked into simdal_steady_batch).
+        # Whole-run table sizes.
         self.nw = len(spec.win_keys)
         self.ns = len(meta.shifts) + len(meta.points)
         self.nc = len(meta.splats) * V
@@ -1325,8 +1211,8 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     memoized per space) or :class:`MachineError` (range checks) before
     anything is mutated, from the same pre-mutation points the jit
     kernel prelude uses, so every tier accepts and rejects exactly the
-    same runs.  Shared by the per-run invoke, the whole-run marshaller,
-    and the class batch driver.
+    same runs.  Shared by the per-run invoke and the whole-run
+    marshaller.
     """
     spec = kernel.jk.spec
     meta = kernel.meta
@@ -1400,17 +1286,19 @@ def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
         env.vregs[name] = bytes(vregs[offset:offset + V])
 
 
-def _run_steady_at_native(env: interp._Env, steady, kernel: _NativeKernel,
-                          lb: int, ub: int) -> bool:
-    """Native twin of :func:`jit._run_steady_at`; True = per-iter path."""
+def _run_steady_native(env: interp._Env, steady,
+                       kernel: _NativeKernel) -> bool:
+    """Native twin of :func:`jit._run_steady`; True = per-iter path."""
+    if kernel.cfn is None:
+        return jit._run_steady(env, steady, kernel.jk)
+    lb = interp._eval_s(env, steady.lb)
+    ub = interp._eval_s(env, steady.ub)
     if steady.step <= 0:
         npbackend._steady_periter(env, steady, lb, ub)
         return True
     n = len(range(lb, ub, steady.step))
     if n == 0:
         return False
-    if kernel.cfn is None:
-        return jit._run_steady_at(env, steady, kernel.jk, lb, ub)
     try:
         _invoke(kernel, env, lb, n)
     except jit._Unbatchable:
@@ -1422,13 +1310,6 @@ def _run_steady_at_native(env: interp._Env, steady, kernel: _NativeKernel,
     return False
 
 
-def _run_steady_native(env: interp._Env, steady,
-                       kernel: _NativeKernel) -> bool:
-    lb = interp._eval_s(env, steady.lb)
-    ub = interp._eval_s(env, steady.ub)
-    return _run_steady_at_native(env, steady, kernel, lb, ub)
-
-
 # ---------------------------------------------------------------------------
 # Whole-run marshalling (sections + steady as one C call)
 # ---------------------------------------------------------------------------
@@ -1438,7 +1319,7 @@ def _run_steady_native(env: interp._Env, steady,
 # counter bookkeeping — on a SHADOW env (same program/space/memory/
 # bindings, fresh register files and counters), walking the program in
 # the interpreter's exact order and collecting the sect[]/wb/scal/cvec
-# tables the C drivers consume.  Nothing outside the shadow mutates
+# tables the C driver consumes.  Nothing outside the shadow mutates
 # until the C call returns (preheader statements cannot touch memory:
 # loads/stores need a loop counter and raise first), so any _Bail —
 # an unlowered form, a failed check, a condition the emitter could not
@@ -1466,13 +1347,13 @@ def _as_i64(value: int) -> int:
 
 
 class _Row:
-    """One marshalled run: the per-row tables a C driver call consumes."""
+    """One marshalled run: the tables a whole-run C call consumes."""
 
     __slots__ = ("shadow", "lb", "n", "wb", "scal", "cvec", "sect",
                  "vregs", "written")
 
     def __init__(self, shadow, lb, n, wb, scal, cvec, sect, vregs, written):
-        self.shadow = shadow     # the marshal-time env (None: steady-only)
+        self.shadow = shadow     # the marshal-time env
         self.lb = lb
         self.n = n
         self.wb = wb             # window bases, run-relative
@@ -1664,24 +1545,16 @@ def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
     return _Row(shadow, lb, n, wb, scal, cvec, sect, vregs, tuple(written))
 
 
-def _commit_run(kernel: _NativeKernel, env: interp._Env, row: _Row) -> None:
-    """Fold a completed whole-run C call back into the real env."""
-    spec = kernel.jk.spec
-    V = spec.V
-    shadow = row.shadow
-    env.counters.merge(shadow.counters)
-    if row.n > 0:
-        jit._bump_steady_counters(env, spec, row.n)
-    env.sregs.update(shadow.sregs)
-    env.vregs.update(shadow.vregs)
-    offsets = kernel.plan.all_offsets
-    for name in row.written:
-        offset = offsets[name]
-        env.vregs[name] = bytes(row.vregs[offset:offset + V])
+def _invoke_run(kernel: _NativeKernel, env: interp._Env) -> bool:
+    """Execute one whole run as a single C call; False = marshal bailed.
 
-
-def _call_run(kernel: _NativeKernel, env: interp._Env, row: _Row) -> None:
-    """The ctypes whole-run call + commit for one marshalled row."""
+    On success the shadow's counters and registers fold back into the
+    real env, plus the analytic steady bumps.
+    """
+    try:
+        row = _marshal_run(kernel, env)
+    except _Bail:
+        return False
     mem_buf = env.mem.raw()
     c_mem = _u8_array(len(mem_buf)).from_buffer(mem_buf)
     vregs = row.vregs if len(row.vregs) else aligned_view(1)
@@ -1697,84 +1570,20 @@ def _call_run(kernel: _NativeKernel, env: interp._Env, row: _Row) -> None:
                    c_sect)
     finally:
         del c_mem, c_vregs, c_cvec
-    _commit_run(kernel, env, row)
-
-
-def _invoke_run(kernel: _NativeKernel, env: interp._Env) -> bool:
-    """Execute one whole run as a single C call; False = marshal bailed."""
-    try:
-        row = _marshal_run(kernel, env)
-    except _Bail:
-        return False
-    _call_run(kernel, env, row)
+    spec = kernel.jk.spec
+    V = spec.V
+    shadow = row.shadow
+    env.counters.merge(shadow.counters)
+    if row.n > 0:
+        jit._bump_steady_counters(env, spec, row.n)
+    env.sregs.update(shadow.sregs)
+    env.vregs.update(shadow.vregs)
+    offsets = kernel.plan.all_offsets
+    for name in row.written:
+        offset = offsets[name]
+        env.vregs[name] = bytes(row.vregs[offset:offset + V])
     STATS["whole_runs"] += 1
     return True
-
-
-def _invoke_batch(kernel: _NativeKernel, rows: list) -> None:
-    """One C batch-driver call for ``rows`` = ``[(env, row), ...]``.
-
-    Gathers every row's memory into one flat image (a row's addresses
-    stay run-relative: the driver adds the row's segment offset to the
-    mem base), fires ``simdal_steady_batch`` once, then scatters the
-    segments and per-row vregs back.  Callers commit registers and
-    counters per row afterwards.
-
-    The flat image, vregs block, and cvec block all come from
-    :func:`aligned_view`, and every row's segment offset is rounded up
-    to :data:`ALIGNMENT` — so each row's mem/vregs/cvec base keeps the
-    V-alignment promise the kernels were compiled against.  The gather
-    and scatter copy the whole memory image of every row (O(total
-    mem), unlike the zero-copy per-iter path); ``batch_copy_us`` vs
-    ``batch_c_us`` attribute that cost in ``--profile``.
-    """
-    plan = _plan_for(kernel)
-    t0 = time.perf_counter()
-    sizes = [env.mem.size for env, _ in rows]
-    offsets: list = []
-    total = 0
-    for size in sizes:
-        offsets.append(total)
-        total += -(-size // ALIGNMENT) * ALIGNMENT
-    flat = aligned_view(max(1, total))
-    for (env, _), offset, size in zip(rows, offsets, sizes):
-        flat[offset:offset + size] = env.mem.raw()
-    lbn: list = []
-    wb: list = []
-    scal: list = []
-    sect: list = []
-    stride = plan.nv_stride
-    vregs = aligned_view(max(1, stride * len(rows)))
-    cvec = aligned_view(max(1, plan.nc * len(rows)))
-    for idx, ((env, row), offset) in enumerate(zip(rows, offsets)):
-        lbn += (offset, row.lb, row.n)
-        wb += row.wb
-        scal += row.scal
-        sect += row.sect
-        cvec[idx * plan.nc:(idx + 1) * plan.nc] = row.cvec
-        vregs[idx * stride:(idx + 1) * stride] = row.vregs
-    c_mem = as_ctypes_u8(flat)
-    c_vregs = as_ctypes_u8(vregs)
-    c_cvec = as_ctypes_u8(cvec)
-    c_lbn = _i64_array(len(lbn))(*lbn)
-    c_wb = _i64_array(max(1, len(wb)))(*wb)
-    c_scal = _i64_array(max(1, len(scal)))(*scal)
-    c_sect = _i64_array(max(1, len(sect)))(*sect)
-    t1 = time.perf_counter()
-    try:
-        kernel.bcfn(c_mem, len(rows), c_lbn, c_wb, c_scal, c_cvec,
-                    c_vregs, c_sect)
-    finally:
-        del c_mem, c_vregs, c_cvec
-    t2 = time.perf_counter()
-    for (env, _), offset, size in zip(rows, offsets, sizes):
-        env.mem.raw()[:] = flat[offset:offset + size]
-    if stride:
-        for idx, (_env, row) in enumerate(rows):
-            row.vregs = vregs[idx * stride:(idx + 1) * stride]
-    t3 = time.perf_counter()
-    STATS["batch_copy_us"] += int((t1 - t0 + t3 - t2) * 1e6)
-    STATS["batch_c_us"] += int((t2 - t1) * 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -1787,10 +1596,9 @@ class NativeBackend(JitBackend):
     Inherits the jit engine's run/guard/section machinery and swaps the
     steady loop for the compiled C kernel via the hook points.  When a
     kernel's whole-run surface compiled (``meta.sections_c``), accepted
-    runs execute as a single ``simdal_run`` call and whole signature
-    classes execute as a single ``simdal_steady_batch`` call — one
-    ctypes crossing per class; anything the marshaller bails on replays
-    the classic per-piece path from untouched state.
+    runs execute as a single ``simdal_run`` call; anything the
+    marshaller bails on replays the classic per-piece path from
+    untouched state.
     """
 
     name = "native"
@@ -1808,102 +1616,3 @@ class NativeBackend(JitBackend):
                 and _invoke_run(kernel, env)):
             return False
         return super()._finish_env(env, kernel)
-
-    def _batch_finish(self, live, results, kernel):
-        meta = kernel.meta
-        if (kernel.cfn is None or kernel.bcfn is None or meta is None
-                or not meta.sections_c):
-            return super()._batch_finish(live, results, kernel)
-        rows: list = []
-        classic: list = []
-        t0 = time.perf_counter()
-        for i, env in live:
-            try:
-                rows.append((i, env, _marshal_run(kernel, env)))
-            except _Bail:
-                classic.append((i, env))
-        STATS["batch_marshal_us"] += int((time.perf_counter() - t0) * 1e6)
-        if len(rows) == 1:
-            # Singleton classes skip the flat gather/scatter copy.
-            i, env, row = rows[0]
-            _call_run(kernel, env, row)
-            STATS["whole_runs"] += 1
-            results[i] = interp.VectorRunResult(env.counters, env.trip,
-                                                used_fallback=False)
-        elif rows:
-            _invoke_batch(kernel, [(env, row) for _, env, row in rows])
-            STATS["batch_calls"] += 1
-            STATS["batch_rows"] += len(rows)
-            for i, env, row in rows:
-                _commit_run(kernel, env, row)
-                results[i] = interp.VectorRunResult(env.counters, env.trip,
-                                                    used_fallback=False)
-        for i, env in classic:
-            fell = super()._finish_env(env, kernel)
-            results[i] = interp.VectorRunResult(env.counters, env.trip,
-                                                used_fallback=fell)
-
-    def _steady_batch(self, live, kernel):
-        # Reached when the whole-run surface is unavailable (sections
-        # not lowered, or functions still pending): sections already
-        # ran in Python; batch the steady loops through the C driver.
-        if kernel.cfn is None or kernel.bcfn is None:
-            # Pending/declined kernels batch on the jit tier's
-            # config-batched kernel, exactly like jit.run_batch.
-            return jit._run_steady_batch(live, kernel.jk)
-        spec = kernel.jk.spec
-        V = spec.V
-        plan = _plan_for(kernel)
-        fell: dict[int, bool] = {}
-        if len(live) == 1:
-            for i, env in live:
-                fell[i] = _run_steady_native(env, env.program.steady,
-                                             kernel)
-            return fell
-        rows: list = []
-        solo: list = []
-        t0 = time.perf_counter()
-        for i, env in live:
-            steady = env.program.steady
-            lb = interp._eval_s(env, steady.lb)
-            ub = interp._eval_s(env, steady.ub)
-            if steady.step <= 0:
-                solo.append((i, env, lb, ub))
-                continue
-            n = len(range(lb, ub, steady.step))
-            if n == 0:
-                fell[i] = False
-                continue
-            try:
-                wb, scal, cvec = _steady_tables(kernel, env, lb, n)
-                vregs = aligned_view(plan.nv_stride)
-                for name, offset in plan.seed_offsets:
-                    vregs[offset:offset + V] = interp._read_vreg(env, name)
-            except jit._Unbatchable:
-                npbackend._steady_periter(env, steady, lb, ub)
-                fell[i] = True
-                continue
-            except MachineError:
-                solo.append((i, env, lb, ub))
-                continue
-            rows.append((i, env,
-                         _Row(None, lb, n, list(wb), scal, cvec,
-                              [0] * plan.nsect, vregs, ())))
-        STATS["batch_marshal_us"] += int((time.perf_counter() - t0) * 1e6)
-        if len(rows) == 1:
-            i, env, row = rows[0]
-            solo.append((i, env, row.lb, row.lb + row.n * spec.step))
-            rows = []
-        if rows:
-            _invoke_batch(kernel, [(env, row) for _, env, row in rows])
-            STATS["batch_calls"] += 1
-            STATS["batch_rows"] += len(rows)
-            for i, env, row in rows:
-                for name, offset in plan.out_offsets:
-                    env.vregs[name] = bytes(row.vregs[offset:offset + V])
-                jit._bump_steady_counters(env, spec, row.n)
-                fell[i] = False
-        for i, env, lb, ub in solo:
-            fell[i] = _run_steady_at_native(env, env.program.steady,
-                                            kernel, lb, ub)
-        return fell

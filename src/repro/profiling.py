@@ -131,58 +131,14 @@ class PhaseProfile:
                     f"translation units via {invocations} cc "
                     f"invocation{'s' if invocations != 1 else ''}")
             lines.append(line)
-            detail = []
-            for name, label in (("native_precompiled", "precompiled"),
-                                ("native_hot_swaps", "hot swaps"),
-                                ("native_async_compiles", "async compiles"),
-                                ("native_async_failures", "async failures"),
-                                ("native_queue_depth_max", "queue depth max")):
-                k = self.counts.get(name, 0)
-                if k:
-                    detail.append(f"  {label:<16s} {k}")
-            lines.extend(detail)
-        classes = self.counts.get("batch_classes", 0)
-        if classes:
-            configs = self.counts.get("batch_configs", 0)
-            fallbacks = self.counts.get("batch_fallbacks", 0)
-            avg = configs / classes if classes else 0.0
-            line = (f"batched sweep: {configs} configs in {classes} "
-                    f"signature classes ({avg:.1f} configs/class)")
-            if fallbacks:
-                line += f", {fallbacks} fallbacks"
-            lines.append(line)
-            batch_calls = self.counts.get("native_batch_calls", 0)
-            whole_runs = self.counts.get("native_whole_runs", 0)
-            if batch_calls or whole_runs:
-                batch_rows = self.counts.get("native_batch_rows", 0)
-                lines.append(
-                    f"  native batch driver: {batch_calls} class "
-                    f"call{'s' if batch_calls != 1 else ''} covering "
-                    f"{batch_rows} configs, {whole_runs} whole-run calls"
-                )
-                marshal_us = self.counts.get("native_batch_marshal_us", 0)
-                copy_us = self.counts.get("native_batch_copy_us", 0)
-                c_us = self.counts.get("native_batch_c_us", 0)
-                if marshal_us or copy_us or c_us:
-                    # Attribution of where batched-class wall time goes:
-                    # Python-side marshalling, the O(total-mem) flat
-                    # gather/scatter copies, and the C driver itself —
-                    # the copy share explains why small-memory classes
-                    # can run slower batched than per-iter.
-                    lines.append(
-                        f"    marshal {marshal_us / 1e3:.1f} ms, "
-                        f"gather/scatter {copy_us / 1e3:.1f} ms, "
-                        f"C driver {c_us / 1e3:.1f} ms"
-                    )
+            precompiled = self.counts.get("native_precompiled", 0)
+            if precompiled:
+                lines.append(f"  {'precompiled':<16s} {precompiled}")
         resilience = []
         degraded_to = sorted(
             k for k in self.counts if k.startswith("degraded_to_")
         )
-        batch_degraded_from = sorted(
-            k for k in self.counts if k.startswith("batch_degraded_from_")
-        )
         for name in ("degraded", *degraded_to,
-                     "batch_degraded", *batch_degraded_from,
                      "scalar_degraded", "retries",
                      "task_splits", "pool_restarts", "serial_fallbacks",
                      "failed_configs", "checkpoint_hits",

@@ -17,9 +17,9 @@ across one CLI invocation.  The request path is hardened in layers:
    (:mod:`repro.serve.singleflight`): N twins, one simdize, one ``cc``.
 3. **Micro-batching.**  Concurrent ``/verify`` requests whose programs
    share a signature class are collected for a few milliseconds and
-   executed as ONE batched backend call
-   (:func:`~repro.simdize.verify.verify_equivalence_batch`) — the same
-   config-batch axis the sweep runners use.
+   handed to one worker-thread call
+   (:func:`~repro.simdize.verify.verify_equivalence_batch`), which
+   runs them config by config.
 4. **Deadlines.**  Every request carries a budget (``X-Repro-Deadline``
    header, default ``deadline``); exceeding it answers ``504``.
    Cancellation is memory-safe by construction: requests only ever
@@ -146,15 +146,14 @@ def _json_response(status: int, payload: dict,
 
 
 class _MicroBatcher:
-    """Collect compatible /verify jobs briefly, execute them as one
-    batched backend call.
+    """Collect compatible /verify jobs briefly, execute them in one
+    worker-thread call, config by config.
 
-    Jobs are grouped by ``(signature class, backend, scalar_backend)``
-    — the same class key the batched sweep mode uses, so everything in
-    a group shares one compiled kernel.  The first job of a group arms
-    a ``call_later(window)`` flush; each job resolves through its own
-    future, so a job abandoned at its deadline never blocks (or
-    corrupts) its batch-mates.
+    Jobs are grouped by ``(signature class, backend, scalar_backend)``,
+    so everything in a group shares one compiled kernel.  The first job
+    of a group arms a ``call_later(window)`` flush; each job resolves
+    through its own future, so a job abandoned at its deadline never
+    blocks (or corrupts) its batch-mates.
     """
 
     def __init__(self, app: "ServeApp", window: float):
@@ -552,10 +551,9 @@ class ServeApp:
             "backend": backend,
             "used_fallback": report.used_fallback,
             # Structured degradation, innermost first: the resilient
-            # chain's own record, the batch-level record, then the
-            # serve-level circuit/budget record.
+            # chain's own record, then the serve-level circuit/budget
+            # record.
             "fallback": report.fallback,
-            "batch_fallback": report.batch_fallback,
             "scalar_fallback": report.scalar_fallback,
             "degraded": degraded,
         }
@@ -655,9 +653,9 @@ class ServeApp:
         """Compile the program's native kernel ahead of execution.
 
         Raises on injected compile faults and on real (memoized) cc
-        failures so the breaker sees them; a missing compiler or
-        async-compile mode make this a cheap no-op and the resilient
-        chain handles tier selection at execution time.
+        failures so the breaker sees them; a missing compiler makes
+        this a cheap no-op and the resilient chain handles tier
+        selection at execution time.
         """
         faults.fault("compile")
         from repro.machine import compilequeue, native
@@ -689,11 +687,10 @@ class ServeApp:
         except (TypeError, ValueError) as exc:
             raise ServeError(f"bad parameter: {exc}") from None
         backend = str(params.get("backend", "auto"))
-        sweep_mode = str(params.get("sweep_mode", "periter"))
         if count < 1 or trip < 1:
             raise ServeError("count and trip must be positive")
 
-        cache_key = (figure, count, trip, backend, sweep_mode)
+        cache_key = (figure, count, trip, backend)
         cached = self._sweep_cache.get(cache_key)
         if cached is not None:
             self._sweep_cache.move_to_end(cache_key)
@@ -703,7 +700,7 @@ class ServeApp:
         task, _ = self.flight.task_for(
             ("sweep",) + cache_key,
             lambda: self._offload(self._sweep_work, figure, count, trip,
-                                  backend, sweep_mode))
+                                  backend))
         body = await asyncio.shield(task)
         if len(self._sweep_cache) >= _SWEEP_CACHE_MAX:
             self._sweep_cache.popitem(last=False)
@@ -711,7 +708,7 @@ class ServeApp:
         return 200, body, "text/plain; charset=utf-8", {}
 
     def _sweep_work(self, figure: str, count: int, trip: int,
-                    backend: str, sweep_mode: str) -> bytes:
+                    backend: str) -> bytes:
         """Regenerate one figure, byte-identical to the CLI.
 
         Same builders, same defaults, same ``RunPolicy()`` as
@@ -727,8 +724,7 @@ class ServeApp:
         with self._compile_lock:
             result = builders[figure](
                 count=count, trip=trip, jobs=1, backend=backend,
-                scalar_backend="auto", profile=None, sweep_mode=sweep_mode,
-                run_policy=RunPolicy())
+                scalar_backend="auto", profile=None, run_policy=RunPolicy())
         return (result.format() + "\n").encode()
 
     # -- ops endpoints ------------------------------------------------

@@ -48,8 +48,8 @@ class SimdizeResult:
         """A NumPy-free structural grouping key for this result.
 
         Two results with equal keys lowered the same source structure
-        the same way; sweep batching uses this when the jit engine's
-        finer program signature is unavailable (no NumPy).
+        the same way; the serve micro-batcher groups by this when the
+        jit engine's finer program signature is unavailable (no NumPy).
         """
         return (self.program.source.signature(), self.program.V,
                 self.options)

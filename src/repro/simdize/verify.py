@@ -19,11 +19,11 @@ from repro.ir.expr import Loop
 from repro.machine.arrays import ArraySpace
 from repro.machine.backend import (
     ExecutionBackend,
+    ResilientBackend,
     ScalarBackend,
     get_resilient_backend,
     get_resilient_scalar_backend,
     jit_compile_stats,
-    run_vector_batch,
 )
 from repro.machine.counters import OpCounters
 from repro.machine.memory import Memory
@@ -47,11 +47,6 @@ class EquivalenceReport:
     fallback: dict | None = None
     #: Same, for the scalar-reference axis (``numpy`` -> ``bytes``).
     scalar_fallback: dict | None = None
-    #: Batch-level degradation: set when this config belonged to a
-    #: batched class whose primary tier lacked (or failed) batch
-    #: execution and ran config-by-config instead:
-    #: ``{"tier": primary, "phase": "batch", "reason": why}``.
-    batch_fallback: dict | None = None
 
     @property
     def scalar_total(self) -> int:
@@ -170,25 +165,21 @@ def verify_equivalence(
 
 def verify_equivalence_batch(
     items: list,
-    backend: str | ExecutionBackend = "auto",
+    backend: str = "auto",
     scalar_backend: str | ScalarBackend = "auto",
     profile: PhaseProfile | None = None,
 ) -> list[EquivalenceReport]:
-    """Batched :func:`verify_equivalence` over one signature class.
+    """:func:`verify_equivalence` over many configs in one call.
 
-    ``items`` holds ``(program, space, mem, bindings)`` per config;
-    all programs must share one structural signature so the vector
-    side can execute as a single config-batched kernel call
-    (:func:`repro.machine.backend.run_vector_batch`).  The scalar
-    reference still runs per config — it is the per-config oracle the
-    batch is checked against — and each config's memory images are
-    compared independently, so a single diverging config raises with
-    the same diagnostics :func:`verify_equivalence` gives it.  Reports
-    come back in input order, field-identical to per-config calls.
+    ``items`` holds ``(program, space, mem, bindings)`` per config.
+    Both sides run config by config (the vector side through
+    :meth:`~repro.machine.backend.ResilientBackend.run_batch`), and
+    each config's memory images are compared independently, so a
+    single diverging config raises with the same diagnostics
+    :func:`verify_equivalence` gives it.  Reports come back in input
+    order, field-identical to per-config calls.
     """
-    engine = (
-        get_resilient_backend(backend) if isinstance(backend, str) else backend
-    )
+    engine = ResilientBackend(backend)
     scalar_engine = (
         get_resilient_scalar_backend(scalar_backend)
         if isinstance(scalar_backend, str)
@@ -204,7 +195,7 @@ def verify_equivalence_batch(
             for (program, space, _, bindings), smem
             in zip(items, scalar_mems)
         ]
-        vector_results = run_vector_batch(engine, [
+        vector_results = engine.run_batch([
             (program, space, vmem, bindings or RunBindings())
             for (program, space, _, bindings), vmem
             in zip(items, vector_mems)
@@ -235,7 +226,6 @@ def verify_equivalence_batch(
             used_fallback=vector_result.used_fallback,
             fallback=vector_result.fallback,
             scalar_fallback=scalar_result.fallback,
-            batch_fallback=getattr(vector_result, "batch_fallback", None),
         ))
     return reports
 
@@ -247,10 +237,6 @@ def _count_degradations(
     if vector_result.fallback is not None:
         profile.count("degraded")
         profile.count(f"degraded_to_{vector_result.fallback['tier']}")
-    batch_fb = getattr(vector_result, "batch_fallback", None)
-    if batch_fb is not None:
-        profile.count("batch_degraded")
-        profile.count(f"batch_degraded_from_{batch_fb['tier']}")
     if scalar_result.fallback is not None:
         profile.count("scalar_degraded")
 

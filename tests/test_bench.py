@@ -7,15 +7,18 @@ from repro.bench import (
     SynthParams,
     lower_bound,
     measure_loop,
+    measure_many,
     measure_row,
     measure_suite,
     seq_opd,
     synthesize,
     synthesize_suite,
 )
-from repro.bench.figures import figure
+from repro.bench.figures import figure, figure_configs
 from repro.errors import BenchError
 from repro.ir.types import INT16, INT32
+from repro.machine.backend import numpy_available
+from repro.profiling import PhaseProfile
 from repro.simdize import SimdOptions
 
 
@@ -266,3 +269,25 @@ class TestSimdizeCache:
         assert second is not first            # deserialized copy …
         assert (second.program.source.signature()
                 == first.program.source.signature())  # … of the same result
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+class TestSweepWorkers:
+    """A sweep's rows and profile counts do not depend on its workers."""
+
+    def test_worker_count_independent(self):
+        configs = [c for _, c in figure_configs(True, count=2, trip=53)]
+        serial = measure_many(configs, jobs=1)
+        parallel = measure_many(configs, jobs=2)
+        assert serial == parallel
+
+    def test_worker_profiles_aggregate(self):
+        configs = [c for _, c in figure_configs(False, count=1, trip=53)]
+        profile = PhaseProfile()
+        measure_many(configs, jobs=2, profile=profile)
+        # Every config is looked up in the simdize memo exactly once,
+        # in whichever process it ran; a merge that overwrote one
+        # worker's counters with another's would lose some.
+        lookups = (profile.counts.get("simdize_memo_hits", 0)
+                   + profile.counts.get("simdize_memo_misses", 0))
+        assert lookups == len(configs)

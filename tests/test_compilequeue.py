@@ -1,16 +1,14 @@
-"""The batched, asynchronous native compile pipeline.
+"""The batched native compile pipeline.
 
 ``test_native.py`` pins the per-kernel acquisition machinery; this
 file pins the pipeline that amortizes it — multi-kernel translation
 units behind one ``cc`` invocation (:func:`compile_requests` /
 :func:`precompile`), per-signature artifact groups that stay
-individually evictable, the background compile queue with hot-swap and
-silent jit degradation, compiler re-resolution under ``REPRO_CC``, the
+individually evictable, compiler re-resolution under ``REPRO_CC``, the
 concurrent-writer atomicity of artifact groups, and the worker
 right-sizing that fixed the jobs=2 sweep regression.  The differential
-property at the bottom holds every acquisition mode — per-kernel sync,
-batched precompile, async hot-swap — byte-identical to the bytes
-oracle on random sweep configs.
+property holds both acquisition modes — per-kernel and precompiled —
+byte-identical to the bytes oracle on random sweep configs.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import multiprocessing
 import random
 import tempfile
-import threading
 import types
 from pathlib import Path
 
@@ -50,10 +47,7 @@ needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no host C compiler")
 def _fresh_pipeline():
     jit.clear_memory_cache()
     native.clear_memory_cache()
-    compilequeue.set_async_compile(None)
     yield
-    compilequeue.reset_queue()
-    compilequeue.set_async_compile(None)
     jit.clear_memory_cache()
     native.clear_memory_cache()
 
@@ -70,16 +64,6 @@ def sweep_programs(count=2, trip=67, offset_reassoc=False):
             seen.add(sig)
             programs.append(result.program)
     return programs
-
-
-def run_native(program, seed=9):
-    loop = program.source
-    rand = random.Random(seed)
-    space = make_space(loop, program.V, rand)
-    mem = space.make_memory()
-    fill_random(space, mem, rand)
-    run = get_backend("native").run(program, space, mem, RunBindings())
-    return mem.snapshot(), run.counters.as_dict(), run.used_fallback
 
 
 class TestBatchedTranslationUnits:
@@ -180,101 +164,6 @@ class TestBatchedTranslationUnits:
         assert "exit" in failures[requests[1].signature]
         # one failed batch attempt + one singleton per request
         assert cc_s > 0.0
-
-
-class TestAsyncQueue:
-    @needs_cc
-    def test_hot_swap_lands_after_drain(self):
-        program = simdize(build_fig1(trip=83), 16,
-                          SimdOptions(policy="zero", reuse="sp")).program
-        compilequeue.set_async_compile(True)
-        before = dict(native.STATS)
-        kernel = native.get_native_kernel(program)
-        assert kernel.pending and kernel.cfn is None
-        assert compilequeue.drain(timeout=60.0)
-        assert kernel.cfn is not None and not kernel.pending
-        assert native.STATS["hot_swaps"] == before["hot_swaps"] + 1
-        assert native.STATS["async_compiles"] == \
-            before["async_compiles"] + 1
-        snap, counters, fallback = run_native(program)
-        assert not fallback
-
-    @needs_cc
-    def test_inflight_dedup_returns_one_placeholder(self):
-        program = simdize(build_fig1(trip=89), 16,
-                          SimdOptions(policy="zero", reuse="sp")).program
-        compilequeue.set_async_compile(True)
-        before = dict(native.STATS)
-        k1 = native.get_native_kernel(program)
-        k2 = native.get_native_kernel(program)
-        assert k1 is k2
-        assert native.STATS["async_compiles"] == \
-            before["async_compiles"] + 1
-        assert compilequeue.drain(timeout=60.0)
-
-    @needs_cc
-    def test_pending_kernel_executes_on_jit_immediately(self, monkeypatch):
-        """While the compile is in flight the kernel delegates to jit —
-        same bytes, no degradation, no waiting."""
-        gate = threading.Event()
-        real = compilequeue.compile_requests
-
-        def gated(requests, disk):
-            gate.wait(timeout=60.0)
-            return real(requests, disk)
-
-        monkeypatch.setattr(compilequeue, "compile_requests", gated)
-        program = simdize(build_fig1(trip=97), 16,
-                          SimdOptions(policy="zero", reuse="sp")).program
-        compilequeue.set_async_compile(True)
-        kernel = native.get_native_kernel(program)
-        assert kernel.pending
-        jit_run = get_backend("jit")
-        loop = program.source
-        rand = random.Random(3)
-        space = make_space(loop, program.V, rand)
-        base = space.make_memory()
-        fill_random(space, base, rand)
-        mem_native, mem_jit = base.clone(), base.clone()
-        native_run = get_backend("native").run(program, space, mem_native,
-                                               RunBindings())
-        jitted = jit_run.run(program, space, mem_jit, RunBindings())
-        assert mem_native.snapshot() == mem_jit.snapshot()
-        assert native_run.counters.as_dict() == jitted.counters.as_dict()
-        gate.set()
-        assert compilequeue.drain(timeout=60.0)
-        assert kernel.cfn is not None
-
-    @needs_cc
-    def test_async_failure_is_silent_and_memoized(self, monkeypatch):
-        """A broken compiler in the background queue leaves the kernel
-        a permanent jit delegate — results intact, failure memoized,
-        nothing raised anywhere near the run."""
-        def broken_cc(cmd, **kwargs):
-            return types.SimpleNamespace(returncode=1, stdout="",
-                                         stderr="ICE: exploding compiler")
-
-        monkeypatch.setattr(compilequeue, "_run_cc", broken_cc)
-        program = simdize(build_fig1(trip=101), 16,
-                          SimdOptions(policy="zero", reuse="sp")).program
-        compilequeue.set_async_compile(True)
-        before = dict(native.STATS)
-        kernel = native.get_native_kernel(program)
-        assert compilequeue.drain(timeout=60.0)
-        assert kernel.cfn is None and not kernel.pending
-        assert native.STATS["async_failures"] == \
-            before["async_failures"] + 1
-        key = native._disk_key(jit._cached_signature(program),
-                               native._compiler_identity()[1])
-        assert key in native._FAILED
-        snap, counters, fallback = run_native(program)
-        assert not fallback   # jit delegation is not a degradation
-
-    @needs_cc
-    def test_precompile_is_a_noop_in_async_mode(self):
-        compilequeue.set_async_compile(True)
-        programs = sweep_programs(count=1)[:2]
-        assert compilequeue.precompile(programs) == 0
 
     def test_precompile_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_PRECOMPILE", "0")
@@ -412,107 +301,6 @@ class TestRightSizedJobs:
 
 
 # ---------------------------------------------------------------------------
-def _class_items(trips, seed=11, loads=3):
-    """One signature class of (program, space, mem, bindings) rows.
-
-    Runtime-trip configs differing only in trip share a structural
-    signature, so they batch as one class with ragged trip counts.
-    """
-    from repro.bench.synth import SynthParams
-    from repro.ir.types import INT32
-
-    options = SimdOptions(policy="eager", reuse="sp")
-    items = []
-    for trip in trips:
-        params = SynthParams(loads=loads, statements=1, trip=trip,
-                             bias=0.3, reuse=0.3, dtype=INT32,
-                             runtime_trip=True)
-        syn = synthesize(params, seed, 16)
-        result = simdize(syn.loop, 16, options)
-        rand = random.Random(seed ^ 0x5EED)
-        space = make_space(syn.loop, 16, rand, syn.base_residues)
-        mem = space.make_memory()
-        fill_random(space, mem, rand)
-        items.append((result.program, space, mem, RunBindings(trip=trip)))
-    return items
-
-
-@needs_cc
-class TestBatchAcquisitionModes:
-    """run_batch across acquisition modes: pending classes batch on the
-    jit tier, landed classes batch through the C driver — same bytes."""
-
-    def _oracle(self, items):
-        mems = [mem.clone() for _, _, mem, _ in items]
-        runs = [get_backend("bytes").run(p, s, m, b)
-                for (p, s, _, b), m in zip(items, mems)]
-        return [(m.snapshot(), r.counters.as_dict(), r.trip)
-                for m, r in zip(mems, runs)]
-
-    def _native_batch(self, items):
-        mems = [mem.clone() for _, _, mem, _ in items]
-        runs = get_backend("native").run_batch([
-            (p, s, m, b) for (p, s, _, b), m in zip(items, mems)])
-        return [(m.snapshot(), r.counters.as_dict(), r.trip)
-                for m, r in zip(mems, runs)]
-
-    def test_pending_class_batches_on_jit_then_hot_swaps(self, monkeypatch):
-        gate = threading.Event()
-        real = compilequeue.compile_requests
-
-        def gated(requests, disk):
-            gate.wait(timeout=60.0)
-            return real(requests, disk)
-
-        monkeypatch.setattr(compilequeue, "compile_requests", gated)
-        items = _class_items((51, 67, 83))
-        oracle = self._oracle(items)
-        compilequeue.set_async_compile(True)
-        kernel = native.get_native_kernel(items[0][0])
-        assert kernel.pending and kernel.bcfn is None
-        before = dict(native.STATS)
-        # In-flight compile: the class batches on jit's kernel, byte-
-        # identical, and the C driver is untouched.
-        assert self._native_batch(items) == oracle
-        assert native.STATS["batch_calls"] == before["batch_calls"]
-        gate.set()
-        assert compilequeue.drain(timeout=60.0)
-        assert kernel.rfn is not None and kernel.bcfn is not None
-        before = dict(native.STATS)
-        assert self._native_batch(items) == oracle
-        assert native.STATS["batch_calls"] == before["batch_calls"] + 1
-        assert native.STATS["batch_rows"] == before["batch_rows"] + 3
-
-    def test_precompiled_class_batches_through_driver(self):
-        items = _class_items((45, 61), seed=13)
-        assert compilequeue.precompile([items[0][0]]) == 1
-        kernel = native.get_native_kernel(items[0][0])
-        assert kernel.rfn is not None and kernel.bcfn is not None
-        oracle = self._oracle(items)
-        before = dict(native.STATS)
-        assert self._native_batch(items) == oracle
-        assert native.STATS["batch_calls"] == before["batch_calls"] + 1
-
-    def test_disk_loaded_kernel_drives_batches(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            set_cache_dir(Path(tmp))
-            try:
-                items = _class_items((45, 61), seed=17)
-                oracle = self._oracle(items)
-                assert self._native_batch(items) == oracle
-                # A fresh process image: the memory cache clears, the
-                # .so reloads from the artifact group with all three
-                # symbols bound.
-                native.clear_memory_cache()
-                before = dict(native.STATS)
-                assert self._native_batch(items) == oracle
-                assert native.STATS["disk_hits"] == before["disk_hits"] + 1
-                assert (native.STATS["batch_calls"]
-                        == before["batch_calls"] + 1)
-            finally:
-                set_cache_dir(None)
-
-
 # Differential: every acquisition mode is byte-identical
 # ---------------------------------------------------------------------------
 
@@ -526,9 +314,9 @@ class TestModeDifferential:
     def test_acquisition_mode_never_changes_bytes(self, tmp_path_factory,
                                                   offset_reassoc, trip,
                                                   index):
-        """per-kernel sync vs batched precompile vs async hot-swap:
-        identical memory images and counters, all equal to the bytes
-        oracle, on random fig11/fig12 configs."""
+        """per-kernel vs precompiled acquisition: identical memory
+        images and counters, both equal to the bytes oracle, on random
+        fig11/fig12 configs."""
         pairs = figure_configs(offset_reassoc, count=1, trip=trip)
         _scheme, cfg = pairs[index % len(pairs)]
         syn = synthesize(cfg.params, cfg.seed, cfg.V)
@@ -548,22 +336,15 @@ class TestModeDifferential:
 
         oracle = run_once("bytes")
         results = {}
-        for mode in ("per-kernel", "batched", "async"):
+        for mode in ("per-kernel", "precompiled"):
             set_cache_dir(tmp_path_factory.mktemp(f"mode-{mode}"))
             jit.clear_memory_cache()
             native.clear_memory_cache()
-            try:
-                if mode == "batched":
-                    assert compilequeue.precompile([program]) == 1
-                elif mode == "async":
-                    compilequeue.set_async_compile(True)
-                    native.get_native_kernel(program)
-                    assert compilequeue.drain(timeout=60.0)
-                results[mode] = run_once("native")
-                kernel = native.get_native_kernel(program)
-                assert kernel.cfn is not None, mode
-            finally:
-                compilequeue.set_async_compile(None)
+            if mode == "precompiled":
+                assert compilequeue.precompile([program]) == 1
+            results[mode] = run_once("native")
+            kernel = native.get_native_kernel(program)
+            assert kernel.cfn is not None, mode
         for mode, got in results.items():
             assert got == oracle, f"{mode} diverged from bytes oracle"
 
@@ -614,74 +395,3 @@ class TestCcTimeout:
         assert report.fallback["tier"] == "jit"
         monkeypatch.undo()
         native.reset_compiler_cache()
-
-
-# ---------------------------------------------------------------------------
-# Deterministic queue shutdown (atexit) — PR 10 satellite
-# ---------------------------------------------------------------------------
-
-class TestQueueShutdown:
-    def test_shutdown_is_idempotent(self):
-        assert compilequeue.shutdown(timeout=5.0)
-        assert compilequeue.shutdown(timeout=5.0)   # second call: no-op True
-
-    @needs_cc
-    def test_submit_after_shutdown_finalizes_jit_delegate(self):
-        """Work arriving during interpreter teardown is not orphaned in
-        a pending state: the placeholder becomes a permanent jit
-        delegate and runs stay byte-correct."""
-        program = simdize(build_fig1(trip=109), 16,
-                          SimdOptions(policy="zero", reuse="sp")).program
-        compilequeue.set_async_compile(True)
-        assert compilequeue.shutdown(timeout=5.0)
-        kernel = native.get_native_kernel(program)
-        assert not kernel.pending and kernel.cfn is None
-        snap, counters, fallback = run_native(program)
-        assert not fallback
-
-    @needs_cc
-    def test_reset_queue_revives_after_shutdown(self):
-        assert compilequeue.shutdown(timeout=5.0)
-        compilequeue.reset_queue()
-        program = simdize(build_fig1(trip=113), 16,
-                          SimdOptions(policy="zero", reuse="sp")).program
-        compilequeue.set_async_compile(True)
-        kernel = native.get_native_kernel(program)
-        assert kernel.pending
-        assert compilequeue.drain(timeout=60.0)
-        assert kernel.cfn is not None
-
-    @needs_cc
-    def test_interpreter_exit_is_clean_with_inflight_async(self, tmp_path):
-        """Exiting mid-async-compile must not spray 'Exception ignored'
-        teardown noise: the atexit hook drains the daemon worker
-        deterministically before module globals are torn down."""
-        import os
-        import subprocess
-        import sys
-        import textwrap
-
-        root = Path(__file__).resolve().parent.parent
-        code = textwrap.dedent("""
-            from repro.lang import compile_source
-            from repro.machine import native
-            from repro.simdize import SimdOptions, simdize
-
-            src = ("int a[256]; int b[256]; int c[256]; "
-                   "for (i = 0; i < 150; i++) { a[i] = b[i+1] + c[i+2]; }")
-            program = simdize(compile_source(src), 16, SimdOptions()).program
-            kernel = native.get_native_kernel(program)
-            print("queued:", kernel.pending)
-            # exit immediately: no drain, the compile may be in flight
-        """)
-        env = dict(os.environ,
-                   PYTHONPATH=str(root / "src"),
-                   REPRO_NATIVE_ASYNC="1",
-                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env,
-                              cwd=str(root), timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "queued:" in proc.stdout
-        assert "Exception ignored" not in proc.stderr, proc.stderr
-        assert "Traceback" not in proc.stderr, proc.stderr

@@ -202,12 +202,19 @@ class TestSupervisedSweep:
         assert "worker" in rows[0].message
 
     @needs_numpy
-    def test_batched_sweep_survives_compile_faults(self, monkeypatch):
+    def test_jit_sweep_survives_compile_faults(self, monkeypatch):
+        """Every jit kernel build fails; each config degrades to numpy
+        on its own and the rows match a fault-free run."""
+        from repro.machine import jit
+
         configs = _sweep_configs()
-        clean = measure_many(configs, jobs=1, sweep_mode="periter")
+        clean = measure_many(configs, jobs=1)
+        jit.clear_memory_cache()  # every config must reach the compile hook
         _arm(monkeypatch, "compile:raise")
-        rows = measure_many(configs, jobs=1, sweep_mode="batched")
+        profile = PhaseProfile()
+        rows = measure_many(configs, jobs=1, backend="jit", profile=profile)
         assert rows == clean
+        assert profile.counts["degraded_to_numpy"] == len(configs)
 
     def test_bad_fault_grammar_fails_fast(self, monkeypatch):
         from repro.errors import SimdalError
