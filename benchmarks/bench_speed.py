@@ -306,8 +306,8 @@ def test_backend_speed():
         }
 
     # The batched compile pipeline on the same signature set: cold
-    # acquisition one-cc-per-kernel (the path CI forces with
-    # REPRO_NATIVE_PRECOMPILE=0) vs one batched precompile.
+    # acquisition one-cc-per-kernel (the path a kernel takes outside a
+    # sweep's prewarm) vs one batched precompile.
     pipeline_section: dict
     if "skipped" in native_section:
         pipeline_section = {"skipped": native_section["skipped"]}

@@ -18,7 +18,8 @@ Design rules:
   truncated write, corrupted or hostile bytes, unwritable directory —
   degrades to a cache miss.  The cache can only make runs faster,
   never make them fail.
-* **Quarantined corruption.** An entry that fails to unpickle is
+* **Quarantined corruption.** An entry that fails to unpickle — or
+  that a caller finds bad on use (:meth:`DiskCache.quarantine`) — is
   renamed to ``*.corrupt`` (bounded count, oldest dropped) instead of
   being silently re-missed forever: the bad bytes stay available for
   diagnosis, the key's slot is freed so the next ``put`` repairs it,
@@ -36,21 +37,14 @@ Design rules:
   miss.
 * **Bounded size.** The store holds at most ``max_bytes`` of entries
   (``REPRO_CACHE_MAX_BYTES``, default 1 GiB, ``0`` = unlimited); the
-  write that crosses the budget evicts least-recently-*used* entry
-  groups first — a hit touches the one file it read, and a group ages
-  by its newest member — down to 7/8 of the budget, so long sweep
-  campaigns cannot grow the cache without limit, the hot working set
-  survives, and the writes after an eviction do not cross the budget
-  again at once.  Each instance charges its writes to a running byte
-  tally and lists the directory only when that tally is unknown,
-  would cross the budget, or has grown by ``max_bytes // 16`` since
-  its last scan.
-* **Sibling artifacts.** A key may carry raw byte artifacts next to
-  its pickle entry (``put_artifact`` / ``artifact_path``) — the native
-  tier stores a kernel's ``.c`` source and compiled ``.so`` this way.
-  Artifacts share the entry's digest stem, count toward the size
-  budget, age and are evicted *as a unit* with their pickle, and
-  quarantine to ``<name>.<suffix>.corrupt`` like any other corruption.
+  write that crosses the budget evicts least-recently-*used* entries
+  first — every file is its own LRU unit, and a hit touches the one
+  file it read — down to 7/8 of the budget, so long sweep campaigns
+  cannot grow the cache without limit, the hot working set survives,
+  and the writes after an eviction do not cross the budget again at
+  once.  Each instance charges its writes to a running byte tally and
+  lists the directory only when that tally is unknown, would cross the
+  budget, or has grown by ``max_bytes // 16`` since its last scan.
 """
 
 from __future__ import annotations
@@ -58,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -116,18 +109,6 @@ class DiskCache:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return self.root / digest[:2] / f"{digest}.pkl"
 
-    def _siblings(self, path: Path) -> list[Path]:
-        """Every live file sharing ``path``'s digest stem (path included)."""
-        group = [path] if path.exists() else []
-        try:
-            for sibling in path.parent.glob(path.stem + ".*"):
-                if sibling == path or sibling.name.endswith((".tmp", ".corrupt")):
-                    continue
-                group.append(sibling)
-        except OSError:
-            pass
-        return group
-
     def get(self, key: str):
         """The cached value for ``key``, or None (silently) on any miss."""
         path = self._path(key)
@@ -148,80 +129,60 @@ class DiskCache:
             # every lookup forever.
             self.errors += 1
             self.misses += 1
-            self._quarantine(path)
+            self.quarantine(key)
             return None
         self._touch(path)
         self.hits += 1
         return value
 
     def _touch(self, path: Path) -> None:
-        """Refresh the mtime of the file a hit read (best-effort).
-
-        Only that one file: eviction ages a group by its newest member,
-        so touching it keeps the whole group warm without listing the
-        shard directory for siblings.
-        """
+        """Refresh the mtime of the file a hit read (best-effort)."""
         try:
             os.utime(path)
         except OSError:
             pass
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupted entry aside as ``*.corrupt`` (best-effort).
+    def quarantine(self, key: str) -> None:
+        """Move ``key``'s corrupted entry aside as ``*.corrupt``.
 
-        The population of quarantine files is bounded: past
-        :data:`QUARANTINE_MAX` the corrupted entry is simply unlinked,
-        so a corruption storm cannot grow the directory without limit.
-        Pickle entries keep the historical ``<digest>.corrupt`` name;
-        non-pickle artifacts append (``<digest>.so.corrupt``) so the
-        failing artifact kind stays visible.
+        ``get`` calls this for an entry that fails to unpickle; callers
+        call it for a value that unpickles fine yet proves bad on use
+        (a native ``.so`` entry whose bytes miss their digest or fail
+        ``dlopen``), so the next ``put`` repairs the slot instead of
+        re-serving the same bytes.  Best-effort, and bounded: past
+        :data:`QUARANTINE_MAX` the entry is simply unlinked, so a
+        corruption storm cannot grow the directory without limit.
         """
+        path = self._path(key)
         try:
             kept = sum(1 for _ in self.root.glob("??/*.corrupt"))
             if kept >= QUARANTINE_MAX:
                 path.unlink()
-            elif path.suffix == ".pkl":
-                path.rename(path.with_suffix(".corrupt"))
             else:
-                path.rename(path.with_suffix(path.suffix + ".corrupt"))
+                path.rename(path.with_suffix(".corrupt"))
             self.corrupt_quarantined += 1
         except OSError:
             pass
 
-    def quarantine_artifacts(self, key: str) -> None:
-        """Quarantine ``key``'s whole entry group after a load failure.
-
-        Used when a *loaded* artifact turns out bad (a ``.so`` that
-        fails checksum or ``dlopen``): the pickle metadata and every
-        sibling move aside together, so the next ``put`` repairs the
-        slot instead of re-serving the same broken object forever.
-        """
-        for member in self._siblings(self._path(key)):
-            self._quarantine(member)
-
     def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key``; failures are silently dropped."""
-        self._write(self._path(key), lambda handle: pickle.dump(
-            (key, value), handle, protocol=pickle.HIGHEST_PROTOCOL))
+        """Store ``value`` under ``key``; failures are silently dropped.
 
-    def _write(self, path: Path, fill) -> int:
-        """Atomically write ``path`` through ``fill(handle)``.
-
-        Returns the bytes written — 0 when the tier is off or the write
-        failed — after charging them to the size budget.  Persistent
-        write failure (read-only directory, full disk) degrades the
-        whole disk tier to read-only after :data:`WRITE_FAILURE_LIMIT`
-        consecutive misfires, with one recorded warning — in-process
-        memos keep the run correct.
+        The write is atomic (temp file plus rename) and charged to the
+        size budget.  Persistent write failure (read-only directory,
+        full disk) degrades the whole disk tier to read-only after
+        :data:`WRITE_FAILURE_LIMIT` consecutive misfires, with one
+        recorded warning — in-process memos keep the run correct.
         """
         if self.disabled:
-            return 0
+            return
+        path = self._path(key)
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                fill(handle)
+                pickle.dump((key, value), handle,
+                            protocol=pickle.HIGHEST_PROTOCOL)
                 written = handle.tell()
             os.replace(tmp, path)
             tmp = None
@@ -242,59 +203,10 @@ class DiskCache:
                     f"{self.write_failures} attempts; continuing with "
                     f"in-process caching only",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
-            return 0
+            return
         self._evict_if_needed(written)
-        return written
-
-    # -- raw byte artifacts (native-tier .c / .so siblings) --------------
-
-    def put_artifact(self, key: str, suffix: str, data: bytes) -> None:
-        """Store raw bytes as ``<digest>{suffix}`` next to ``key``'s entry.
-
-        Same never-fail discipline as :meth:`put`: atomic tmp+rename,
-        silent drops, the write-failure counter shared with pickles so
-        a dead disk disables the whole tier, and the size budget
-        enforced over the *group* (entry plus artifacts).
-        """
-        self._write(self._path(key).with_suffix(suffix),
-                    lambda handle: handle.write(data))
-
-    def put_artifact_file(self, key: str, suffix: str, src: Path) -> None:
-        """Store an existing file as ``key``'s ``suffix`` artifact.
-
-        Copies ``src`` into place as a *distinct inode*.  The batched
-        native pipeline compiles many signatures into one shared object
-        and files that ``.so`` under *every* signature's entry group
-        this way, keeping each group individually evictable.  A copy —
-        never a hardlink — is deliberate: the source object is usually
-        dlopen-mapped by the producing process, and a shared inode
-        would let in-place corruption of a cache entry (tampering,
-        partial writes) reach straight into live executable mappings.
-        Same atomic tmp+rename and never-fail discipline as
-        :meth:`put_artifact`.
-        """
-        def fill(handle):
-            with open(src, "rb") as source:
-                shutil.copyfileobj(source, handle)
-
-        self._write(self._path(key).with_suffix(suffix), fill)
-
-    def artifact_path(self, key: str, suffix: str) -> Path | None:
-        """The on-disk path of ``key``'s ``suffix`` artifact, or None.
-
-        Touches the artifact on a hit, like :meth:`get`; since a group
-        ages by its newest member, that keeps its pickle warm too.
-        """
-        path = self._path(key).with_suffix(suffix)
-        try:
-            if not path.is_file():
-                return None
-        except OSError:
-            return None
-        self._touch(path)
-        return path
 
     def _evict_if_needed(self, written: int) -> None:
         """Charge ``written`` bytes to the tally; scan and evict when due.
@@ -306,18 +218,14 @@ class DiskCache:
         sharing a directory, each blind to the others' writes between
         its scans, overshoot the budget by at most N × ``max_bytes``/16.
 
-        The scan sizes every entry *group* — every file sharing one
-        digest stem, the pickle entry plus any sibling artifacts
-        (``.c``/``.so``) — as a sum, ages it by its most recent member,
-        and resets the tally to the true total.  Over budget, it drops
-        least-recently-used groups as a unit (a surviving ``.so`` can
-        never outlive the metadata that validates it) until the total is
-        at most 7/8 of ``max_bytes``; the freed eighth lets the next
-        writes land without crossing the budget and rescanning at once.
-        Best-effort and never-fail like everything else here: entries
-        racing with concurrent workers may vanish mid-scan (fine — the
-        goal was deletion), and any other error leaves the tally
-        unknown.
+        The scan sizes every file and resets the tally to the true
+        total.  Over budget, it drops the least-recently-used files
+        until the total is at most 7/8 of ``max_bytes``; the freed eighth
+        lets the next writes land without crossing the budget and
+        rescanning at once.  Best-effort and never-fail like everything
+        else here: entries racing with concurrent workers may vanish
+        mid-scan (fine — the goal was deletion), and any other error
+        leaves the tally unknown.
         """
         if not self.max_bytes:
             self._tally = None
@@ -334,7 +242,7 @@ class DiskCache:
         self.scans += 1
         self._tally, self._unscanned = None, 0
         try:
-            groups: dict[Path, list] = {}
+            files = []
             total = 0
             for path in self.root.glob("??/*"):
                 if path.name.endswith((".tmp", ".corrupt")):
@@ -343,27 +251,14 @@ class DiskCache:
                     stat = path.stat()
                 except OSError:
                     continue
-                stem = path.parent / path.name.split(".", 1)[0]
-                entry = groups.setdefault(stem, [0.0, 0, []])
-                entry[0] = max(entry[0], stat.st_mtime)
-                entry[1] += stat.st_size
-                entry[2].append(path)
+                files.append((stat.st_mtime, stat.st_size, path))
                 total += stat.st_size
             if total > self.max_bytes:
                 low_water = self.max_bytes * 7 // 8
-                ordered = sorted(
-                    (mtime, size, members)
-                    for mtime, size, members in groups.values()
-                )
-                for _, size, members in ordered:
-                    removed = False
-                    for path in members:
-                        try:
-                            path.unlink()
-                            removed = True
-                        except OSError:
-                            continue
-                    if not removed:
+                for _, size, path in sorted(files):
+                    try:
+                        path.unlink()
+                    except OSError:
                         continue
                     self.evictions += 1
                     total -= size

@@ -10,11 +10,10 @@ amortizes that wall two ways:
   fixed-name and dtype-parameterized, so kernels sharing the pair live
   behind one prelude — writes one ``.c`` per group, and feeds *all*
   groups to a **single** ``cc`` invocation producing one ``.so`` that
-  exports every ``simdal_steady_<digest>`` symbol.  Per-signature
-  artifact groups stay individually cached and evictable: the shared
-  object is copied under each signature's digest stem
-  (:meth:`repro.cache.DiskCache.put_artifact_file`), so evicting or
-  quarantining one signature never disturbs its batch-mates.
+  exports every ``simdal_steady_<digest>`` symbol.  It loads that
+  ``.so`` once and hands the handle, its bytes and the signatures'
+  metas to :mod:`repro.machine.native`, which owns the disk layout
+  (one entry per built ``.so``, one meta per signature).
 * **Precompile-ahead.**  :func:`precompile` lets the sweep runners
   collect a campaign's signature classes up front and compile them as
   one batch *before* workers fork, so forked workers find warm disk
@@ -30,13 +29,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import itertools
 import os
 import signal
 import subprocess
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache import get_cache
 from repro.errors import FaultInjected
@@ -52,19 +50,9 @@ def _nat():
     return native
 
 
-def precompile_enabled() -> bool:
-    """False only under ``REPRO_NATIVE_PRECOMPILE=0`` (CI uses it to
-    force the per-kernel cold path for byte-parity comparison)."""
-    return os.environ.get("REPRO_NATIVE_PRECOMPILE", "1") != "0"
-
-
 # ---------------------------------------------------------------------------
 # Batched translation units
 # ---------------------------------------------------------------------------
-
-#: Monotonic suffix for compiled shared objects (see compile_requests).
-_SO_SEQ = itertools.count()
-
 
 def _run_cc(argv):
     """Run one ``cc`` invocation with a wall-clock budget.
@@ -114,9 +102,8 @@ class CompileRequest:
     lane: str           # dtype name — TU grouping axis
     kernel_src: str     # the kernel function body (C)
     prelude: str        # kernel_unit_prelude(V, dtype)
-    meta: object        # _NativeMeta (source/so_sha256 filled on success)
+    meta: object        # _NativeMeta (so_sha256 filled on success)
     jk: object          # jit._Kernel (fallback + spec)
-    unit_source: str = field(default="", compare=False)
 
 
 def compile_requests(requests, disk):
@@ -126,9 +113,9 @@ def compile_requests(requests, disk):
     signature → ``(ctypes function, meta)`` and ``failures`` maps
     signature → reason.  On a batched compiler failure with more than
     one request, every request is retried as a singleton so the one
-    broken unit is isolated and its batch-mates still land.  Artifacts
-    (TU ``.c`` source, a copy of the ``.so``, pickled meta) are
-    persisted per signature when ``disk`` is a cache.
+    broken unit is isolated and its batch-mates still land.  The built
+    ``.so`` is loaded once; native registers the handle and, when
+    ``disk`` is a cache, files the ``.so`` and every meta there.
     """
     native = _nat()
     loaded: dict[str, tuple] = {}
@@ -145,17 +132,13 @@ def compile_requests(requests, disk):
     ).hexdigest()[:16]
     c_paths = []
     for (V, lane), group in units.items():
-        src = group[0].prelude + "\n".join(req.kernel_src for req in group)
         path = work / f"tu_{batch_id}_{V}_{lane}.c"
-        path.write_text(src)
+        path.write_text(group[0].prelude
+                        + "\n".join(req.kernel_src for req in group))
         c_paths.append(path)
-        for req in group:
-            req.unit_source = src
-    # The output name must be unique per invocation: a recompile of the
-    # same batch (e.g. after quarantining a tampered cache entry) would
-    # otherwise have the linker truncate an inode that is still mapped
-    # by a live dlopen handle — instant SIGBUS on the next symbol call.
-    so_path = work / f"tu_{batch_id}_{next(_SO_SEQ)}.so"
+    # Unique per invocation: a recompile of the same batch must never
+    # have the linker truncate a file a live dlopen handle maps.
+    so_path = native._fresh_so_path(f"tu_{batch_id}")
     start = time.perf_counter()
     proc = _run_cc(
         [cc, *native.compiler_flags(), "-shared", "-fPIC",
@@ -185,21 +168,14 @@ def compile_requests(requests, disk):
         return loaded, failures, cc_s, load_s
     native.STATS["tus"] += len(units)
     native.STATS["tu_kernels"] += len(requests)
-    so_bytes = so_path.read_bytes()
-    so_digest = hashlib.sha256(so_bytes).hexdigest()
     start = time.perf_counter()
     lib = ctypes.CDLL(str(so_path))
     for req in requests:
-        req.meta.source = req.unit_source
-        req.meta.so_sha256 = so_digest
         loaded[req.signature] = (native._bind_functions(lib, req.meta),
                                  req.meta)
     load_s = time.perf_counter() - start
-    if disk is not None:
-        for req in requests:
-            disk.put_artifact(req.key, ".c", req.unit_source.encode())
-            disk.put_artifact_file(req.key, ".so", so_path)
-            disk.put(req.key, req.meta)
+    native._adopt_build(lib, so_path.read_bytes(),
+                        [(req.key, req.meta) for req in requests], disk)
     return loaded, failures, cc_s, load_s
 
 
@@ -213,14 +189,14 @@ def precompile(programs, profile=None) -> int:
     Populates the native memory cache (and the shared disk cache) so
     subsequent runs — including forked sweep workers — hit warm
     entries instead of paying one ``cc`` each.  Returns the number of
-    kernels compiled; 0 when there is nothing to do, no compiler
-    exists, or precompilation is disabled.
+    kernels compiled; 0 when there is nothing to do or no compiler
+    exists.
 
     Runs outside the verifier's stat windows, so it folds its own
     STATS deltas and compiler seconds into ``profile`` directly.
     """
     native = _nat()
-    if not programs or not precompile_enabled():
+    if not programs:
         return 0
     if native._compiler_identity()[0] is None:
         return 0

@@ -42,16 +42,20 @@ runners precompile whole campaigns this way before workers fork).
 
 Kernels are cached at two tiers keyed on the structural signature:
 an in-process LRU of loaded ``ctypes`` functions, and the shared disk
-cache holding the ``.c`` source and ``.so`` object as sibling
-artifacts under a key versioned by package version,
-:data:`NATIVE_CODE_VERSION`, and the *compiler identity* (path plus
-``--version`` line), so a toolchain upgrade can never resurrect a
-stale object.  The compiler identity itself re-resolves whenever
-``REPRO_CC``/``CC`` change (and :func:`reset_compiler_cache` drops it
-plus any memoized cc failures), so a transient or fault-injected
-toolchain failure cannot poison later legitimate compiles.  A
-corrupted or truncated ``.so`` fails its content digest and the whole
-entry group is quarantined, never raised.
+cache.  On disk each built ``.so`` is stored once, as one entry keyed
+by the SHA-256 of its bytes, and each signature keeps one small meta
+(symbols, invoke tables, ``.so`` digest) under a key versioned by
+package version, :data:`NATIVE_CODE_VERSION`, and the *compiler
+identity* (path plus ``--version`` line), so a toolchain upgrade can
+never resurrect a stale object.  A process reads a ``.so`` entry at
+most once: the bytes that pass the digest check go into a private
+workdir copy, which is ``dlopen``ed once, and every signature built
+into it binds from that one handle.  The compiler identity itself
+re-resolves whenever ``REPRO_CC``/``CC`` change (and
+:func:`reset_compiler_cache` drops it plus any memoized cc failures),
+so a transient or fault-injected toolchain failure cannot poison later
+legitimate compiles.  A missing ``.so`` entry is a miss; one that
+fails its digest or ``dlopen`` is quarantined, never raised.
 
 Hosts without a C compiler (and ``REPRO_FAULT=compile:*`` runs) raise
 :class:`NativeUnavailable` from kernel acquisition — before any memory
@@ -68,6 +72,7 @@ from __future__ import annotations
 import atexit
 import ctypes
 import hashlib
+import itertools
 import os
 import shlex
 import shutil
@@ -81,9 +86,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cache import get_cache
-from repro.errors import CodegenError, MachineError
-from repro.export.cgen import CEmitter
-from repro.export.portable import PortableBackend, kernel_unit_prelude
+from repro.errors import MachineError
+from repro.export.portable import kernel_unit_prelude
 from repro.ir.types import DataType
 from repro.faults import fault as _fault
 from repro.machine import compilequeue, interp, jit, npbackend
@@ -124,7 +128,9 @@ from repro.vir.vstmt import SetS, SetV, VStoreS
 #: marshalling.
 #: v5: the class batch driver is gone; each unit exports two functions
 #: per signature.
-NATIVE_CODE_VERSION = 5
+#: v6: one disk entry per built ``.so`` (keyed by its SHA-256) and a
+#: source-free meta per signature.
+NATIVE_CODE_VERSION = 6
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).
@@ -132,7 +138,7 @@ STATS = {
     "codegens": 0,         # C kernels emitted from scratch
     "memory_hits": 0,      # loaded ctypes kernel reused
     "memory_misses": 0,
-    "disk_hits": 0,        # .so loaded from the disk cache
+    "disk_hits": 0,        # meta lookups answered from the disk cache
     "disk_misses": 0,
     "cc_s": 0.0,           # foreground seconds inside the system compiler
     "load_s": 0.0,         # foreground seconds loading shared objects
@@ -243,8 +249,7 @@ class _NativeMeta:
 
     signature: str
     symbol: str = ""         # simdal_steady_<digest> in the TU
-    source: str = ""
-    so_sha256: str = ""
+    so_sha256: str = ""      # SHA-256 of the .so that exports it
     vreg_names: tuple = ()   # vregs-buffer slot order
     seed_regs: tuple = ()    # read-before-write registers Python seeds
     out_regs: tuple = ()     # SetV targets C writes back
@@ -610,36 +615,6 @@ def emit_kernel(program: VProgram,
     return _KernelEmitter(program, spec).emit()
 
 
-def emit_native_source(program: VProgram,
-                       spec: jit._KernelSpec) -> tuple[str, _NativeMeta]:
-    """A standalone single-kernel translation unit plus invoke tables.
-
-    The unit is the portable-C export (scalar reference + simdized
-    loop, via :class:`~repro.export.cgen.CEmitter`) with the steady
-    kernel appended; when the full export hits a form outside the
-    exporter's subset, the unit degrades to helpers + kernel only.
-    Compilation goes through the *batched* pipeline nowadays
-    (:func:`build_request` + :func:`compilequeue.compile_requests`);
-    this composer remains for export and diagnosis of one signature in
-    isolation.  Raises :class:`_CantEmit` when the steady sequence
-    itself cannot be lowered.
-    """
-    backend = PortableBackend()
-    kernel_src, meta = emit_kernel(program, spec)
-    try:
-        unit = CEmitter(program, backend).translation_unit()
-    except CodegenError:
-        unit = (
-            "/* generated by simdal: steady kernel only */\n"
-            "#include <stdint.h>\n"
-            "#include <string.h>\n"
-            + backend.helpers(program.V, program.source.dtype).rstrip()
-            + "\n"
-        )
-    meta.source = unit + "\n" + kernel_src
-    return meta.source, meta
-
-
 def build_request(signature: str, key: str, jk: jit._Kernel,
                   program: VProgram):
     """A :class:`~repro.machine.compilequeue.CompileRequest` for this
@@ -815,10 +790,8 @@ def _simd_probe_source() -> str:
     """A tiny TU exercising every vector-extension idiom the emitter
     relies on (vector_size types, __builtin_shufflevector, vector
     compares/selects, __builtin_assume_aligned)."""
-    from repro.export.portable import kernel_unit_prelude as _prelude
-
     dtype = DataType("int16", 2, True)
-    return _prelude(16, dtype, simd=True) + (
+    return kernel_unit_prelude(16, dtype, simd=True) + (
         "simdal_vec simdal_simd_probe(simdal_vec a, simdal_vec b,\n"
         "                             int64_t k) {\n"
         "    simdal_vec r = simdal_op_add(simdal_shiftpair_c(a, b, 3),\n"
@@ -930,6 +903,9 @@ def _require_compiler() -> tuple[str, str]:
 
 _WORKDIR: Path | None = None
 
+#: Monotonic suffix for shared objects written to the workdir.
+_SO_SEQ = itertools.count()
+
 
 def _workdir() -> Path:
     """A process-lifetime scratch dir: loaded .so paths must outlive us."""
@@ -938,6 +914,16 @@ def _workdir() -> Path:
         _WORKDIR = Path(tempfile.mkdtemp(prefix="repro_native_"))
         atexit.register(shutil.rmtree, _WORKDIR, ignore_errors=True)
     return _WORKDIR
+
+
+def _fresh_so_path(stem: str) -> Path:
+    """A workdir path no earlier write used.
+
+    Every ``.so`` this process builds or copies out of the cache gets
+    its own name: rewriting a file that a live ``dlopen`` handle maps
+    would truncate the mapped inode — instant SIGBUS on the next call.
+    """
+    return _workdir() / f"{stem}_{next(_SO_SEQ)}.so"
 
 
 def _bind_symbol(lib, symbol: str):
@@ -974,12 +960,6 @@ def _bind_functions(lib, meta: _NativeMeta):
     return cfn, rfn
 
 
-def _load_so(path: Path, meta: _NativeMeta):
-    # Each signature loads its own cached copy of the batched .so;
-    # dlopen dedupes repeat loads of the same path within a process.
-    return _bind_functions(ctypes.CDLL(str(path)), meta)
-
-
 # ---------------------------------------------------------------------------
 # Two-tier kernel cache
 # ---------------------------------------------------------------------------
@@ -994,6 +974,10 @@ _NATIVE_CACHE_MAX = 128
 #: key means switching toolchains via ``REPRO_CC``/``CC`` — or
 #: :func:`reset_compiler_cache` — naturally un-poisons the signature.
 _FAILED: dict[str, str] = {}
+
+#: Loaded shared objects by the SHA-256 of their bytes: every signature
+#: built into one ``.so`` binds its symbols from one handle.
+_LIBS: dict[str, ctypes.CDLL] = {}
 
 
 def _disk_key(signature: str, cc_identity: str) -> str:
@@ -1016,6 +1000,11 @@ def _disk_key(signature: str, cc_identity: str) -> str:
             f"{cc_identity}:{mode}:{flags}:{signature}")
 
 
+def _so_key(digest: str) -> str:
+    """The disk key of the ``.so`` whose bytes hash to ``digest``."""
+    return f"native-so:{digest}"
+
+
 def _cache_put(signature: str, kernel: _NativeKernel) -> None:
     if len(_NATIVE_CACHE) >= _NATIVE_CACHE_MAX:
         _NATIVE_CACHE.popitem(last=False)
@@ -1023,36 +1012,77 @@ def _cache_put(signature: str, kernel: _NativeKernel) -> None:
 
 
 def clear_memory_cache() -> None:
-    """Drop loaded kernels and memoized cc failures (tests use this)."""
+    """Drop loaded kernels, ``.so`` handles and memoized cc failures
+    (tests use this to force disk loads)."""
     _NATIVE_CACHE.clear()
+    _LIBS.clear()
     _FAILED.clear()
+
+
+def _adopt_build(lib, data: bytes, entries, disk) -> None:
+    """Register a freshly built ``.so`` and file it on disk.
+
+    ``lib`` is the handle the compile pipeline loaded from its own
+    output, ``data`` that file's bytes, ``entries`` one ``(key, meta)``
+    per signature built into it.  The disk gets one entry holding the
+    bytes under their digest, then one meta per signature naming it.
+    """
+    digest = hashlib.sha256(data).hexdigest()
+    _LIBS[digest] = lib
+    for _key, meta in entries:
+        meta.so_sha256 = digest
+    if disk is not None:
+        disk.put(_so_key(digest), data)
+        for key, meta in entries:
+            disk.put(key, meta)
+
+
+def _library(disk, digest: str):
+    """The loaded ``.so`` whose bytes hash to ``digest``, or None.
+
+    The entry's bytes are checked against the digest and then written
+    to a private workdir copy, so the object ``dlopen`` maps is exactly
+    the one that passed.  A missing entry is a miss; one that fails the
+    digest, or cannot be copied out and loaded, is quarantined (cache
+    doctrine: corruption is a silent miss, never an exception).
+    """
+    lib = _LIBS.get(digest)
+    if lib is not None:
+        return lib
+    key = _so_key(digest)
+    data = disk.get(key)
+    if not isinstance(data, bytes):
+        return None
+    if hashlib.sha256(data).hexdigest() != digest:
+        disk.quarantine(key)
+        return None
+    start = time.perf_counter()
+    try:
+        path = _fresh_so_path(digest[:16])
+        path.write_bytes(data)
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        disk.quarantine(key)
+        return None
+    STATS["load_s"] += time.perf_counter() - start
+    _LIBS[digest] = lib
+    return lib
 
 
 def _load_from_disk(disk, key: str, signature: str,
                     jk: jit._Kernel) -> _NativeKernel | None:
-    """Warm path: validated meta + digest-checked .so, or None.
-
-    Any inconsistency — missing/orphaned artifact, digest mismatch,
-    dlopen failure — quarantines the whole entry group (cache
-    doctrine: corruption is a silent miss, never an exception).
-    """
+    """Warm path: a validated meta bound to its ``.so``, or None."""
     entry = disk.get(key)
     if (not isinstance(entry, _NativeMeta) or entry.signature != signature
             or not entry.symbol or not entry.run_symbol):
         return None
-    so_path = disk.artifact_path(key, ".so")
-    if so_path is None:
-        disk.quarantine_artifacts(key)
+    lib = _library(disk, entry.so_sha256)
+    if lib is None:
         return None
     try:
-        data = so_path.read_bytes()
-        if hashlib.sha256(data).hexdigest() != entry.so_sha256:
-            raise OSError("shared object digest mismatch")
-        start = time.perf_counter()
-        cfn, rfn = _load_so(so_path, entry)
-        STATS["load_s"] += time.perf_counter() - start
-    except Exception:
-        disk.quarantine_artifacts(key)
+        cfn, rfn = _bind_functions(lib, entry)
+    except AttributeError:
+        disk.quarantine(key)  # a meta naming symbols its .so lacks
         return None
     return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn)
 

@@ -162,6 +162,20 @@ class TestDiskCacheEviction:
         assert cache.stats()["scans"] == 1
         assert cache.evictions == evictions
 
+    def test_hits_never_list_a_directory(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        cache = DiskCache(tmp_path / "cache")
+        cache.put("k", {"meta": 1})
+
+        def no_listing(self, *args, **kwargs):
+            raise AssertionError(f"a cache hit listed {self}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "glob", no_listing)
+            assert cache.get("k") == {"meta": 1}
+        assert cache.stats()["hits"] == 1
+
     def test_zero_budget_stretch_forgets_the_tally(self, tmp_path):
         cache = DiskCache(tmp_path / "cache", max_bytes=8192)
         cache.put("first", b"")

@@ -3,9 +3,9 @@
 ``test_native.py`` pins the per-kernel acquisition machinery; this
 file pins the pipeline that amortizes it — multi-kernel translation
 units behind one ``cc`` invocation (:func:`compile_requests` /
-:func:`precompile`), per-signature artifact groups that stay
-individually evictable, compiler re-resolution under ``REPRO_CC``, the
-concurrent-writer atomicity of artifact groups, and the worker
+:func:`precompile`), one disk entry per built ``.so`` that every
+batch-mate's meta names, compiler re-resolution under ``REPRO_CC``, the
+concurrent-writer atomicity of disk entries, and the worker
 right-sizing that fixed the jobs=2 sweep regression.  The differential
 property holds both acquisition modes — per-kernel and precompiled —
 byte-identical to the bytes oracle on random sweep configs.
@@ -13,11 +13,11 @@ byte-identical to the bytes oracle on random sweep configs.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
+import pickle
 import random
-import tempfile
 import types
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -50,6 +50,17 @@ def _fresh_pipeline():
     yield
     jit.clear_memory_cache()
     native.clear_memory_cache()
+
+
+def so_entries(cache):
+    """Keys of the native ``.so`` entries in ``cache``."""
+    prefix = native._so_key("")
+    keys = []
+    for path in cache.root.glob("??/*.pkl"):
+        key, _value = pickle.loads(path.read_bytes())
+        if key.startswith(prefix):
+            keys.append(key)
+    return keys
 
 
 def sweep_programs(count=2, trip=67, offset_reassoc=False):
@@ -106,7 +117,7 @@ class TestBatchedTranslationUnits:
 
     @needs_cc
     def test_per_signature_disk_entries_survive_memory_clear(self):
-        """Each batch-mate reloads from its own disk group — zero
+        """Each batch-mate reloads from its own meta on disk — zero
         further cc invocations after the batch compile."""
         programs = sweep_programs(count=1)
         compilequeue.precompile(programs)
@@ -120,25 +131,71 @@ class TestBatchedTranslationUnits:
             before["disk_hits"] + len(programs)
 
     @needs_cc
+    def test_batch_mates_share_one_so_entry_and_one_dlopen(self,
+                                                           monkeypatch):
+        """One cc invocation files one .so entry, and a process that
+        loads every batch-mate from disk dlopens it once."""
+        programs = sweep_programs(count=1)
+        assert len(programs) >= 4
+        assert compilequeue.precompile(programs) == len(programs)
+        native.clear_memory_cache()
+        cdll = ctypes.CDLL
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(args[0])
+            return cdll(*args, **kwargs)
+
+        monkeypatch.setattr(native.ctypes, "CDLL", spy)
+        before = dict(native.STATS)
+        kernels = [native.get_native_kernel(p) for p in programs]
+        assert all(kernel.cfn is not None for kernel in kernels)
+        assert native.STATS["disk_hits"] == \
+            before["disk_hits"] + len(programs)
+        assert len(opened) == 1
+        digests = {kernel.meta.so_sha256 for kernel in kernels}
+        assert len(digests) == 1
+        assert so_entries(get_cache()) == [native._so_key(digests.pop())]
+
+    @needs_cc
     def test_evicting_one_group_leaves_batch_mates_loadable(self):
-        """The shared object is *copied* per signature group: dropping
-        one signature's files cannot strand the others."""
+        """Deleting one signature's meta recompiles that signature
+        alone, behind one cc call, while its batch-mates still load
+        from the shared .so entry."""
         programs = sweep_programs(count=1)
         assert len(programs) >= 2
         compilequeue.precompile(programs)
-        cache = get_cache()
         identity = native._compiler_identity()[1]
         victim_key = native._disk_key(
             jit._cached_signature(programs[0]), identity)
-        stem = cache._path(victim_key)
-        for path in stem.parent.glob(stem.stem + "*"):
-            path.unlink()
+        get_cache()._path(victim_key).unlink()
         native.clear_memory_cache()
-        survivor = native.get_native_kernel(programs[1])   # disk load
-        assert survivor.cfn is not None
         before = dict(native.STATS)
+        for program in programs[1:]:                        # disk loads
+            assert native.get_native_kernel(program).cfn is not None
+        assert native.STATS["disk_hits"] == \
+            before["disk_hits"] + len(programs) - 1
+        assert native.STATS["cc_invocations"] == before["cc_invocations"]
         evicted = native.get_native_kernel(programs[0])    # recompile
         assert evicted.cfn is not None
+        assert native.STATS["disk_misses"] == before["disk_misses"] + 1
+        assert native.STATS["cc_invocations"] == \
+            before["cc_invocations"] + 1
+
+    @needs_cc
+    def test_deleting_the_so_entry_rebuilds_every_batch_mate(self):
+        """Without their .so entry every batch-mate's lookup misses,
+        and precompile rebuilds them all behind one cc call."""
+        programs = sweep_programs(count=1)
+        compilequeue.precompile(programs)
+        digest = native.get_native_kernel(programs[0]).meta.so_sha256
+        get_cache()._path(native._so_key(digest)).unlink()
+        native.clear_memory_cache()
+        before = dict(native.STATS)
+        assert compilequeue.precompile(programs) == len(programs)
+        assert native.STATS["disk_hits"] == before["disk_hits"]
+        assert native.STATS["disk_misses"] == \
+            before["disk_misses"] + len(programs)
         assert native.STATS["cc_invocations"] == \
             before["cc_invocations"] + 1
 
@@ -164,12 +221,6 @@ class TestBatchedTranslationUnits:
         assert "exit" in failures[requests[1].signature]
         # one failed batch attempt + one singleton per request
         assert cc_s > 0.0
-
-    def test_precompile_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_PRECOMPILE", "0")
-        assert not compilequeue.precompile_enabled()
-        programs = sweep_programs(count=1)[:1]
-        assert compilequeue.precompile(programs) == 0
 
 
 class TestCompilerResolution:
@@ -206,27 +257,25 @@ class TestCompilerResolution:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent artifact-group writers (multi-process put_artifact race)
+# Concurrent writers of one entry (multi-process put race)
 # ---------------------------------------------------------------------------
+
+def _race_payload(worker: int) -> bytes:
+    return b"SO-%d" % worker * 4096
+
 
 def _race_writer(root: str, key: str, worker: int, rounds: int) -> None:
     cache = DiskCache(root)
-    payload = (b"/* worker %d */\n" % worker) * 64
-    with tempfile.NamedTemporaryFile(dir=root, delete=False) as tmp:
-        tmp.write(b"SO-%d" % worker * 256)
-        src = Path(tmp.name)
     for _ in range(rounds):
-        cache.put_artifact(key, ".c", payload)
-        cache.put_artifact_file(key, ".so", src)
-        cache.put(key, {"worker": worker})
+        cache.put(key, _race_payload(worker))
 
 
 class TestArtifactRaces:
     def test_concurrent_group_writers_never_corrupt(self, tmp_path):
-        """N processes hammering one key's artifact group leave exactly
-        one intact group: every surviving file is some writer's
+        """Four processes putting one bytes entry under one key leave
+        exactly one intact entry: the survivor is some writer's
         complete payload (os.replace atomicity — no interleaving, no
-        torn pairs, no stray tmp files)."""
+        stray tmp files)."""
         root = tmp_path / "race-cache"
         root.mkdir()
         key = "deadbeef" * 8
@@ -242,24 +291,10 @@ class TestArtifactRaces:
             proc.join(timeout=120)
             assert proc.exitcode == 0
         cache = DiskCache(root)
-        entry = cache.get(key)
-        assert entry is not None and entry["worker"] in range(4)
-        c_path = cache.artifact_path(key, ".c")
-        so_path = cache.artifact_path(key, ".so")
-        assert c_path is not None and so_path is not None
-        c_bytes = c_path.read_bytes()
-        assert c_bytes in [(b"/* worker %d */\n" % w) * 64
-                           for w in range(4)]
-        so_bytes = so_path.read_bytes()
-        assert so_bytes in [b"SO-%d" % w * 256 for w in range(4)]
-        leftovers = list(root.rglob("*.tmp"))
-        assert leftovers == []
-        # exactly one group under the key's digest stem
-        stem = cache._path(key)
-        group = sorted(p.name for p in stem.parent.iterdir()
-                       if not p.name.endswith(".tmp"))
-        assert group == sorted([stem.name, stem.stem + ".c",
-                                stem.stem + ".so"])
+        assert cache.get(key) in [_race_payload(w) for w in range(4)]
+        assert list(root.rglob("*.tmp")) == []
+        files = [path for path in root.rglob("*") if path.is_file()]
+        assert files == [cache._path(key)]
 
 
 # ---------------------------------------------------------------------------

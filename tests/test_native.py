@@ -1,10 +1,11 @@
-"""The native codegen tier: cc-compiled kernels, artifacts, degradation.
+"""The native codegen tier: cc-compiled kernels, disk entries, degradation.
 
 ``test_differential.py`` holds the native engine to bit-exact parity
 with the byte oracle on random draws; this file pins the machinery
 around it — the two-tier kernel cache (in-process LRU + compiler-
-identity-versioned disk artifacts), tampered/corrupt artifact
-quarantine, the jit-delegation path for programs the C emitter
+identity-versioned disk metas and digest-keyed ``.so`` entries),
+tampered/corrupt entry quarantine, the jit-delegation path for
+programs the C emitter
 declines, degradation on hosts without a compiler or under injected
 compile faults, profile attribution of the new ``cc``/``native_load``
 phases, and the Figure 11/12 sweep acceptance criterion
@@ -159,25 +160,51 @@ class TestKernelCache:
 
     @needs_cc
     def test_tampered_so_is_quarantined_and_recompiled(self):
-        """A .so whose digest no longer matches its meta entry is a
-        silent miss: the whole entry group is quarantined and the
+        """A .so entry that unpickles fine but whose bytes no longer
+        match the digest its meta names is a silent miss: only the
+        digest check can catch it, the entry is quarantined and the
         kernel recompiles from scratch."""
+        import pickle
+
+        program = fig1_program()
+        before = dict(native.STATS)
+        digest = native.get_native_kernel(program).meta.so_sha256
+        cache = get_cache()
+        so_key = native._so_key(digest)
+        so_path = cache._path(so_key)
+        assert so_path.is_file()
+        so_path.write_bytes(pickle.dumps((so_key, b"\x7fELF but not really")))
+        native.clear_memory_cache()
+        kernel = native.get_native_kernel(program)   # must not raise
+        assert kernel.cfn is not None
+        assert native.STATS["codegens"] == before["codegens"] + 2
+        assert list(cache.root.glob("??/*.corrupt"))
+        runs = run_engines(program, ("bytes", "native"))
+        assert runs["bytes"] == runs["native"]
+
+    @needs_cc
+    def test_unloadable_so_entry_is_quarantined_and_recompiled(self):
+        """A .so entry that passes its digest but fails dlopen is a
+        silent miss too: quarantined, then recompiled."""
+        import hashlib
+
         program = fig1_program()
         before = dict(native.STATS)
         native.get_native_kernel(program)
         cache = get_cache()
         sig = jit._cached_signature(program)
         key = native._disk_key(sig, native._compiler_identity()[1])
-        so_path = cache.artifact_path(key, ".so")
-        assert so_path is not None
-        so_path.write_bytes(b"\x7fELF but not really")
+        junk = b"\x7fELF but not really"
+        digest = hashlib.sha256(junk).hexdigest()
+        cache.put(native._so_key(digest), junk)
+        meta = cache.get(key)
+        meta.so_sha256 = digest
+        cache.put(key, meta)
         native.clear_memory_cache()
         kernel = native.get_native_kernel(program)   # must not raise
         assert kernel.cfn is not None
         assert native.STATS["codegens"] == before["codegens"] + 2
-        assert list(cache.root.glob("??/*.so.corrupt"))
-        runs = run_engines(program, ("bytes", "native"))
-        assert runs["bytes"] == runs["native"]
+        assert list(cache.root.glob("??/*.corrupt"))
 
     @needs_cc
     def test_corrupt_meta_pickle_is_silent_miss(self):
@@ -336,124 +363,3 @@ class TestProfileIntegration:
         run_and_verify(program, backend="native", profile=profile)
         assert profile.counts.get("native_disk_hits", 0) >= 1
         assert profile.hit_rate("native_disk") == 1.0
-
-
-class TestArtifactStore:
-    """DiskCache sibling-artifact semantics (no compiler needed)."""
-
-    def test_artifact_roundtrip(self, tmp_path):
-        from repro.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache")
-        cache.put_artifact("k", ".so", b"\x00\x01")
-        cache.put_artifact("k", ".c", b"int x;")
-        path = cache.artifact_path("k", ".so")
-        assert path is not None and path.read_bytes() == b"\x00\x01"
-        assert cache.artifact_path("k", ".nope") is None
-
-    def test_entry_group_evicts_as_a_unit(self, tmp_path):
-        """LRU eviction removes a key's pickle and artifacts together —
-        a surviving .so must never outlive its validating metadata."""
-        import os
-
-        from repro.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache", max_bytes=6000)
-        cache.put_artifact("old", ".so", bytes(4000))
-        cache.put("old", {"meta": 1})
-        for path in cache.root.glob("??/*"):
-            os.utime(path, (1, 1))   # make the first group clearly LRU
-        cache.put_artifact("new", ".so", bytes(4000))
-        cache.put("new", {"meta": 2})
-        assert cache.get("old") is None
-        assert cache.artifact_path("old", ".so") is None
-        assert cache.get("new") == {"meta": 2}
-        assert cache.artifact_path("new", ".so") is not None
-        assert cache.stats()["evictions"] == 1
-
-    @staticmethod
-    def _two_aged_groups(tmp_path):
-        """Groups "hot" and "cold" (.so + .c + pickle), all at mtime 1."""
-        import os
-
-        from repro.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache", max_bytes=10000)
-        for key in ("hot", "cold"):
-            cache.put_artifact(key, ".so", bytes(3000))
-            cache.put_artifact(key, ".c", b"int x;")
-            cache.put(key, {"meta": key})
-        for path in cache.root.glob("??/*"):
-            os.utime(path, (1, 1))
-        return cache
-
-    def test_get_hit_touches_only_the_pickle_yet_keeps_its_group(
-            self, tmp_path):
-        """A hit refreshes only the file it read; the group ages by its
-        newest member, so the older .so/.c survive the next eviction."""
-        cache = self._two_aged_groups(tmp_path)
-        hot = cache._path("hot")
-        assert cache.get("hot") == {"meta": "hot"}
-        assert hot.stat().st_mtime > 1
-        assert hot.with_suffix(".so").stat().st_mtime == 1
-        assert hot.with_suffix(".c").stat().st_mtime == 1
-        cache.put_artifact("push", ".so", bytes(4000))
-        assert cache.get("cold") is None
-        assert cache.artifact_path("cold", ".so") is None
-        assert cache.artifact_path("hot", ".so") is not None
-        assert cache.artifact_path("hot", ".c") is not None
-        assert cache.stats()["evictions"] == 1
-
-    def test_artifact_path_hit_keeps_its_pickle(self, tmp_path):
-        cache = self._two_aged_groups(tmp_path)
-        hot = cache._path("hot")
-        assert cache.artifact_path("hot", ".so") is not None
-        assert hot.with_suffix(".so").stat().st_mtime > 1
-        assert hot.stat().st_mtime == 1
-        cache.put_artifact("push", ".so", bytes(4000))
-        assert cache.artifact_path("cold", ".so") is None
-        assert cache.get("hot") == {"meta": "hot"}
-        assert cache.stats()["evictions"] == 1
-
-    def test_hits_never_list_a_directory(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        from repro.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache")
-        cache.put("k", {"meta": 1})
-        cache.put_artifact("k", ".so", b"\x00")
-
-        def no_listing(self, *args, **kwargs):
-            raise AssertionError(f"a cache hit listed {self}")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(Path, "glob", no_listing)
-            assert cache.get("k") == {"meta": 1}
-            assert cache.artifact_path("k", ".so") is not None
-        assert cache.stats()["hits"] == 1
-
-    def test_quarantine_covers_the_whole_group(self, tmp_path):
-        from repro.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache")
-        cache.put("k", {"meta": 1})
-        cache.put_artifact("k", ".so", b"\x00")
-        cache.put_artifact("k", ".c", b"int x;")
-        cache.quarantine_artifacts("k")
-        assert cache.get("k") is None
-        assert cache.artifact_path("k", ".so") is None
-        corrupt = sorted(p.name.split(".", 1)[1]
-                         for p in cache.root.glob("??/*.corrupt"))
-        assert corrupt == ["c.corrupt", "corrupt", "so.corrupt"]
-
-    def test_artifacts_count_toward_size_budget(self, tmp_path):
-        from repro.cache import DiskCache
-
-        cache = DiskCache(tmp_path / "cache", max_bytes=1000)
-        for k in range(4):
-            cache.put_artifact(f"key{k}", ".so", bytes(600))
-        survivors = [p for p in cache.root.glob("??/*")
-                     if not p.name.endswith(".tmp")]
-        assert sum(p.stat().st_size for p in survivors) <= 1000
-        assert cache.stats()["evictions"] >= 2

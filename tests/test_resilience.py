@@ -495,7 +495,9 @@ class TestSweepInterrupt:
             self, tmp_path, monkeypatch):
         import signal
         import threading
+        import time
 
+        from repro.bench import runner
         from repro.errors import SweepInterrupted
 
         configs = _sweep_configs(n=12)
@@ -503,8 +505,15 @@ class TestSweepInterrupt:
         journal = tmp_path / "sweep.jsonl"
 
         # Slow each config down so the timer reliably lands mid-sweep.
-        monkeypatch.setenv("REPRO_FAULT_SLEEP", "0.05")
-        _arm(monkeypatch, "execute:timeout")
+        # Every engine goes through the per-config measurement, so the
+        # delay holds with or without numpy.
+        measure_loop = runner.measure_loop
+
+        def slow_measure_loop(*args, **kwargs):
+            time.sleep(0.05)
+            return measure_loop(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "measure_loop", slow_measure_loop)
         # Park a no-op handler in case the timer beats the arm/disarm
         # window inside measure_many (it would otherwise kill pytest).
         previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -528,8 +537,7 @@ class TestSweepInterrupt:
             _json.loads(line)  # every journaled row is complete JSON
 
         # Resume splices the journaled rows back float-exactly.
-        monkeypatch.delenv("REPRO_FAULT")
-        faults.reload()
+        monkeypatch.setattr(runner, "measure_loop", measure_loop)
         profile = PhaseProfile()
         rows = measure_many(configs, jobs=1, profile=profile,
                             run_policy=RunPolicy(checkpoint=journal,
