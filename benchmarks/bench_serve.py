@@ -291,7 +291,6 @@ async def run(args) -> dict:
         sections["server_counters"] = {
             "requests_total": stats["counters"]["requests_total"],
             "rejected_429": stats["counters"].get("rejected_429", 0),
-            "batches": stats["counters"].get("batches", 0),
             "unhandled_errors": stats["counters"].get("unhandled_errors", 0),
         }
         assert sections["server_counters"]["unhandled_errors"] == 0

@@ -319,7 +319,7 @@ def test_backend_speed():
         unique = []
         seen_sigs = set()
         for w in workloads:
-            sig = jit._cached_signature(w.program)
+            sig = jit.program_signature(w.program)
             if sig not in seen_sigs:
                 seen_sigs.add(sig)
                 unique.append(w)

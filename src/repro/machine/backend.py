@@ -288,7 +288,8 @@ class ResilientBackend:
         """Run ``(program, space, mem, bindings)`` tuples in order.
 
         Each run goes through :meth:`run`, so every config degrades on
-        its own.  The serve micro-batcher calls this once per batch.
+        its own.  Nothing in the package calls this any more; it stays
+        because ``perfbench/launcher.py`` wraps it by name.
         """
         return [self.run(program, space, mem, bindings)
                 for program, space, mem, bindings in runs]

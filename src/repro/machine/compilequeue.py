@@ -103,7 +103,7 @@ class CompileRequest:
     kernel_src: str     # the kernel function body (C)
     prelude: str        # kernel_unit_prelude(V, dtype)
     meta: object        # _NativeMeta (so_sha256 filled on success)
-    jk: object          # jit._Kernel (fallback + spec)
+    jk: object          # jit.Kernel (sections + fallback)
 
 
 def compile_requests(requests, disk):
@@ -200,7 +200,7 @@ def precompile(programs, profile=None) -> int:
         return 0
     if native._compiler_identity()[0] is None:
         return 0
-    from repro.machine import jit
+    from repro.machine import jit, steady
 
     before = {k: v for k, v in native.STATS.items() if isinstance(v, int)}
     disk = get_cache()
@@ -210,12 +210,12 @@ def precompile(programs, profile=None) -> int:
     cc_s = load_s = 0.0
     try:
         for program in programs:
-            signature = jit._cached_signature(program)
+            signature = jit.program_signature(program)
             if signature in seen or signature in native._NATIVE_CACHE:
                 continue
             seen.add(signature)
             jk = jit.get_kernel(program)
-            if not jk.spec.batchable or jk.fn is None:
+            if steady.analyze(program) is None:
                 native._cache_put(
                     signature, native._NativeKernel(jk=jk, meta=None,
                                                     cfn=None))

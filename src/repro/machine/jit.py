@@ -1,31 +1,32 @@
 """Compile-once kernel backend: vector programs as fused NumPy closures.
 
-The batched engine (:mod:`repro.machine.npbackend`) already executes
-the steady loop as whole-array NumPy calls, but it re-plans and
-tree-walks ``_eval_rows`` on **every** ``run()``, and it leaves the
-prologue/epilogue splice sections to the byte interpreter's recursive
-``_eval_v``.  For sweep workloads the program is fixed while trip
-counts and memory images vary, so all of that per-call work is
-redundant.  This engine does the paper's compile-time/runtime split
-(§5) one level up: everything decidable from the *program text* —
-batchability, topological order, window layout, dtype-pinned op
-chains, reduction folds, straight-lined prologue/epilogue splices,
-structural operation counts — is decided **once**, lowered to Python
-source, ``compile()``d, and cached; the materialized kernel only does
-the per-*run* work (window bounds, collision checks, the fused ops).
-"Batched" throughout means vectorised across the steady loop's
-iterations: one kernel call executes exactly one run.
+The batched engine (:mod:`repro.machine.npbackend`) interprets the
+shared steady-loop model (:mod:`repro.machine.steady`) on **every**
+``run()``: it re-analyzes the program, tree-walks the steady
+expressions, and leaves the prologue/epilogue splice sections to the
+byte interpreter's recursive ``_eval_v``.  For sweep workloads the
+program is fixed while trip counts and memory images vary, so all of
+that per-call work is redundant.  This engine does the paper's
+compile-time/runtime split (§5) one level up: everything decidable
+from the *program text* — the model's structural analysis, the order
+of the lane calls, which shift amounts are literals, straight-lined
+prologue/epilogue splices, structural operation counts — is decided
+**once**, lowered to Python source, ``compile()``d, and cached; the
+materialized kernel only does the per-*run* work (the model's window
+check, then its lane functions).  "Batched" throughout means
+vectorised across the steady loop's iterations: one kernel call
+executes exactly one run.
 
 Correctness contract is npbackend's, verbatim: final memory bytes and
 :class:`~repro.machine.counters.OpCounters` are bit-identical to the
-byte interpreter, and ``used_fallback`` matches the numpy engine —
-the compile-time structural checks reuse npbackend's own analysis
-helpers, the steady kernel's prelude re-runs npbackend's runtime
-window checks (raising :class:`_Unbatchable` *before any memory
-mutation* so the per-iteration fallback stays exact), and the inlined
-sections call the same byte-level :mod:`repro.machine.vector` helpers
-the interpreter calls, with their counter bumps precomputed into
-per-section constants.
+byte interpreter, and ``used_fallback`` matches the numpy engine — both
+tiers take batchability, the window check (raising
+:class:`~repro.machine.steady.Unbatchable` *before any memory
+mutation* so the per-iteration fallback stays exact), the lane
+semantics and the steady counters from :mod:`repro.machine.steady`,
+and the inlined sections call the same byte-level
+:mod:`repro.machine.vector` helpers the interpreter calls, with their
+counter bumps precomputed into per-section constants.
 
 Kernels are cached at two tiers keyed on the program's structural
 signature (:func:`program_signature`):
@@ -47,20 +48,17 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cache import get_cache
 from repro.errors import MachineError
 from repro.faults import fault as _fault
-from repro.machine import interp
-from repro.machine import npbackend
+from repro.machine import interp, steady
 from repro.machine import vector as vec
-from repro.machine.counters import BRANCH, CALL, OpCounters, SCALAR
-from repro.machine.interp import VectorRunResult, run_vector
-from repro.machine.npscalar import NumpyScalarBackend
-from repro.machine.scalar import RunBindings
+from repro.machine.counters import BRANCH, OpCounters
+from repro.machine.interp import VectorRunResult
 from repro.vir.program import VProgram
 from repro.vir.vexpr import (
     Addr,
@@ -84,7 +82,9 @@ from repro.vir.vstmt import Section, SetS, SetV, VStmt, VStoreS
 #: Bump when the generated-kernel layout or helper semantics change:
 #: disk entries written by older code must never materialize.
 #: v3: kernels drop their config-batched half; one call runs one run.
-KERNEL_CODE_VERSION = 3
+#: v4: steady kernels call the shared model (:mod:`repro.machine.steady`)
+#: and index windows in its table order.
+KERNEL_CODE_VERSION = 4
 
 #: Compile/cache counters (process-wide; snapshot via
 #: :func:`repro.machine.backend.jit_compile_stats`).
@@ -96,14 +96,6 @@ STATS = {
     "disk_misses": 0,
     "compile_s": 0.0,    # seconds spent lowering + materializing
 }
-
-
-class _Unbatchable(Exception):
-    """Raised by a kernel prelude when this *run* cannot batch.
-
-    Only raised before any memory or register mutation, so the caller
-    can fall back to exact per-iteration execution.
-    """
 
 
 class _CantCompile(Exception):
@@ -119,7 +111,7 @@ class _CantCompile(Exception):
 # SVar reads the runtime trip), statement forms and order in every
 # phase, addresses, op/dtype pairs, and scalar operand *structure* (an
 # ``SConst(4)`` and a literal ``4`` count SCALAR differently in
-# _count_sbins, so scalar expressions serialize with type tags —
+# steady.count_sbins, so scalar expressions serialize with type tags —
 # ``str()`` would collide ``SVar("n")`` with ``SReg("n")``).
 
 def _sig_s(expr) -> str:
@@ -179,7 +171,16 @@ def program_signature(program: VProgram) -> str:
     Two programs with equal signatures get the same kernel: every
     baked-in property (stride, windows, ops, counts, pointer count,
     section shapes) is a function of the serialized structure.
+    Programs are immutable after simdize, so the string is memoized on
+    the instance; a plain string keeps the program picklable.
     """
+    sig = getattr(program, "_jit_sig", None)
+    if sig is None:
+        sig = program._jit_sig = _serialize(program)
+    return sig
+
+
+def _serialize(program: VProgram) -> str:
     parts = [
         f"V={program.V}",
         f"D={program.D}",
@@ -187,27 +188,15 @@ def program_signature(program: VProgram) -> str:
         "pre{" + ",".join(_sig_stmt(s) for s in program.preheader) + "}",
     ]
     parts.extend("pro" + _sig_section(s) for s in program.prologue)
-    steady = program.steady
-    if steady is None:
+    loop = program.steady
+    if loop is None:
         parts.append("nosteady")
     else:
-        parts.append(f"step={steady.step}")
-        for stmt in list(steady.body) + list(steady.bottom):
+        parts.append(f"step={loop.step}")
+        for stmt in list(loop.body) + list(loop.bottom):
             parts.append(_sig_stmt(stmt))
     parts.extend("epi" + _sig_section(s) for s in program.epilogue)
     return ";".join(parts)
-
-
-def _cached_signature(program: VProgram) -> str:
-    # Programs are immutable after simdize; memoize on the instance so
-    # repeated runs of one program skip re-serialization.  The memo is
-    # a plain string, so a program that later round-trips through
-    # pickle (simdize disk cache) stays picklable.
-    sig = getattr(program, "_jit_sig", None)
-    if sig is None:
-        sig = program_signature(program)
-        program._jit_sig = sig
-    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -225,24 +214,16 @@ class _KernelSpec:
     """
 
     signature: str
-    batchable: bool        # steady loop has a batched kernel (_kernel)
-    sections_ok: bool      # preheader/prologue/epilogue compiled (_pre/_post)
+    table: object          # steady.SteadyTable; None = never batches
+    sections_ok: bool      # preheader/prologue/epilogue compiled
     V: int = 0
-    stride: int = 0
-    step: int = 0
     source: str = ""       # one module: _kernel / _pre / _post defs
-    # -- steady-kernel tables -------------------------------------------
-    win_keys: tuple = ()   # unique (array, elem) in base-table order
-    loads: tuple = ()      # (array, elem, statement position) occurrences
-    stores: tuple = ()     # (array, elem, statement position)
+    # -- steady-kernel constants, one per _b{k}/_f{k}/... name ------------
     binops: tuple = ()     # (op name, DataType)
-    folds: tuple = ()      # (op name, DataType, accumulator register)
+    folds: tuple = ()      # (op name, DataType)
     splats: tuple = ()     # (operand SExpr, DataType)
     iotas: tuple = ()      # (bias, DataType)
-    shifts: tuple = ()     # runtime vshiftpair shift SExprs
-    points: tuple = ()     # runtime vsplice point SExprs
-    per_iter: dict = field(default_factory=dict)  # category -> count
-    pointers: int = 0
+    amounts: tuple = ()    # shift/point values checked at run time
     # -- section tables --------------------------------------------------
     arrays: tuple = ()     # array names hoisted as aA{k}
     bbinops: tuple = ()    # (op name, DataType) per byte-mode vbinop
@@ -252,7 +233,7 @@ class _KernelSpec:
 
 
 @dataclass
-class _Kernel:
+class Kernel:
     """A materialized spec; any function is None when not compiled."""
 
     spec: _KernelSpec
@@ -266,266 +247,124 @@ class _Kernel:
 # ---------------------------------------------------------------------------
 
 class _SteadyEmitter:
-    """Lowers the steady sequence to kernel source + constant tables.
+    """Lowers an analyzed steady loop to kernel source + constant tables.
 
-    Every emitted subexpression is tagged *variant* — shape ``(n, V)``,
-    one row per iteration — or *invariant* — shape ``(1, V)``.  The tag
-    decides where a broadcast is required (``np.concatenate`` needs
-    equal row counts; ufuncs and window stores broadcast natively), so
-    the generated code carries no per-call shape dispatch at all.
+    The source is npbackend's walk over the model, unrolled once: each
+    line calls the :mod:`repro.machine.steady` lane function the walk
+    would call, in the same order, with the structural decisions
+    (statement order, folds, window indices, literal amounts) already
+    made.  Repeated loads, register reads, splats, iotas and amounts
+    bind one temp each.
     """
 
-    def __init__(self, V: int):
-        self.V = V
-        self.lines: list[str] = []
-        self.cache: dict = {}          # structural key -> emitted temp name
-        self.win_keys: list = []       # unique (array, elem), B-table order
-        self._win_index: dict = {}
-        self.loads: list = []
-        self.stores: list = []
+    def __init__(self, shape: steady.SteadyShape):
+        self.shape = shape
+        self.V = shape.table.V
+        self.lines = ["B, mem_u8, read_u8 = _buffers(_table, env, lb, n)"]
+        self.temps: dict = {}              # structural key -> temp name
+        self.regvar: dict[str, str] = {}   # register -> result temp
         self.binops: list = []
-        self._binop_index: dict = {}
         self.folds: list = []
         self.splats: list = []
         self.iotas: list = []
-        self.shifts: list = []
-        self.points: list = []
-        self.regvar: dict[str, str] = {}      # register -> result temp
-        self.reg_variant: dict[str, bool] = {}
-        self.assign_pos: dict[str, int] = {}
+        self.amounts: list = []
 
-    def line(self, text: str) -> None:
-        self.lines.append(text)
+    @staticmethod
+    def _const(table: list, value) -> int:
+        if value not in table:
+            table.append(value)
+        return table.index(value)
 
-    def _base_index(self, addr: Addr) -> int:
-        key = (addr.array, addr.elem)
-        idx = self._win_index.get(key)
-        if idx is None:
-            idx = len(self.win_keys)
-            self.win_keys.append(key)
-            self._win_index[key] = idx
-        return idx
-
-    def _window(self, addr: Addr, buffer: str, kind: str) -> str:
-        key = (kind, addr.array, addr.elem)
-        name = self.cache.get(key)
+    def _temp(self, key, rhs: str) -> str:
+        """Bind ``rhs`` to a temp once per structural key; its name."""
+        name = self.temps.get(key)
         if name is None:
-            idx = self._base_index(addr)
-            name = f"{'w' if kind == 'load' else 'sw'}{idx}"
-            self.line(f"{name} = _win({buffer}, B[{idx}], n)")
-            self.cache[key] = name
+            name = self.temps[key] = f"t{len(self.temps)}"
+            self.lines.append(f"{name} = {rhs}")
         return name
 
-    def _binop(self, name: str, dtype) -> str:
-        key = (name, dtype)
-        idx = self._binop_index.get(key)
-        if idx is None:
-            idx = len(self.binops)
-            self.binops.append((name, dtype))
-            self._binop_index[key] = idx
-        return f"_b{idx}"
+    def _window(self, buffer: str, addr) -> str:
+        k = self.shape.index[addr.array, addr.elem]
+        return (f"_win({buffer}, B[{k}], n, "
+                f"{self.shape.table.stride}, {self.V})")
 
-    def _index_amount(self, amount, kind: str) -> str:
-        """The shift/point as source text, with range check emitted.
+    def _amount(self, value, what: str) -> str:
+        """A literal in range, else a run-time checked temp (which still
+        raises the model's MachineError for an out-of-range literal)."""
+        if isinstance(value, int) and 0 <= value <= self.V:
+            return str(value)
+        k = self._const(self.amounts, value)
+        return self._temp(("amount", what, k),
+                          f"_amount(env, _am{k}, {self.V}, {what!r})")
 
-        Compile-time ints in range become literals; runtime SExprs (and
-        out-of-range literals, which must still raise npbackend's
-        MachineError at run time) go through a checked helper.
-        """
-        check = "_cks" if kind == "shift" else "_ckp"
-        if isinstance(amount, int):
-            if 0 <= amount <= self.V:
-                return str(amount)
-            self.line(f"{check}({amount})")
-            return str(amount)
-        table = self.shifts if kind == "shift" else self.points
-        key = (kind, amount)
-        name = self.cache.get(key)
-        if name is None:
-            prefix = "sh" if kind == "shift" else "pt"
-            idx = len(table)
-            table.append(amount)
-            name = f"{prefix}{idx}"
-            self.line(f"{name} = {check}(_peek(env, _{name}))")
-            self.cache[key] = name
-        return name
-
-    def _concat_pair(self, a: str, av: bool, b: str, bv: bool) -> tuple[str, str]:
-        """Operand texts for concatenate: broadcast the invariant side."""
-        if av != bv:
-            if not av:
-                a = f"_bc({a}, n)"
-            else:
-                b = f"_bc({b}, n)"
-        return a, b
-
-    def emit(self, expr: VExpr, pos: int) -> tuple[str, bool]:
-        """(source text, variant?) for one expression occurrence."""
+    def emit(self, expr: VExpr, pos: int) -> str:
+        """Source text of one expression occurrence at statement ``pos``."""
         V = self.V
         if isinstance(expr, VLoadE):
-            self.loads.append((expr.addr.array, expr.addr.elem, pos))
-            return self._window(expr.addr, "read_u8", "load"), True
+            key = ("load", expr.addr.array, expr.addr.elem)
+            return self._temp(key, self._window("read_u8", expr.addr))
         if isinstance(expr, VRegE):
-            defining = self.assign_pos.get(expr.name)
-            if defining is None:
-                # Loop-invariant register from the preheader/prologue.
-                key = ("inv", expr.name)
-                name = self.cache.get(key)
-                if name is None:
-                    name = f"iv{len([k for k in self.cache if k[0] == 'inv'])}"
-                    self.line(f"{name} = _invreg(env, {expr.name!r})")
-                    self.cache[key] = name
-                return name, False
+            name = expr.name
+            defining = self.shape.assign_pos.get(name)
+            if defining is None:  # loop-invariant: preheader/prologue value
+                return self._temp(("inv", name), f"_reg(env, {name!r}, {V})")
             if defining < pos:
-                return self.regvar[expr.name], self.reg_variant[expr.name]
-            # Loop-carried: row t reads iteration t-1's value, row 0 the
-            # register's pre-loop value (the definer is already emitted —
-            # topological order — so its temp is in scope).
-            key = ("carry", expr.name)
-            name = self.cache.get(key)
-            if name is None:
-                name = f"cy{len([k for k in self.cache if k[0] == 'carry'])}"
-                self.line(
-                    f"{name} = _carry(env, {expr.name!r}, "
-                    f"{self.regvar[expr.name]}, n)"
-                )
-                self.cache[key] = name
-            return name, True
+                return self.regvar[name]
+            # Loop-carried; the definer is already emitted (topological
+            # order), so its temp is in scope.
+            return self._temp(("carry", name), f"_carry(env, {name!r}, "
+                              f"{self.regvar[name]}, n, {V})")
         if isinstance(expr, VShiftPairE):
-            a, av = self.emit(expr.a, pos)
-            b, bv = self.emit(expr.b, pos)
-            s = self._index_amount(expr.shift, "shift")
-            a, b = self._concat_pair(a, av, b, bv)
-            text = f"np.concatenate(({a}, {b}), axis=1)[:, {s}:{s} + {V}]"
-            return text, av or bv
+            a, b = self.emit(expr.a, pos), self.emit(expr.b, pos)
+            s = self._amount(expr.shift, "vshiftpair shift")
+            return f"_shp({a}, {b}, {s}, {V})"
         if isinstance(expr, VSpliceE):
-            a, av = self.emit(expr.a, pos)
-            b, bv = self.emit(expr.b, pos)
-            p = self._index_amount(expr.point, "point")
-            a, b = self._concat_pair(a, av, b, bv)
-            text = f"np.concatenate(({a}[:, :{p}], {b}[:, {p}:]), axis=1)"
-            return text, av or bv
+            a, b = self.emit(expr.a, pos), self.emit(expr.b, pos)
+            p = self._amount(expr.point, "vsplice point")
+            return f"_spl({a}, {b}, {p})"
         if isinstance(expr, VSplatE):
-            key = ("splat", expr)
-            name = self.cache.get(key)
-            if name is None:
-                idx = len(self.splats)
-                self.splats.append((expr.operand, expr.dtype))
-                name = f"spv{idx}"
-                self.line(f"{name} = _sp{idx}(env)")
-                self.cache[key] = name
-            return name, False
+            k = self._const(self.splats, (expr.operand, expr.dtype))
+            return self._temp(("splat", k), f"_sp{k}(env)")
         if isinstance(expr, VBinE):
-            a, av = self.emit(expr.a, pos)
-            b, bv = self.emit(expr.b, pos)
-            fn = self._binop(expr.op.name, expr.dtype)
-            return f"{fn}({a}, {b})", av or bv
-        if isinstance(expr, VIotaE):
-            key = ("iota", expr.bias, expr.dtype)
-            name = self.cache.get(key)
-            if name is None:
-                idx = len(self.iotas)
-                self.iotas.append((expr.bias, expr.dtype))
-                name = f"io{idx}"
-                self.line(f"{name} = _io{idx}(lb, n)")
-                self.cache[key] = name
-            return name, True
+            a, b = self.emit(expr.a, pos), self.emit(expr.b, pos)
+            k = self._const(self.binops, (expr.op.name, expr.dtype))
+            return f"_b{k}({a}, {b})"
+        # VIotaE: the analysis admits no other form.
+        k = self._const(self.iotas, (expr.bias, expr.dtype))
+        return self._temp(("iota", k), f"_io{k}(lb, n)")
 
 
-def _emit_steady(program: VProgram, spec_fields: dict) -> bool:
-    """Emit the batched steady kernel into ``spec_fields``; False = can't."""
-    steady = program.steady
-    if steady is None:
-        return False
-    V = program.V
-    stride = steady.step * program.D
-    if steady.step <= 0 or stride <= 0 or stride % V:
-        return False
-
-    # Structural batchability: npbackend's own compile-time analysis,
-    # reused verbatim so both engines fall back on exactly the same
-    # programs (the ``used_fallback`` parity contract).
-    seq: list[VStmt] = list(steady.body) + list(steady.bottom)
-    assign_pos: dict[str, int] = {}
-    for pos, stmt in enumerate(seq):
-        scratch: list[Addr] = []
-        if isinstance(stmt, SetV):
-            if stmt.reg in assign_pos:
-                return False
-            assign_pos[stmt.reg] = pos
-            if not npbackend._scan_expr(stmt.expr, scratch):
-                return False
-        elif isinstance(stmt, VStoreS):
-            if not npbackend._scan_expr(stmt.src, scratch):
-                return False
+def _emit_steady(shape: steady.SteadyShape, spec_fields: dict) -> str:
+    """The batched steady kernel's source; its constants go to
+    ``spec_fields``."""
+    em = _SteadyEmitter(shape)
+    for pos in shape.order:
+        stmt = shape.seq[pos]
+        rhs = shape.reductions.get(pos)
+        if rhs is None:
+            text = em.emit(stmt.expr, pos)
         else:
-            return False
-    reductions: dict[int, VExpr] = {}
-    for pos, stmt in enumerate(seq):
-        if isinstance(stmt, SetV):
-            rhs = npbackend._reduction_rhs(seq, pos)
-            if rhs is not None:
-                reductions[pos] = rhs
-    order = npbackend._topo_order(seq, assign_pos, reductions)
-    if order is None:
-        return False
-
-    em = _SteadyEmitter(V)
-    em.assign_pos = assign_pos
-    em.line("B, mem_u8, read_u8 = _prelude(env, lb, n)")
-    for pos in order:
-        stmt = seq[pos]
-        assert isinstance(stmt, SetV)
-        var = f"R{pos}"
-        if pos in reductions:
-            expr = stmt.expr
-            assert isinstance(expr, VBinE)
-            rhs_text, _ = em.emit(reductions[pos], pos)
-            idx = len(em.folds)
-            em.folds.append((expr.op.name, expr.dtype, stmt.reg))
-            em.line(f"{var} = _f{idx}(env, {rhs_text}, n)")
-            variant = False
-        else:
-            text, variant = em.emit(stmt.expr, pos)
-            em.line(f"{var} = {text}")
-        em.regvar[stmt.reg] = var
-        em.reg_variant[stmt.reg] = variant
-    for pos, stmt in enumerate(seq):
+            k = em._const(em.folds, (stmt.expr.op.name, stmt.expr.dtype))
+            text = f"_f{k}(env, {stmt.reg!r}, {em.emit(rhs, pos)}, n)"
+        em.lines.append(f"R{pos} = {text}")
+        em.regvar[stmt.reg] = f"R{pos}"
+    for pos, stmt in enumerate(shape.seq):
         if isinstance(stmt, VStoreS):
-            text, _ = em.emit(stmt.src, pos)
-            window = em._window(stmt.addr, "mem_u8", "store")
-            em.stores.append((stmt.addr.array, stmt.addr.elem, pos))
-            em.line(f"{window}[:] = {text}")
+            text = em.emit(stmt.src, pos)
+            em.lines.append(f"{em._window('mem_u8', stmt.addr)}[:] = {text}")
     # Final register values feed the epilogue.
-    for pos in order:
-        stmt = seq[pos]
-        em.line(f"env.vregs[{stmt.reg!r}] = "
-                f"{em.regvar[stmt.reg]}[-1].tobytes()")
-
-    per_iter = OpCounters()
-    for stmt in seq:
-        npbackend._count_stmt(per_iter, stmt)
-
+    for pos in shape.order:
+        em.lines.append(f"env.vregs[{shape.seq[pos].reg!r}] = "
+                        f"R{pos}[-1].tobytes()")
     spec_fields.update(
-        stride=stride,
-        step=steady.step,
-        win_keys=tuple(em.win_keys),
-        loads=tuple(em.loads),
-        stores=tuple(em.stores),
         binops=tuple(em.binops),
         folds=tuple(em.folds),
         splats=tuple(em.splats),
         iotas=tuple(em.iotas),
-        shifts=tuple(em.shifts),
-        points=tuple(em.points),
-        per_iter=dict(per_iter.counts),
-        pointers=program.pointer_count(),
+        amounts=tuple(em.amounts),
     )
-    spec_fields["_kernel_src"] = (
-        "def _kernel(env, lb, n):\n"
-        + "\n".join("    " + line for line in em.lines) + "\n"
-    )
-    return True
+    return ("def _kernel(env, lb, n):\n"
+            + "".join(f"    {line}\n" for line in em.lines))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +389,7 @@ class _SectionEmitter:
     calls — same byte semantics, same exceptions — but with the
     recursive dispatch flattened away and all counter bumps aggregated
     into per-block constants (``_cnt{k}``) computed at compile time
-    from the same structural rules as ``interp._eval_v``.
+    from the model's structural counter rules.
     """
 
     def __init__(self, V: int, upper):
@@ -676,10 +515,7 @@ class _SectionEmitter:
         """One execution's counter bumps, mirroring interp._exec_stmts."""
         pc = OpCounters()
         for stmt in stmts:
-            if isinstance(stmt, SetS):
-                npbackend._count_sbins(pc, stmt.expr)
-            else:
-                npbackend._count_stmt(pc, stmt)
+            steady.count_stmt(pc, stmt)
         return pc
 
     def emit_function(self, name: str, preheader: list[VStmt],
@@ -697,7 +533,7 @@ class _SectionEmitter:
             has_i = section.i_expr is not None
             taken = OpCounters()
             if has_i:
-                npbackend._count_sbins(taken, section.i_expr)
+                steady.count_sbins(taken, section.i_expr)
             taken.merge(self._count_stmts(section.stmts))
             if section.cond is not None:
                 # The interpreter bumps BRANCH and evaluates the
@@ -705,7 +541,7 @@ class _SectionEmitter:
                 # section runs; only the body is conditional.
                 head = OpCounters()
                 head.bump(BRANCH)
-                npbackend._count_sbins(head, section.cond)
+                steady.count_sbins(head, section.cond)
                 body.append(f"    _bump_all(c, {self._count(head)})")
                 body.append(f"    if {self.scalar_src(section.cond)}:")
                 indent = "        "
@@ -765,17 +601,17 @@ def _emit_sections(program: VProgram, spec_fields: dict) -> bool:
 def _compile_spec(program: VProgram, signature: str) -> _KernelSpec:
     """Lower a program to a kernel spec (once per signature)."""
     fields: dict = {}
-    batchable = _emit_steady(program, fields)
-    sections_ok = _emit_sections(program, fields)
     sources = []
-    if batchable:
-        sources.append(fields.pop("_kernel_src"))
+    shape = steady.analyze(program)
+    if shape is not None:
+        sources.append(_emit_steady(shape, fields))
+    sections_ok = _emit_sections(program, fields)
     if sections_ok:
         sources.append(fields.pop("_pre_src"))
         sources.append(fields.pop("_post_src"))
     return _KernelSpec(
         signature=signature,
-        batchable=batchable,
+        table=shape.table if shape is not None else None,
         sections_ok=sections_ok,
         V=program.V,
         source="\n".join(sources),
@@ -784,229 +620,22 @@ def _compile_spec(program: VProgram, signature: str) -> _KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Helper factories (rebuilt from the spec's constant tables)
+# Byte-mode helper factories (rebuilt from the spec's section tables)
 # ---------------------------------------------------------------------------
 #
 # Each factory bakes a spec constant into a closure whose semantics
-# mirror one npbackend/interp evaluation case byte-for-byte.  The
-# factories — not the closures — are what survives pickling:
-# _materialize rebuilds the namespace from the spec's tables on load.
-
-def _lanes(rows: np.ndarray, fmt: str) -> np.ndarray:
-    """Reinterpret uint8 rows as lanes; copies only when view() can't."""
-    try:
-        return rows.view(fmt)
-    except ValueError:
-        return np.ascontiguousarray(rows).view(fmt)
-
-
-_BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
-_ARITH = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
-          "min": np.minimum, "max": np.maximum}
-
-
-def _make_binop(name: str, dtype):
-    """Lane-wise op matching npbackend._binop_rows (ufuncs broadcast)."""
-    if name in _BITWISE:
-        return _BITWISE[name]
-    ufmt = f"<u{dtype.size}"
-    lane_fmt = f"<i{dtype.size}" if dtype.signed else ufmt
-    if name in ("add", "sub", "mul"):
-        func = _ARITH[name]
-
-        def modular(a, b):
-            # Two's-complement wraparound == unsigned modular arithmetic.
-            return func(_lanes(a, ufmt), _lanes(b, ufmt)).view(np.uint8)
-
-        return modular
-    if name in ("min", "max"):
-        func = _ARITH[name]
-
-        def ordered(a, b):
-            return func(_lanes(a, lane_fmt), _lanes(b, lane_fmt)).view(np.uint8)
-
-        return ordered
-    if name not in ("avg", "sadd", "ssub"):  # IR op set is closed
-        raise MachineError(f"no batched lowering for vector op {name!r}")
-    mask = (1 << dtype.bits) - 1
-    lo, hi = dtype.min_value, dtype.max_value
-
-    def saturating(a, b):
-        wa = _lanes(a, lane_fmt).astype(np.int64)
-        wb = _lanes(b, lane_fmt).astype(np.int64)
-        if name == "avg":
-            out = (wa + wb) >> 1  # arithmetic shift floors, like Python's >>
-        elif name == "sadd":
-            out = np.clip(wa + wb, lo, hi)
-        else:  # ssub
-            out = np.clip(wa - wb, lo, hi)
-        out &= mask  # re-encode two's complement
-        return out.astype(ufmt).view(np.uint8)
-
-    return saturating
-
-
-def _make_fold(name: str, dtype, reg: str, V: int):
-    """Seeded lane-wise reduction matching npbackend._fold_reduction."""
-    if name in _BITWISE:
-        ufunc = _BITWISE[name]
-
-        def fold_bits(env, rows, n):
-            init = np.frombuffer(
-                interp._read_vreg(env, reg), dtype=np.uint8
-            ).reshape(1, V)
-            block = np.concatenate(
-                (init, np.broadcast_to(rows, (n, V))), axis=0
-            )
-            return ufunc.reduce(block, axis=0, keepdims=True)
-
-        return fold_bits
-    fmt = f"<{'i' if dtype.signed and name in ('min', 'max') else 'u'}{dtype.size}"
-    ufunc = {"add": np.add, "mul": np.multiply,
-             "min": np.minimum, "max": np.maximum}[name]
-
-    def fold(env, rows, n):
-        init = np.frombuffer(
-            interp._read_vreg(env, reg), dtype=np.uint8
-        ).reshape(1, V)
-        block = np.concatenate((init, np.broadcast_to(rows, (n, V))), axis=0)
-        lanes = block.view(fmt)
-        # Pinned accumulation dtype: keep narrow-lane wraparound exact.
-        out = ufunc.reduce(lanes, axis=0, keepdims=True, dtype=lanes.dtype)
-        return out.view(np.uint8)
-
-    return fold
-
-
-def _make_splat(operand: SExpr, dtype, V: int):
-    def splat(env):
-        value = npbackend._peek_s(env, operand)
-        data = vec.vsplat(dtype.wrap(value), dtype, V)
-        return np.frombuffer(data, dtype=np.uint8).reshape(1, V)
-
-    return splat
-
-
-def _make_iota(bias: int, dtype, step: int, V: int):
-    B = V // dtype.size
-    mask = (1 << dtype.bits) - 1
-    fmt = f"<u{dtype.size}"
-
-    def iota(lb, n):
-        i_vals = lb + step * np.arange(n, dtype=np.int64)
-        m = (i_vals + bias) * dtype.size // V  # numpy // floors like Python
-        lanes = m[:, None] * B + np.arange(B, dtype=np.int64)
-        lanes &= mask  # modular wrap, like DataType.wrap
-        return lanes.astype(fmt).view(np.uint8)
-
-    return iota
-
-
-def _make_check(limit: int, what: str):
-    def check(value):
-        if not 0 <= value <= limit:
-            raise MachineError(f"{what} {value} outside [0, {limit}]")
-        return value
-
-    return check
-
-
-def _window_bases(spec: _KernelSpec, env, lb: int, n: int):
-    """The per-run window/collision analysis, npbackend._plan's runtime half.
-
-    Raises _Unbatchable — before any mutation — exactly where _plan
-    returns None at run time: out-of-bounds windows, backward
-    load/store collisions, cross-iteration store/store collisions.
-    Returns ``(bases, snapshot)``: one window base per spec.win_keys
-    entry, and whether loads must read a pre-loop memory snapshot.
-    Shared by the kernel prelude and the native tier's invoke tables,
-    so both tiers accept and reject exactly the same runs.
-    """
-    V, stride = spec.V, spec.stride
-    win_keys, loads, stores = spec.win_keys, spec.loads, spec.stores
-    span = (n - 1) * stride
-    size = env.mem.size
-    bases = []
-    for array, elem in win_keys:
-        a0 = env.space[array].addr(lb + elem)
-        a0 -= a0 % V
-        if a0 < 0 or a0 + span + V > size:
-            raise _Unbatchable
-        bases.append(a0)
-    base_of = dict(zip(win_keys, bases))
-    snapshot = False
-    if stores:
-        load_w = [(base_of[(ar, el)], pos) for ar, el, pos in loads]
-        store_w = [(base_of[(ar, el)], pos) for ar, el, pos in stores]
-        for sa, s_pos in store_w:
-            for la, l_pos in load_w:
-                d = la - sa
-                if d % stride or abs(d) > span:
-                    continue  # never the same window
-                if d < 0 or (d == 0 and l_pos > s_pos):
-                    raise _Unbatchable
-                snapshot = True
-            for other, _ in store_w:
-                d = other - sa
-                if d != 0 and d % stride == 0 and abs(d) <= span:
-                    raise _Unbatchable
-    return bases, snapshot
-
-
-def _make_prelude(spec: _KernelSpec):
-    def prelude(env, lb, n):
-        bases, snapshot = _window_bases(spec, env, lb, n)
-        mem_u8 = np.frombuffer(env.mem.raw(), dtype=np.uint8)
-        read_u8 = mem_u8.copy() if snapshot else mem_u8
-        return bases, mem_u8, read_u8
-
-    return prelude
-
-
-def _make_win(stride: int, V: int):
-    as_strided = np.lib.stride_tricks.as_strided
-
-    def win(buffer, a0, n):
-        return as_strided(buffer[a0:], shape=(n, V), strides=(stride, 1))
-
-    return win
-
-
-def _make_invreg(V: int):
-    def invreg(env, name):
-        return np.frombuffer(
-            interp._read_vreg(env, name), dtype=np.uint8
-        ).reshape(1, V)
-
-    return invreg
-
-
-def _make_carry(V: int):
-    def carry(env, name, rows, n):
-        init = np.frombuffer(
-            interp._read_vreg(env, name), dtype=np.uint8
-        ).reshape(1, V)
-        full = np.broadcast_to(rows, (n, V))
-        return np.concatenate((init, full[:-1]), axis=0)
-
-    return carry
-
-
-def _make_bc(V: int):
-    def bc(rows, n):
-        return np.broadcast_to(rows, (n, V))
-
-    return bc
-
+# mirror one interp evaluation case byte-for-byte.  The factories — not
+# the closures — are what survives pickling: _materialize rebuilds the
+# namespace from the spec's tables on load.
 
 def _make_byte_binop(name: str, dtype, V: int):
     """vec.vbinop's lane semantics over one V-byte pair, via NumPy.
 
-    Reuses the array-mode lane closures (:func:`_make_binop`), so the
-    sections and the steady loop share one proven arithmetic model
-    instead of the interpreter's per-lane Python loop.
+    Reuses the model's lane closures (:func:`repro.machine.steady.binop`),
+    so the sections and the steady loop share one proven arithmetic
+    model instead of the interpreter's per-lane Python loop.
     """
-    rows = _make_binop(name, dtype)
+    rows = steady.binop(name, dtype)
 
     def bbin(a, b):
         ra = np.frombuffer(a, dtype=np.uint8).reshape(1, V)
@@ -1070,9 +699,6 @@ def _materialize(spec: _KernelSpec) -> tuple:
     if not spec.source:
         return None, None, None
     ns: dict = {
-        "np": np,
-        "MachineError": MachineError,
-        "_peek": npbackend._peek_s,
         "_vshiftpair": vec.vshiftpair,
         "_vsplice": vec.vsplice,
         "_rs": _read_sreg,
@@ -1080,28 +706,22 @@ def _materialize(spec: _KernelSpec) -> tuple:
         "_die": _die,
         "_bump_all": _bump_all,
     }
-    if spec.batchable:
-        ns.update({
-            "_prelude": _make_prelude(spec),
-            "_win": _make_win(spec.stride, spec.V),
-            "_invreg": _make_invreg(spec.V),
-            "_carry": _make_carry(spec.V),
-            "_bc": _make_bc(spec.V),
-            "_cks": _make_check(spec.V, "vshiftpair shift"),
-            "_ckp": _make_check(spec.V, "vsplice point"),
-        })
+    table = spec.table
+    if table is not None:
+        ns.update(_table=table, _buffers=steady.buffers, _win=steady.window,
+                  _reg=steady.reg_row, _carry=steady.carried,
+                  _shp=steady.shiftpair, _spl=steady.splice,
+                  _amount=steady.amount)
         for idx, (name, dtype) in enumerate(spec.binops):
-            ns[f"_b{idx}"] = _make_binop(name, dtype)
-        for idx, (name, dtype, reg) in enumerate(spec.folds):
-            ns[f"_f{idx}"] = _make_fold(name, dtype, reg, spec.V)
+            ns[f"_b{idx}"] = steady.binop(name, dtype)
+        for idx, (name, dtype) in enumerate(spec.folds):
+            ns[f"_f{idx}"] = steady.fold(name, dtype, table.V)
         for idx, (operand, dtype) in enumerate(spec.splats):
-            ns[f"_sp{idx}"] = _make_splat(operand, dtype, spec.V)
+            ns[f"_sp{idx}"] = steady.splat(operand, dtype, table.V)
         for idx, (bias, dtype) in enumerate(spec.iotas):
-            ns[f"_io{idx}"] = _make_iota(bias, dtype, spec.step, spec.V)
-        for idx, expr in enumerate(spec.shifts):
-            ns[f"_sh{idx}"] = expr
-        for idx, expr in enumerate(spec.points):
-            ns[f"_pt{idx}"] = expr
+            ns[f"_io{idx}"] = steady.iota(bias, dtype, table.step, table.V)
+        for idx, value in enumerate(spec.amounts):
+            ns[f"_am{idx}"] = value
     if spec.sections_ok:
         for idx, (name, dtype) in enumerate(spec.bbinops):
             ns[f"_bb{idx}"] = _make_byte_binop(name, dtype, spec.V)
@@ -1120,7 +740,7 @@ def _materialize(spec: _KernelSpec) -> tuple:
 # Two-tier kernel cache
 # ---------------------------------------------------------------------------
 
-_KERNEL_CACHE: OrderedDict[str, _Kernel] = OrderedDict()
+_KERNEL_CACHE: OrderedDict[str, Kernel] = OrderedDict()
 _KERNEL_CACHE_MAX = 256
 
 
@@ -1130,9 +750,9 @@ def _disk_key(signature: str) -> str:
     return f"jit-kernel:{__version__}:{KERNEL_CODE_VERSION}:{signature}"
 
 
-def get_kernel(program: VProgram) -> _Kernel:
+def get_kernel(program: VProgram) -> Kernel:
     """The compiled kernel for this program's signature (cached)."""
-    signature = _cached_signature(program)
+    signature = program_signature(program)
     kernel = _KERNEL_CACHE.get(signature)
     if kernel is not None:
         _KERNEL_CACHE.move_to_end(signature)  # LRU: recent use survives
@@ -1157,7 +777,7 @@ def get_kernel(program: VProgram) -> _Kernel:
             disk.put(_disk_key(signature), spec)
     fn, pre, post = _materialize(spec)
     STATS["compile_s"] += time.perf_counter() - start
-    kernel = _Kernel(spec=spec, fn=fn, pre=pre, post=post)
+    kernel = Kernel(spec=spec, fn=fn, pre=pre, post=post)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.popitem(last=False)
     _KERNEL_CACHE[signature] = kernel
@@ -1188,8 +808,8 @@ class JitBackend:
     def _kernel_for(self, program):
         return get_kernel(program)
 
-    def _steady(self, env, steady, kernel) -> bool:
-        return _run_steady(env, steady, kernel)
+    def _steady(self, env, loop, kernel) -> bool:
+        return steady.run_steady(env, loop, kernel.spec.table, kernel.fn)
 
     def _finish_env(self, env, kernel) -> bool:
         """Preheader/prologue, steady loop, epilogue for one guarded env.
@@ -1224,67 +844,10 @@ class JitBackend:
         bindings=None,
         trace=None,
     ) -> VectorRunResult:
-        if trace is not None:
-            # Tracing observes every access individually; stay on the
-            # byte interpreter (same rule as the numpy engine).
-            return run_vector(program, space, mem, bindings, trace)
+        def finish(env) -> bool:
+            # The kernel is acquired only past the guard: a guarded
+            # scalar run never compiles one.
+            return self._finish_env(env, self._kernel_for(program))
 
-        _fault("execute")  # before any state mutates: degradation-safe
-        env = interp._Env(program, space, mem, bindings or RunBindings(), None)
-        env.counters.bump(CALL, 2)
-
-        if program.guard_min_trip is not None:
-            env.counters.bump(BRANCH)
-            if env.trip <= program.guard_min_trip:
-                scalar = NumpyScalarBackend().run(
-                    program.source, space, mem, env.bindings
-                )
-                env.counters.merge(scalar.counters)
-                return VectorRunResult(env.counters, env.trip, used_fallback=True)
-        elif env.trip != program.source.upper and isinstance(program.source.upper, int):
-            raise MachineError("compile-time trip count mismatch")
-
-        kernel = self._kernel_for(program)
-        fell_back = self._finish_env(env, kernel)
-        return VectorRunResult(env.counters, env.trip, used_fallback=fell_back)
-
-
-def _checked_amount(env, expr, V: int, what: str) -> int:
-    value = npbackend._peek_s(env, expr)
-    if not 0 <= value <= V:
-        raise MachineError(f"{what} {value} outside [0, {V}]")
-    return value
-
-
-def _bump_steady_counters(env: interp._Env, spec: _KernelSpec, n: int) -> None:
-    # Structural counters: exactly what the byte interpreter tallies
-    # per iteration, multiplied by the iteration count (precomputed at
-    # kernel compile time).
-    env.counters.bump(SCALAR, spec.pointers * n)
-    env.counters.bump(BRANCH, n)
-    for category, count in spec.per_iter.items():
-        env.counters.bump(category, count * n)
-
-
-def _run_steady(env: interp._Env, steady, kernel: _Kernel) -> bool:
-    """Run the compiled steady kernel; True when the per-iteration path ran."""
-    lb = interp._eval_s(env, steady.lb)
-    ub = interp._eval_s(env, steady.ub)
-    if steady.step <= 0:
-        npbackend._steady_periter(env, steady, lb, ub)
-        return True
-    n = len(range(lb, ub, steady.step))
-    if n == 0:
-        return False
-    if kernel.fn is None:
-        npbackend._steady_periter(env, steady, lb, ub)
-        return True
-    try:
-        kernel.fn(env, lb, n)
-    except _Unbatchable:
-        # Raised by the prelude before any mutation, so the fallback
-        # replays the loop from unmodified state.
-        npbackend._steady_periter(env, steady, lb, ub)
-        return True
-    _bump_steady_counters(env, kernel.spec, n)
-    return False
+        return steady.run_guarded(program, space, mem, bindings, trace,
+                                  finish)

@@ -12,7 +12,9 @@ the shared object via :mod:`ctypes`, and invokes it on the run's
 existing byte buffers with zero-copy pointer passing.
 
 Division of labour — native is the jit engine with the hot path
-swapped out.  The translation unit carries two entry points per
+swapped out.  It uses jit only through public names: the program
+signature, and the jit kernel that runs the sections and every run the
+C path declines.  The translation unit carries two entry points per
 signature: the steady kernel and a whole-run driver
 ``simdal_run_<digest>`` (prologue/epilogue vector sections lowered as
 flag-gated blocks fed by a per-run slot table), so an accepted run is
@@ -23,16 +25,17 @@ flag-gated blocks fed by a per-run slot table), so an accepted run is
   bookkeeping — resolves in Python (for whole-run calls on a shadow
   env *before* the C call; anything outside the lowered surface bails
   to the classic per-piece path from untouched state);
-* the per-run window/collision analysis is jit's own
-  :func:`~repro.machine.jit._window_bases`, reused verbatim so native
-  batches and falls back on **exactly** the same runs (the
-  ``used_fallback`` parity contract).  For every accepted run the
-  colliding loads read pre-loop memory in sequential order too, so the
-  C kernel executes the original statement sequence iteration by
-  iteration and needs no snapshot buffer;
+* batchability, the window table and the per-run window/collision
+  check come from the shared steady-loop model
+  (:mod:`repro.machine.steady`), so native batches and falls back on
+  **exactly** the same runs as numpy and jit (the ``used_fallback``
+  parity contract).  For every accepted run the colliding loads read
+  pre-loop memory in sequential order too, so the C kernel executes
+  the original statement sequence iteration by iteration and needs no
+  snapshot buffer;
 * operation counters remain analytic
-  (:func:`~repro.machine.jit._bump_steady_counters`), so OPD tables
-  are byte-identical to the bytes oracle.
+  (:meth:`~repro.machine.steady.SteadyTable.bump`), so OPD tables are
+  byte-identical to the bytes oracle.
 
 Compilation itself goes through the pipeline in
 :mod:`repro.machine.compilequeue`: every kernel is emitted as a
@@ -63,8 +66,8 @@ mutation — which the resilient chain turns into a structured
 ``native → jit`` degradation with one warning per process.
 
 This module is only imported when NumPy is present (it builds on the
-jit tier); use :func:`repro.machine.backend.get_backend` for gated
-access.
+jit tier and the NumPy steady-loop model); use
+:func:`repro.machine.backend.get_backend` for gated access.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro.cache import get_cache
@@ -90,7 +94,7 @@ from repro.errors import MachineError
 from repro.export.portable import kernel_unit_prelude
 from repro.ir.types import DataType
 from repro.faults import fault as _fault
-from repro.machine import compilequeue, interp, jit, npbackend
+from repro.machine import compilequeue, interp, jit, steady
 from repro.machine.alignedbuf import ALIGNMENT, aligned_view, as_ctypes_u8
 from repro.machine import vector as vec
 from repro.machine.counters import (
@@ -130,7 +134,9 @@ from repro.vir.vstmt import SetS, SetV, VStoreS
 #: per signature.
 #: v6: one disk entry per built ``.so`` (keyed by its SHA-256) and a
 #: source-free meta per signature.
-NATIVE_CODE_VERSION = 6
+#: v7: ``wb[]`` follows the steady model's window-table order, and the
+#: meta carries that table.
+NATIVE_CODE_VERSION = 7
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).
@@ -209,7 +215,7 @@ class _CantEmit(Exception):
 #
 # * mem   — the run's whole memory image (Memory.raw(), zero-copy)
 # * lb, n — steady lower bound and iteration count
-# * wb    — one absolute V-aligned window base per spec.win_keys entry
+# * wb    — one absolute V-aligned window base per table.keys entry
 #           (window address at iteration t is wb[k] + t*stride)
 # * scal  — checked runtime shift amounts then splice points, in table
 #           order (loop-invariant: the steady sequence is SetV/VStoreS
@@ -221,8 +227,8 @@ class _CantEmit(Exception):
 #
 # Statements execute in ORIGINAL sequence order, one iteration at a
 # time — exactly the interpreter's semantics — so loop-carried reads
-# and reductions need no special lowering, and every run accepted by
-# _window_bases produces the same bytes the batched jit kernel does.
+# and reductions need no special lowering, and every run the model's
+# window check accepts produces the same bytes the batched tiers do.
 #
 # Since NATIVE_CODE_VERSION 3 every kernel ships a second function in
 # the same translation unit:
@@ -248,6 +254,7 @@ class _NativeMeta:
     """Picklable invoke-time tables (this is what the disk cache holds)."""
 
     signature: str
+    table: object = None     # steady.SteadyTable; wb[] is in its key order
     symbol: str = ""         # simdal_steady_<digest> in the TU
     so_sha256: str = ""      # SHA-256 of the .so that exports it
     vreg_names: tuple = ()   # vregs-buffer slot order
@@ -267,15 +274,11 @@ class _NativeMeta:
 class _NativeKernel:
     """A jit kernel plus (when emission and cc succeeded) its C steady."""
 
-    jk: jit._Kernel
+    jk: jit.Kernel           # sections, and every run C does not take
     meta: _NativeMeta | None
     cfn: object | None       # ctypes steady fn, or None to delegate to jit
     rfn: object = None       # ctypes whole-run driver (simdal_run)
     plan: object = None      # lazy per-process _InvokePlan (never pickled)
-
-    @property
-    def spec(self) -> jit._KernelSpec:
-        return self.jk.spec
 
     @property
     def pre(self):
@@ -289,13 +292,13 @@ class _NativeKernel:
 class _KernelEmitter:
     """Lowers a batchable steady sequence to the C kernel + its tables."""
 
-    def __init__(self, program: VProgram, spec: jit._KernelSpec):
+    def __init__(self, program: VProgram, shape: steady.SteadyShape):
         self.program = program
-        self.spec = spec
-        self.V = spec.V
-        self.stride = spec.stride
+        self.shape = shape
+        self.signature = jit.program_signature(program)
+        self.V = shape.table.V
+        self.stride = shape.table.stride
         self.dtype = program.source.dtype
-        self._win_idx = {key: k for k, key in enumerate(spec.win_keys)}
         self.names: list[str] = []       # register -> vregs slot order
         self._slot: dict[str, int] = {}
         self.seeds: dict[str, None] = {}
@@ -306,7 +309,6 @@ class _KernelEmitter:
         self.splats: list = []
         self._splat_idx: dict = {}
         self.bad_amounts: list = []
-        self.assign_pos: dict[str, int] = {}
         self._sect_cursor = 0
         # Alignment suffixes for load/store helpers.  Buffer bases
         # (mem, vregs, cvec) come from the aligned
@@ -329,9 +331,7 @@ class _KernelEmitter:
         return idx
 
     def _window(self, addr) -> str:
-        k = self._win_idx.get((addr.array, addr.elem))
-        if k is None:
-            raise _CantEmit(f"address {addr} missing from the window table")
+        k = self.shape.index[addr.array, addr.elem]
         return f"mem + wb[{k}] + t * {self.stride}"
 
     def _amount(self, amount, kind: str) -> str:
@@ -356,7 +356,7 @@ class _KernelEmitter:
         if isinstance(expr, VLoadE):
             return f"simdal_load{self._aw}({self._window(expr.addr)})"
         if isinstance(expr, VRegE):
-            defining = self.assign_pos.get(expr.name)
+            defining = self.shape.assign_pos.get(expr.name)
             if defining is None or defining >= pos:
                 # Invariant or loop-carried: Python seeds the pre-loop
                 # value; sequential execution does the rest.
@@ -503,8 +503,8 @@ class _KernelEmitter:
         return pro, epi, tuple(spans), True
 
     def _emit_run(self, pro_blocks, epi_blocks) -> list[str]:
-        symbol = run_symbol(self.spec.signature)
-        steady_sym = kernel_symbol(self.spec.signature)
+        symbol = run_symbol(self.signature)
+        steady_sym = kernel_symbol(self.signature)
         pad = " " * (len(symbol) + 6)
         lines = [
             f"SIMDAL_NOINLINE",
@@ -527,14 +527,9 @@ class _KernelEmitter:
         return lines
 
     def emit(self) -> tuple[str, _NativeMeta]:
-        steady = self.program.steady
-        seq = list(steady.body) + list(steady.bottom)
-        for pos, stmt in enumerate(seq):
-            if isinstance(stmt, SetV):
-                self.assign_pos[stmt.reg] = pos
         body: list[str] = []
         outs: list[str] = []
-        for pos, stmt in enumerate(seq):
+        for pos, stmt in enumerate(self.shape.seq):
             if isinstance(stmt, SetV):
                 text = self.vexpr(stmt.expr, pos)
                 body.append(f"        v{self.slot(stmt.reg)} = {text};")
@@ -549,7 +544,7 @@ class _KernelEmitter:
             else:
                 raise _CantEmit(f"no C lowering for {type(stmt).__name__}")
         V = self.V
-        symbol = kernel_symbol(self.spec.signature)
+        symbol = kernel_symbol(self.signature)
         pad = " " * (len(symbol) + 6)
         lines = [
             f"SIMDAL_NOINLINE",
@@ -568,7 +563,7 @@ class _KernelEmitter:
                 f"simdal_load{self._av}(vregs + {self.slot(name) * V});"
             )
         lines.append("    for (int64_t t = 0; t < n; t++) {")
-        lines.append(f"        int64_t i = lb + t * {self.spec.step};")
+        lines.append(f"        int64_t i = lb + t * {self.shape.table.step};")
         lines.append("        (void)i;")
         lines.extend(body)
         lines.append("    }")
@@ -586,7 +581,8 @@ class _KernelEmitter:
         lines.append("")
         lines.extend(self._emit_run(pro_blocks, epi_blocks))
         meta = _NativeMeta(
-            signature=self.spec.signature,
+            signature=self.signature,
+            table=self.shape.table,
             symbol=symbol,
             vreg_names=tuple(self.names),
             seed_regs=tuple(self.seeds),
@@ -595,7 +591,7 @@ class _KernelEmitter:
             points=tuple(self.points),
             splats=tuple(self.splats),
             bad_amounts=tuple(self.bad_amounts),
-            run_symbol=run_symbol(self.spec.signature),
+            run_symbol=run_symbol(self.signature),
             sections_c=sections_c,
             sect_len=sect_len,
             sect_spans=spans,
@@ -604,7 +600,7 @@ class _KernelEmitter:
 
 
 def emit_kernel(program: VProgram,
-                spec: jit._KernelSpec) -> tuple[str, _NativeMeta]:
+                shape: steady.SteadyShape) -> tuple[str, _NativeMeta]:
     """Just the steady-kernel C function plus its invoke tables.
 
     This is the unit of batching: the compile pipeline concatenates
@@ -612,16 +608,19 @@ def emit_kernel(program: VProgram,
     :func:`~repro.export.portable.kernel_unit_prelude`.  Raises
     :class:`_CantEmit` when the steady sequence cannot be lowered.
     """
-    return _KernelEmitter(program, spec).emit()
+    return _KernelEmitter(program, shape).emit()
 
 
-def build_request(signature: str, key: str, jk: jit._Kernel,
+def build_request(signature: str, key: str, jk: jit.Kernel,
                   program: VProgram):
     """A :class:`~repro.machine.compilequeue.CompileRequest` for this
     program, or None when the steady sequence cannot be lowered (the
     caller caches a permanent jit-delegating kernel instead)."""
+    shape = steady.analyze(program)
+    if shape is None:
+        return None
     try:
-        kernel_src, meta = emit_kernel(program, jk.spec)
+        kernel_src, meta = emit_kernel(program, shape)
     except _CantEmit:
         return None
     STATS["codegens"] += 1
@@ -632,10 +631,10 @@ def build_request(signature: str, key: str, jk: jit._Kernel,
         signature=signature,
         key=key,
         symbol=meta.symbol,
-        V=jk.spec.V,
+        V=program.V,
         lane=dtype.name,
         kernel_src=kernel_src,
-        prelude=kernel_unit_prelude(jk.spec.V, dtype, simd=simd),
+        prelude=kernel_unit_prelude(program.V, dtype, simd=simd),
         meta=meta,
         jk=jk,
     )
@@ -1070,11 +1069,12 @@ def _library(disk, digest: str):
 
 
 def _load_from_disk(disk, key: str, signature: str,
-                    jk: jit._Kernel) -> _NativeKernel | None:
+                    jk: jit.Kernel) -> _NativeKernel | None:
     """Warm path: a validated meta bound to its ``.so``, or None."""
     entry = disk.get(key)
     if (not isinstance(entry, _NativeMeta) or entry.signature != signature
-            or not entry.symbol or not entry.run_symbol):
+            or not entry.symbol or not entry.run_symbol
+            or not isinstance(entry.table, steady.SteadyTable)):
         return None
     lib = _library(disk, entry.so_sha256)
     if lib is None:
@@ -1087,7 +1087,7 @@ def _load_from_disk(disk, key: str, signature: str,
     return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn)
 
 
-def _compile_native(key: str, signature: str, jk: jit._Kernel,
+def _compile_native(key: str, signature: str, jk: jit.Kernel,
                     program: VProgram, disk) -> _NativeKernel:
     """Cold path: a single-request batch through the compile pipeline."""
     request = build_request(signature, key, jk, program)
@@ -1108,7 +1108,7 @@ def _compile_native(key: str, signature: str, jk: jit._Kernel,
 
 def get_native_kernel(program: VProgram) -> _NativeKernel:
     """The loaded native kernel for this program's signature (cached)."""
-    signature = jit._cached_signature(program)
+    signature = jit.program_signature(program)
     kernel = _NATIVE_CACHE.get(signature)
     if kernel is not None:
         _NATIVE_CACHE.move_to_end(signature)
@@ -1116,7 +1116,7 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
         return kernel
     STATS["memory_misses"] += 1
     jk = jit.get_kernel(program)
-    if not jk.spec.batchable or jk.fn is None:
+    if steady.analyze(program) is None:
         # The steady loop itself is unbatchable: there is nothing for a
         # C kernel to run that jit's per-iteration path doesn't cover.
         kernel = _NativeKernel(jk=jk, meta=None, cfn=None)
@@ -1179,11 +1179,12 @@ class _InvokePlan:
     fully materialized cvec buffer (already a ctypes array, so warm
     invokes marshal nothing for it).
 
-    ``wb_memo`` additionally memoizes :func:`jit._window_bases` per
-    array space: the analysis is a pure function of (spec, space,
-    lb, n, memory size) — array bases never move once placed and no
-    runtime scalar enters it — so steady-state repeated runs (the
-    sweep inner loop) skip the window/collision walk entirely.
+    ``wb_memo`` additionally memoizes the model's window check
+    (:meth:`~repro.machine.steady.SteadyTable.window_bases`) per array
+    space: it is a pure function of (table, space, lb, n, memory size)
+    — array bases never move once placed and no runtime scalar enters
+    it — so steady-state repeated runs (the sweep inner loop) skip the
+    window/collision walk entirely.
     Rejections are memoized too, so the fallback surface is identical
     hot or cold.  Keyed weakly so retired spaces don't pin entries.
     """
@@ -1192,8 +1193,8 @@ class _InvokePlan:
                  "splats_dyn", "c_cvec_const", "cvec_const", "wb_memo",
                  "nw", "ns", "nc", "nv_stride", "nsect")
 
-    def __init__(self, meta: _NativeMeta, spec: jit._KernelSpec):
-        V = spec.V
+    def __init__(self, meta: _NativeMeta):
+        V = meta.table.V
         self.wb_memo = weakref.WeakKeyDictionary()
         slots = {name: k for k, name in enumerate(meta.vreg_names)}
         self.seed_offsets = tuple((name, slots[name] * V)
@@ -1203,7 +1204,7 @@ class _InvokePlan:
         self.all_offsets = {name: k * V for name, k in slots.items()}
         self.vregs_len = max(1, len(meta.vreg_names) * V)
         # Whole-run table sizes.
-        self.nw = len(spec.win_keys)
+        self.nw = len(meta.table.keys)
         self.ns = len(meta.shifts) + len(meta.points)
         self.nc = len(meta.splats) * V
         self.nv_stride = len(meta.vreg_names) * V
@@ -1230,23 +1231,22 @@ class _InvokePlan:
 def _plan_for(kernel: _NativeKernel) -> _InvokePlan:
     plan = kernel.plan
     if plan is None:
-        plan = kernel.plan = _InvokePlan(kernel.meta, kernel.jk.spec)
+        plan = kernel.plan = _InvokePlan(kernel.meta)
     return plan
 
 
 def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     """Validated steady-call tables ``(wb, scal, cvec bytes)`` for one run.
 
-    Pure reads: raises :class:`jit._Unbatchable` (window analysis,
-    memoized per space) or :class:`MachineError` (range checks) before
-    anything is mutated, from the same pre-mutation points the jit
-    kernel prelude uses, so every tier accepts and rejects exactly the
-    same runs.  Shared by the per-run invoke and the whole-run
-    marshaller.
+    Pure reads: raises :class:`~repro.machine.steady.Unbatchable`
+    (window check, memoized per space) or :class:`MachineError` (range
+    checks) before anything is mutated, from the same pre-mutation
+    points the batched tiers use, so every tier accepts and rejects
+    exactly the same runs.  Shared by the per-run invoke and the
+    whole-run marshaller.
     """
-    spec = kernel.jk.spec
     meta = kernel.meta
-    V = spec.V
+    V = meta.table.V
     plan = _plan_for(kernel)
     per_space = plan.wb_memo.get(env.space)
     if per_space is None:
@@ -1255,26 +1255,26 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     cached = per_space.get(wb_key)
     if cached is None:
         try:
-            cached = jit._window_bases(spec, env, lb, n)
-        except jit._Unbatchable:
+            cached = meta.table.window_bases(env.space, env.mem.size, lb, n)
+        except steady.Unbatchable:
             per_space[wb_key] = _UNBATCHABLE
             raise
         per_space[wb_key] = cached
     elif cached is _UNBATCHABLE:
-        raise jit._Unbatchable
+        raise steady.Unbatchable
     bases, _snapshot = cached
     for what, value in meta.bad_amounts:
-        raise MachineError(f"{what} {value} outside [0, {V}]")
-    amounts = [jit._checked_amount(env, expr, V, "vshiftpair shift")
+        steady.amount(env, value, V, what)  # raises: out of range
+    amounts = [steady.amount(env, expr, V, "vshiftpair shift")
                for expr in meta.shifts]
-    amounts += [jit._checked_amount(env, expr, V, "vsplice point")
+    amounts += [steady.amount(env, expr, V, "vsplice point")
                 for expr in meta.points]
     if plan.cvec_const is not None:
         cvec = plan.cvec_const
     else:
         consts = bytearray()
         for operand, dtype in plan.splats_dyn:
-            value = npbackend._peek_s(env, operand)
+            value = steady.peek_s(env, operand)
             consts += vec.vsplat(dtype.wrap(value), dtype, V)
         cvec = bytes(consts)
     return bases, amounts, cvec
@@ -1283,12 +1283,11 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
 def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
     """One C steady-loop call; every check precedes every mutation.
 
-    Raises :class:`jit._Unbatchable` (window analysis) or
+    Raises :class:`~repro.machine.steady.Unbatchable` (window check) or
     :class:`MachineError` (range checks, unset registers) exactly where
-    the jit kernel's prelude would, so the fallback surface is shared.
+    the batched tiers would, so the fallback surface is shared.
     """
-    spec = kernel.jk.spec
-    V = spec.V
+    V = kernel.meta.table.V
     plan = _plan_for(kernel)
     bases, amounts, cvec = _steady_tables(kernel, env, lb, n)
     if plan.c_cvec_const is not None:
@@ -1314,30 +1313,6 @@ def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
         del c_mem, c_vregs, c_cvec
     for name, offset in plan.out_offsets:
         env.vregs[name] = bytes(vregs[offset:offset + V])
-
-
-def _run_steady_native(env: interp._Env, steady,
-                       kernel: _NativeKernel) -> bool:
-    """Native twin of :func:`jit._run_steady`; True = per-iter path."""
-    if kernel.cfn is None:
-        return jit._run_steady(env, steady, kernel.jk)
-    lb = interp._eval_s(env, steady.lb)
-    ub = interp._eval_s(env, steady.ub)
-    if steady.step <= 0:
-        npbackend._steady_periter(env, steady, lb, ub)
-        return True
-    n = len(range(lb, ub, steady.step))
-    if n == 0:
-        return False
-    try:
-        _invoke(kernel, env, lb, n)
-    except jit._Unbatchable:
-        # Raised before any mutation, so the fallback replays the loop
-        # from unmodified state — same contract as the jit prelude.
-        npbackend._steady_periter(env, steady, lb, ub)
-        return True
-    jit._bump_steady_counters(env, kernel.jk.spec, n)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1516,7 +1491,7 @@ def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
     program = env.program
     meta = kernel.meta
     plan = _plan_for(kernel)
-    V = kernel.jk.spec.V
+    V = meta.table.V
     shadow = interp._Env(program, env.space, env.mem, env.bindings, None)
     try:
         # Memory-safe on the shared mem: preheader loads/stores need a
@@ -1552,7 +1527,7 @@ def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
                     raise _Bail
             try:
                 wb, scal, cvec = _steady_tables(kernel, shadow, lb, n)
-            except (jit._Unbatchable, MachineError):
+            except (steady.Unbatchable, MachineError):
                 raise _Bail from None
             wb = list(wb)  # the memoized base list must never be shared
             for name in meta.out_regs:
@@ -1600,12 +1575,12 @@ def _invoke_run(kernel: _NativeKernel, env: interp._Env) -> bool:
                    c_sect)
     finally:
         del c_mem, c_vregs, c_cvec
-    spec = kernel.jk.spec
-    V = spec.V
+    table = kernel.meta.table
+    V = table.V
     shadow = row.shadow
     env.counters.merge(shadow.counters)
     if row.n > 0:
-        jit._bump_steady_counters(env, spec, row.n)
+        table.bump(env.counters, row.n)
     env.sregs.update(shadow.sregs)
     env.vregs.update(shadow.vregs)
     offsets = kernel.plan.all_offsets
@@ -1636,8 +1611,12 @@ class NativeBackend(JitBackend):
     def _kernel_for(self, program):
         return get_native_kernel(program)
 
-    def _steady(self, env, steady, kernel):
-        return _run_steady_native(env, steady, kernel)
+    def _steady(self, env, loop, kernel):
+        if kernel.cfn is None:
+            jk = kernel.jk
+            return steady.run_steady(env, loop, jk.spec.table, jk.fn)
+        return steady.run_steady(env, loop, kernel.meta.table,
+                                 partial(_invoke, kernel))
 
     def _finish_env(self, env, kernel):
         meta = kernel.meta

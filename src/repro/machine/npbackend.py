@@ -6,48 +6,20 @@ vectors as ``uint8`` ndarray rows and — the big win — executes **all
 iterations of the steady-state loop in one batched call**: every static
 load and store becomes a strided 2-D window over the array space
 (``shape (n, V)``, ``strides (step*D, 1)``), and each reorganization op
-becomes a whole-array slice/concatenate/arithmetic op.
+becomes a whole-array slice/concatenate/arithmetic op.  Preheader,
+prologue and epilogue run through the interpreter unchanged.
+
+What batches, which runs fall back, how each row is computed and how
+the steady loop is counted all come from the shared steady-loop model
+(:mod:`repro.machine.steady`).  This module interprets that model: on
+every run it analyzes the program and walks its steady expressions
+through the model's lane functions.  The jit tier compiles the same
+walk once per program signature.
 
 Correctness contract: final memory bytes and
 :class:`~repro.machine.counters.OpCounters` are identical to the byte
-interpreter's.  Counters are *structural*: the steady loop's dynamic
-counts are ``n × (per-iteration statement counts)``, which is exactly
-what the byte interpreter tallies by re-walking the statements every
-iteration (the cost model counts operations of the program, not work
-done by the engine — DESIGN.md §5).
-
-Batching preconditions (checked per program; any miss falls back to
-per-iteration execution through the interpreter's own helpers, so the
-answer is still exact — and is reported via ``used_fallback``):
-
-* steady step > 0 and the iteration byte stride ``step*D`` is a
-  multiple of ``V`` (truncated windows then advance uniformly);
-* the steady body/bottom holds only ``SetV``/``VStoreS`` statements and
-  known expression forms, with each vector register assigned at most
-  once per iteration;
-* the register dependency graph is acyclic *except* for recognized
-  reduction self-cycles ``acc = op(acc, rhs)`` over an exactly
-  reassociable op (modular add/mul, order-insensitive
-  min/max/and/or/xor), which batch as a lane-wise ``ufunc.reduce``
-  fold of the rhs block seeded with the prologue accumulator;
-* store windows of different statements never collide across
-  iterations (windows are ``V``-aligned, so they are equal or
-  disjoint; collisions reduce to a residue test on window distances).
-
-Load windows *may* coincide with store windows: a valid loop carries
-no flow dependence and never loads after a same-iteration store of the
-same window (``validate_loop`` rejects both), so every colliding load
-observes pre-steady-loop memory.  Such loads are served from a one-time
-snapshot taken before any batched store — the residue test only
-rejects the (defensively checked, unreachable-for-valid-programs)
-backward case where a load window was stored in an *earlier* iteration
-or by an earlier same-iteration statement.
-
-Loop-carried register reads (software-pipelining ``old``/``new`` pairs,
-predictive-commoning rotation chains) batch as *shifted rows*: a read
-of a register assigned at a later program point sees the previous
-iteration's value, i.e. row ``t`` reads the defining array's row
-``t-1`` with row 0 taken from the register's prologue value.
+interpreter's; ``used_fallback`` reports runs that took the exact
+per-iteration path instead.
 
 This module is only imported when NumPy is present; use
 :func:`repro.machine.backend.get_backend` for gated access.
@@ -55,54 +27,26 @@ This module is only imported when NumPy is present; use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from repro.errors import MachineError
-from repro import faults
-from repro.machine import interp
-from repro.machine import vector as vec
+from repro.machine import interp, steady
 from repro.machine.arrays import ArraySpace
-from repro.machine.counters import (
-    BRANCH,
-    CALL,
-    OpCounters,
-    SCALAR,
-    VARITH,
-    VCOPY,
-    VLOAD,
-    VPERM,
-    VSEL,
-    VSPLAT,
-    VSTORE,
-)
-from repro.machine.interp import VectorRunResult, run_vector
+from repro.machine.interp import VectorRunResult
 from repro.machine.memory import Memory
-from repro.machine.npscalar import NumpyScalarBackend
 from repro.machine.scalar import RunBindings
 from repro.machine.trace import Trace
-from repro.vir.program import SteadyLoop, VProgram
+from repro.vir.program import VProgram
 from repro.vir.vexpr import (
-    Addr,
-    SBase,
-    SBin,
-    SConst,
-    SExpr,
-    SReg,
-    SVar,
-    S_OPS,
     VBinE,
-    VExpr,
-    VIotaE,
     VLoadE,
     VRegE,
     VShiftPairE,
     VSpliceE,
     VSplatE,
-    walk,
 )
-from repro.vir.vstmt import SetV, VStmt, VStoreS
+from repro.vir.vstmt import VStoreS
 
 
 class NumpyBackend:
@@ -118,575 +62,78 @@ class NumpyBackend:
         bindings: RunBindings | None = None,
         trace: Trace | None = None,
     ) -> VectorRunResult:
-        if trace is not None:
-            # Tracing observes every access individually with its phase
-            # and iteration; batched execution has no such event stream,
-            # so the observability path stays on the byte interpreter.
-            return run_vector(program, space, mem, bindings, trace)
-
-        faults.fault("execute")  # before any state mutates: degradation-safe
-        env = interp._Env(program, space, mem, bindings or RunBindings(), None)
-        env.counters.bump(CALL, 2)
-
-        if program.guard_min_trip is not None:
-            env.counters.bump(BRANCH)
-            if env.trip <= program.guard_min_trip:
-                # The batched scalar engine writes the oracle's memory
-                # image and reports the oracle's counters (npscalar's
-                # correctness contract), so the guard path stays exact.
-                scalar = NumpyScalarBackend().run(
-                    program.source, space, mem, env.bindings
-                )
-                env.counters.merge(scalar.counters)
-                return VectorRunResult(env.counters, env.trip, used_fallback=True)
-        elif env.trip != program.source.upper and isinstance(program.source.upper, int):
-            raise MachineError("compile-time trip count mismatch")
-
-        interp._exec_stmts(env, program.preheader, i=None)
-        fell_back = False
-        for section in program.prologue:
-            interp._exec_section(env, section)
-        if program.steady is not None:
-            fell_back = _run_steady(env, program.steady)
-        for section in program.epilogue:
-            interp._exec_section(env, section)
-        return VectorRunResult(env.counters, env.trip, used_fallback=fell_back)
+        return steady.run_guarded(program, space, mem, bindings, trace,
+                                  _finish)
 
 
-# ---------------------------------------------------------------------------
-# Steady-state loop: batched when safe, per-iteration otherwise
-# ---------------------------------------------------------------------------
-
-def _run_steady(env: interp._Env, steady: SteadyLoop) -> bool:
-    """Execute the steady loop; True when the per-iteration path ran."""
-    lb = interp._eval_s(env, steady.lb)
-    ub = interp._eval_s(env, steady.ub)
-    if steady.step <= 0:
-        _steady_periter(env, steady, lb, ub)
-        return True
-    n = len(range(lb, ub, steady.step))
-    if n == 0:
-        return False
-    plan = _plan(env, steady, lb, n)
-    if plan is None:
-        _steady_periter(env, steady, lb, ub)
-        return True
-    _exec_batched(env, plan)
-    # Structural counters: exactly what the byte interpreter tallies
-    # per iteration, multiplied by the iteration count.
-    env.counters.bump(SCALAR, env.program.pointer_count() * n)
-    env.counters.bump(BRANCH, n)
-    per_iter = OpCounters()
-    for stmt in plan.seq:
-        _count_stmt(per_iter, stmt)
-    for category, count in per_iter.counts.items():
-        env.counters.bump(category, count * n)
-    return False
-
-
-def _steady_periter(env: interp._Env, steady: SteadyLoop, lb: int, ub: int) -> None:
-    """Exact per-iteration execution via the interpreter's own helpers."""
-    pointers = env.program.pointer_count()
-    for i in range(lb, ub, steady.step):
-        env.counters.bump(SCALAR, pointers)
-        env.counters.bump(BRANCH)
-        interp._exec_stmts(env, steady.body, i)
-        interp._exec_stmts(env, steady.bottom, i)
-
-
-# ---------------------------------------------------------------------------
-# Planning
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Plan:
-    """Everything needed to execute the steady loop as one batch."""
-
-    n: int                      # iteration count
-    lb: int                     # first loop counter value
-    step: int                   # loop counter step
-    stride: int                 # bytes between consecutive iteration windows
-    seq: list[VStmt]            # body + bottom, original order
-    assign_pos: dict[str, int]  # vector register -> defining position
-    order: list[int]            # topological execution order of SetV positions
-    reductions: dict[int, VExpr]  # SetV position -> batched-fold rhs
-    mem_u8: np.ndarray          # writable uint8 view of the whole memory
-    read_u8: np.ndarray         # buffer serving loads (snapshot on overlap)
-
-
-#: Reduction ops whose lane-wise fold is exact under reassociation:
-#: add/mul are modular, min/max/and/or/xor are order-insensitive.
-_REDUCE_OPS = frozenset(("add", "mul", "min", "max", "and", "or", "xor"))
-
-
-def _reduction_rhs(seq: list[VStmt], pos: int) -> VExpr | None:
-    """The foldable operand when ``seq[pos]`` is ``acc = op(acc, rhs)``.
-
-    Requires an exactly reassociable op, the accumulator on exactly one
-    side, and no other read of the accumulator anywhere in the steady
-    sequence (rhs included) — then the loop-carried self-cycle is a pure
-    fold and the batch can reduce the rhs block in one call.
-    """
-    stmt = seq[pos]
-    assert isinstance(stmt, SetV)
-    expr = stmt.expr
-    if not isinstance(expr, VBinE) or expr.op.name not in _REDUCE_OPS:
-        return None
-    a_is_acc = isinstance(expr.a, VRegE) and expr.a.name == stmt.reg
-    b_is_acc = isinstance(expr.b, VRegE) and expr.b.name == stmt.reg
-    if a_is_acc == b_is_acc:  # both or neither
-        return None
-    rhs = expr.b if a_is_acc else expr.a
-    if any(isinstance(n, VRegE) and n.name == stmt.reg for n in walk(rhs)):
-        return None
-    for other_pos, other in enumerate(seq):
-        if other_pos == pos:
-            continue
-        exprs = [other.expr] if isinstance(other, SetV) else [other.src]
-        for e in exprs:
-            if any(isinstance(n, VRegE) and n.name == stmt.reg for n in walk(e)):
-                return None
-    return rhs
-
-
-def _plan(env: interp._Env, steady: SteadyLoop, lb: int, n: int) -> _Plan | None:
+def _finish(env: interp._Env) -> bool:
+    """Sections through the interpreter, the steady loop batched."""
     program = env.program
-    V = program.V
-    stride = steady.step * program.D
-    if stride <= 0 or stride % V:
-        return None
-
-    seq: list[VStmt] = list(steady.body) + list(steady.bottom)
-    assign_pos: dict[str, int] = {}
-    load_refs: list[tuple[Addr, int]] = []  # (address, statement position)
-    store_refs: list[tuple[Addr, int]] = []
-    for pos, stmt in enumerate(seq):
-        load_addrs: list[Addr] = []
-        if isinstance(stmt, SetV):
-            if stmt.reg in assign_pos:
-                return None
-            assign_pos[stmt.reg] = pos
-            if not _scan_expr(stmt.expr, load_addrs):
-                return None
-        elif isinstance(stmt, VStoreS):
-            if not _scan_expr(stmt.src, load_addrs):
-                return None
-            store_refs.append((stmt.addr, pos))
+    interp._exec_stmts(env, program.preheader, i=None)
+    for section in program.prologue:
+        interp._exec_section(env, section)
+    fell_back = False
+    if program.steady is not None:
+        shape = steady.analyze(program)
+        if shape is None:
+            fell_back = steady.run_steady(env, program.steady, None, None)
         else:
-            return None  # SetS or unknown: loop-variant scalar state
-        load_refs.extend((addr, pos) for addr in load_addrs)
-
-    reductions: dict[int, VExpr] = {}
-    for pos, stmt in enumerate(seq):
-        if isinstance(stmt, SetV):
-            rhs = _reduction_rhs(seq, pos)
-            if rhs is not None:
-                reductions[pos] = rhs
-
-    order = _topo_order(seq, assign_pos, reductions)
-    if order is None:
-        return None
-
-    # Window bounds and collision analysis.  Windows are V-aligned and
-    # V bytes long, so two windows are equal or disjoint; window t of an
-    # access with first window a0 sits at a0 + t*stride, so windows of
-    # two accesses collide iff their distance d is a multiple of the
-    # stride with |d/stride| <= n-1.
-    def first_window(addr: Addr) -> int | None:
-        a0 = env.space[addr.array].addr(lb + addr.elem)
-        a0 -= a0 % V
-        if a0 < 0 or a0 + (n - 1) * stride + V > env.mem.size:
-            return None
-        return a0
-
-    load_w = []
-    for addr, pos in load_refs:
-        a0 = first_window(addr)
-        if a0 is None:
-            return None
-        load_w.append((a0, pos))
-    store_w = []
-    for addr, pos in store_refs:
-        a0 = first_window(addr)
-        if a0 is None:
-            return None
-        store_w.append((a0, pos))
-
-    snapshot_reads = False
-    for sa, s_pos in store_w:
-        # A load window coinciding with a store window is safe exactly
-        # when the interpreter's load would observe pre-steady memory:
-        # the store happens in a strictly later iteration (d/stride > 0)
-        # or later in the same iteration (d == 0, load statement not
-        # after the store statement — loads of the storing statement
-        # itself evaluate before its write).  Serving such loads from a
-        # pre-loop snapshot is then exact.  The backward cases are flow
-        # dependences the source validation rejects; keep the defensive
-        # bail-out so an invalid program still gets exact per-iteration
-        # semantics.
-        for la, l_pos in load_w:
-            d = la - sa
-            if d % stride or abs(d) > (n - 1) * stride:
-                continue  # never the same window
-            if d < 0 or (d == 0 and l_pos > s_pos):
-                return None
-            snapshot_reads = True
-        # Two *different* store statements hitting one window across
-        # iterations interleave in program order; batching would not.
-        # Identical first windows (d == 0) are safe: both statements
-        # write the same window in the same per-iteration order, so the
-        # later statement's full batch wins either way.
-        for other, _ in store_w:
-            d = other - sa
-            if d != 0 and d % stride == 0 and abs(d) <= (n - 1) * stride:
-                return None
-
-    mem_u8 = np.frombuffer(env.mem.raw(), dtype=np.uint8)
-    # Loads never observe the batch's stores (argued above), so one
-    # snapshot serves every load; without overlap the live buffer is
-    # identical and the copy is skipped.
-    read_u8 = mem_u8.copy() if snapshot_reads else mem_u8
-    return _Plan(n, lb, steady.step, stride, seq, assign_pos, order,
-                 reductions, mem_u8, read_u8)
+            fell_back = steady.run_steady(env, program.steady, shape.table,
+                                          partial(_execute, shape))
+    for section in program.epilogue:
+        interp._exec_section(env, section)
+    return fell_back
 
 
-_SUPPORTED_OPS = frozenset(
-    ("add", "sub", "mul", "min", "max", "and", "or", "xor", "avg", "sadd", "ssub")
-)
+def _execute(shape: steady.SteadyShape, env: interp._Env, lb: int,
+             n: int) -> None:
+    """One batched steady loop: the model's lane functions, walked."""
+    table = shape.table
+    V, stride = table.V, table.stride
+    bases, mem_u8, read_u8 = steady.buffers(table, env, lb, n)
+    rows: dict[str, np.ndarray] = {}
 
+    def rows_of(expr, pos: int) -> np.ndarray:
+        if isinstance(expr, VLoadE):
+            k = shape.index[expr.addr.array, expr.addr.elem]
+            return steady.window(read_u8, bases[k], n, stride, V)
+        if isinstance(expr, VRegE):
+            defining = shape.assign_pos.get(expr.name)
+            if defining is None:  # loop-invariant: preheader/prologue value
+                return steady.reg_row(env, expr.name, V)
+            if defining < pos:
+                return rows[expr.name]  # same-iteration value
+            return steady.carried(env, expr.name, rows[expr.name], n, V)
+        if isinstance(expr, VShiftPairE):
+            a, b = rows_of(expr.a, pos), rows_of(expr.b, pos)
+            shift = steady.amount(env, expr.shift, V, "vshiftpair shift")
+            return steady.shiftpair(a, b, shift, V)
+        if isinstance(expr, VSpliceE):
+            a, b = rows_of(expr.a, pos), rows_of(expr.b, pos)
+            point = steady.amount(env, expr.point, V, "vsplice point")
+            return steady.splice(a, b, point)
+        if isinstance(expr, VSplatE):
+            return steady.splat(expr.operand, expr.dtype, V)(env)
+        if isinstance(expr, VBinE):
+            a, b = rows_of(expr.a, pos), rows_of(expr.b, pos)
+            return steady.binop(expr.op.name, expr.dtype)(a, b)
+        # VIotaE: the analysis admits no other form.
+        return steady.iota(expr.bias, expr.dtype, table.step, V)(lb, n)
 
-def _scan_expr(expr: VExpr, load_addrs: list[Addr]) -> bool:
-    """Collect load addresses; False when a node has no batched form."""
-    for node in walk(expr):
-        if isinstance(node, VLoadE):
-            load_addrs.append(node.addr)
-        elif isinstance(node, VBinE):
-            if node.op.name not in _SUPPORTED_OPS:
-                return False
-        elif not isinstance(
-            node, (VRegE, VShiftPairE, VSpliceE, VSplatE, VIotaE)
-        ):
-            return False
-    return True
-
-
-def _topo_order(
-    seq: list[VStmt],
-    assign_pos: dict[str, int],
-    reductions: dict[int, VExpr],
-) -> list[int] | None:
-    """Order SetV positions so every read's defining array exists first.
-
-    Every register read — same-iteration or loop-carried — needs the
-    *complete* (n, V) array of its defining statement, so each read is
-    an edge definer -> reader.  A recognized reduction's accumulator
-    self-read is resolved by the batched fold, so its self-edge is
-    dropped; any other cycle has no batched form and returns None.
-    """
-    positions = sorted(assign_pos.values())
-    indeg = {pos: 0 for pos in positions}
-    adj: dict[int, list[int]] = {pos: [] for pos in positions}
-    for pos in positions:
-        stmt = seq[pos]
-        assert isinstance(stmt, SetV)
-        for node in walk(stmt.expr):
-            if isinstance(node, VRegE):
-                src = assign_pos.get(node.name)
-                if src == pos and pos in reductions:
-                    continue  # the fold consumes the self-cycle
-                if src is not None:
-                    adj[src].append(pos)
-                    indeg[pos] += 1
-    ready = [pos for pos in positions if indeg[pos] == 0]
-    order: list[int] = []
-    while ready:
-        pos = ready.pop()
-        order.append(pos)
-        for succ in adj[pos]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(positions):
-        return None
-    return order
-
-
-# ---------------------------------------------------------------------------
-# Batched execution
-# ---------------------------------------------------------------------------
-
-def _exec_batched(env: interp._Env, plan: _Plan) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for pos in plan.order:
-        stmt = plan.seq[pos]
-        assert isinstance(stmt, SetV)
-        if pos in plan.reductions:
-            arrays[stmt.reg] = _fold_reduction(env, plan, arrays, stmt, pos)
+    for pos in shape.order:
+        stmt = shape.seq[pos]
+        rhs = shape.reductions.get(pos)
+        if rhs is None:
+            rows[stmt.reg] = rows_of(stmt.expr, pos)
         else:
-            arrays[stmt.reg] = _eval_rows(env, plan, arrays, stmt.expr, pos)
-    for pos, stmt in enumerate(plan.seq):
+            fold = steady.fold(stmt.expr.op.name, stmt.expr.dtype, V)
+            rows[stmt.reg] = fold(env, stmt.reg, rows_of(rhs, pos), n)
+    for pos, stmt in enumerate(shape.seq):
         if isinstance(stmt, VStoreS):
-            rows = _eval_rows(env, plan, arrays, stmt.src, pos)
-            view = _window_view(env, plan, stmt.addr, plan.mem_u8)
-            view[:] = np.broadcast_to(rows, (plan.n, env.program.V))
+            value = rows_of(stmt.src, pos)
+            k = shape.index[stmt.addr.array, stmt.addr.elem]
+            steady.window(mem_u8, bases[k], n, stride, V)[:] = value
     # Final register values feed the epilogue (run by the interpreter).
-    for pos in plan.order:
-        stmt = plan.seq[pos]
-        assert isinstance(stmt, SetV)
-        env.vregs[stmt.reg] = arrays[stmt.reg][-1].tobytes()
-
-
-def _fold_reduction(
-    env: interp._Env,
-    plan: _Plan,
-    arrays: dict[str, np.ndarray],
-    stmt: SetV,
-    pos: int,
-) -> np.ndarray:
-    """``acc = op(acc, rhs)`` over all iterations as one lane-wise fold.
-
-    The accumulator after the last iteration is the op-fold of the rhs
-    rows seeded with the register's prologue value — exact because the
-    permitted ops reassociate exactly.  Returns shape ``(1, V)``: only
-    the final value exists (nothing else may read the accumulator).
-    """
-    V = env.program.V
-    expr = stmt.expr
-    assert isinstance(expr, VBinE)
-    rows = _eval_rows(env, plan, arrays, plan.reductions[pos], pos)
-    init = np.frombuffer(
-        interp._read_vreg(env, stmt.reg), dtype=np.uint8
-    ).reshape(1, V)
-    block = np.concatenate(
-        [init, np.broadcast_to(rows, (plan.n, V))], axis=0
-    )
-    return _fold_rows(expr.op.name, block, expr.dtype)
-
-
-def _fold_rows(name: str, block: np.ndarray, dtype) -> np.ndarray:
-    """Fold (m, V) uint8 rows lane-wise into (1, V), bit-exactly."""
-    if name in ("and", "or", "xor"):
-        ufunc = {"and": np.bitwise_and, "or": np.bitwise_or,
-                 "xor": np.bitwise_xor}[name]
-        return ufunc.reduce(block, axis=0, keepdims=True)
-    fmt = f"<{'i' if dtype.signed and name in ('min', 'max') else 'u'}{dtype.size}"
-    lanes = np.ascontiguousarray(block).view(fmt)
-    ufunc = {"add": np.add, "mul": np.multiply,
-             "min": np.minimum, "max": np.maximum}[name]
-    # Pin the accumulation dtype: add/multiply.reduce would otherwise
-    # promote narrow lanes to the platform int and lose the wraparound.
-    out = ufunc.reduce(lanes, axis=0, keepdims=True, dtype=lanes.dtype)
-    return np.ascontiguousarray(out).view(np.uint8)
-
-
-def _window_view(
-    env: interp._Env, plan: _Plan, addr: Addr, buffer: np.ndarray
-) -> np.ndarray:
-    """The access's truncated V-byte window per iteration, as (n, V)."""
-    V = env.program.V
-    a0 = env.space[addr.array].addr(plan.lb + addr.elem)
-    a0 -= a0 % V
-    return np.lib.stride_tricks.as_strided(
-        buffer[a0:], shape=(plan.n, V), strides=(plan.stride, 1)
-    )
-
-
-def _eval_rows(
-    env: interp._Env,
-    plan: _Plan,
-    arrays: dict[str, np.ndarray],
-    expr: VExpr,
-    pos: int,
-) -> np.ndarray:
-    """Evaluate a vector expression over all iterations.
-
-    Returns a uint8 array of shape (n, V), or (1, V) for values that are
-    iteration-invariant (splats, loop-invariant registers).
-    """
-    V = env.program.V
-    if isinstance(expr, VLoadE):
-        # Loads never observe the batch's stores (see _plan), so they
-        # are served from the read buffer — a pre-loop snapshot when a
-        # stored window collides with a load window, the live memory
-        # otherwise.
-        return _window_view(env, plan, expr.addr, plan.read_u8)
-    if isinstance(expr, VRegE):
-        defining = plan.assign_pos.get(expr.name)
-        if defining is None:
-            # Loop-invariant register from the preheader/prologue.
-            data = interp._read_vreg(env, expr.name)
-            return np.frombuffer(data, dtype=np.uint8).reshape(1, V)
-        rows = arrays[expr.name]
-        if defining < pos:
-            return rows  # same-iteration value
-        # Loop-carried: row t reads the value defined in iteration t-1;
-        # row 0 reads the register's pre-loop (prologue) value.
-        init = np.frombuffer(
-            interp._read_vreg(env, expr.name), dtype=np.uint8
-        ).reshape(1, V)
-        full = np.broadcast_to(rows, (plan.n, V))
-        return np.concatenate([init, full[:-1]], axis=0)
-    if isinstance(expr, VShiftPairE):
-        a = _eval_rows(env, plan, arrays, expr.a, pos)
-        b = _eval_rows(env, plan, arrays, expr.b, pos)
-        shift = expr.shift if isinstance(expr.shift, int) else _peek_s(env, expr.shift)
-        if not 0 <= shift <= V:
-            raise MachineError(f"vshiftpair shift {shift} outside [0, {V}]")
-        a, b = _pair(a, b)
-        return np.concatenate([a, b], axis=1)[:, shift:shift + V]
-    if isinstance(expr, VSpliceE):
-        a = _eval_rows(env, plan, arrays, expr.a, pos)
-        b = _eval_rows(env, plan, arrays, expr.b, pos)
-        point = expr.point if isinstance(expr.point, int) else _peek_s(env, expr.point)
-        if not 0 <= point <= V:
-            raise MachineError(f"vsplice point {point} outside [0, {V}]")
-        a, b = _pair(a, b)
-        return np.concatenate([a[:, :point], b[:, point:]], axis=1)
-    if isinstance(expr, VSplatE):
-        value = _peek_s(env, expr.operand)
-        data = vec.vsplat(expr.dtype.wrap(value), expr.dtype, V)
-        return np.frombuffer(data, dtype=np.uint8).reshape(1, V)
-    if isinstance(expr, VBinE):
-        a = _eval_rows(env, plan, arrays, expr.a, pos)
-        b = _eval_rows(env, plan, arrays, expr.b, pos)
-        return _binop_rows(expr.op.name, a, b, expr.dtype)
-    if isinstance(expr, VIotaE):
-        dtype = expr.dtype
-        B = V // dtype.size
-        i_vals = plan.lb + plan.step * np.arange(plan.n, dtype=np.int64)
-        m = (i_vals + expr.bias) * dtype.size // V  # numpy // floors like Python
-        lanes = m[:, None] * B + np.arange(B, dtype=np.int64)
-        lanes &= (1 << dtype.bits) - 1  # modular wrap, like DataType.wrap
-        return np.ascontiguousarray(lanes.astype(f"<u{dtype.size}")).view(np.uint8)
-    raise MachineError(f"unknown vector expression {type(expr).__name__}")
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = max(a.shape[0], b.shape[0])
-    return (
-        np.broadcast_to(a, (rows, a.shape[1])),
-        np.broadcast_to(b, (rows, b.shape[1])),
-    )
-
-
-def _lane_view(rows: np.ndarray, fmt: str) -> np.ndarray:
-    """Reinterpret uint8 rows as lane values (copies when non-contiguous)."""
-    return np.ascontiguousarray(rows).view(fmt)
-
-
-def _binop_rows(name: str, a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
-    """Lane-wise op matching BinaryOp.apply + DataType.wrap, on uint8 rows."""
-    a, b = _pair(a, b)
-    if name in ("and", "or", "xor"):
-        func = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}[name]
-        return func(a, b)
-    ufmt = f"<u{dtype.size}"
-    sfmt = f"<i{dtype.size}"
-    lane_fmt = sfmt if dtype.signed else ufmt
-    if name in ("add", "sub", "mul"):
-        # Two's-complement wraparound == unsigned modular arithmetic.
-        la, lb = _lane_view(a, ufmt), _lane_view(b, ufmt)
-        func = {"add": np.add, "sub": np.subtract, "mul": np.multiply}[name]
-        return func(la, lb).view(np.uint8)
-    la, lb = _lane_view(a, lane_fmt), _lane_view(b, lane_fmt)
-    if name in ("min", "max"):
-        func = np.minimum if name == "min" else np.maximum
-        return np.ascontiguousarray(func(la, lb)).view(np.uint8)
-    wa = la.astype(np.int64)
-    wb = lb.astype(np.int64)
-    if name == "avg":
-        out = (wa + wb) >> 1  # arithmetic shift floors, like Python's >>
-    elif name == "sadd":
-        out = np.clip(wa + wb, dtype.min_value, dtype.max_value)
-    elif name == "ssub":
-        out = np.clip(wa - wb, dtype.min_value, dtype.max_value)
-    else:  # pragma: no cover - guarded by _SUPPORTED_OPS
-        raise MachineError(f"unknown batched binary op {name!r}")
-    out &= (1 << dtype.bits) - 1  # re-encode two's complement
-    return np.ascontiguousarray(out.astype(ufmt)).view(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# Count-free scalar evaluation (all steady scalar operands are invariant)
-# ---------------------------------------------------------------------------
-
-def _peek_s(env: interp._Env, expr: SExpr) -> int:
-    if isinstance(expr, SConst):
-        return expr.value
-    if isinstance(expr, SVar):
-        loop = env.program.source
-        if isinstance(loop.upper, str) and expr.name == loop.upper:
-            return env.trip
-        return env.bindings.scalar(expr.name)
-    if isinstance(expr, SBase):
-        return env.space[expr.array].base
-    if isinstance(expr, SReg):
-        try:
-            return env.sregs[expr.name]
-        except KeyError:
-            raise MachineError(
-                f"scalar register {expr.name!r} read before being set"
-            ) from None
-    if isinstance(expr, SBin):
-        return S_OPS[expr.op](_peek_s(env, expr.left), _peek_s(env, expr.right))
-    raise MachineError(f"unknown scalar expression {type(expr).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Structural counting (one iteration's worth, mirroring interp._eval_v)
-# ---------------------------------------------------------------------------
-
-def _count_stmt(counters: OpCounters, stmt: VStmt) -> None:
-    if isinstance(stmt, SetV):
-        if stmt.is_copy:
-            counters.bump(VCOPY)
-        else:
-            _count_vexpr(counters, stmt.expr)
-    elif isinstance(stmt, VStoreS):
-        _count_vexpr(counters, stmt.src)
-        counters.bump(VSTORE)
-    else:  # pragma: no cover - planning rejects anything else
-        raise MachineError(f"unknown statement {type(stmt).__name__}")
-
-
-def _count_vexpr(counters: OpCounters, expr: VExpr) -> None:
-    if isinstance(expr, VLoadE):
-        counters.bump(VLOAD)
-    elif isinstance(expr, VRegE):
-        pass
-    elif isinstance(expr, VShiftPairE):
-        _count_vexpr(counters, expr.a)
-        _count_vexpr(counters, expr.b)
-        _count_sbins(counters, expr.shift)
-        counters.bump(VPERM)
-    elif isinstance(expr, VSpliceE):
-        _count_vexpr(counters, expr.a)
-        _count_vexpr(counters, expr.b)
-        _count_sbins(counters, expr.point)
-        counters.bump(VSEL)
-    elif isinstance(expr, VSplatE):
-        _count_sbins(counters, expr.operand)
-        counters.bump(VSPLAT)
-    elif isinstance(expr, VBinE):
-        _count_vexpr(counters, expr.a)
-        _count_vexpr(counters, expr.b)
-        counters.bump(VARITH)
-    elif isinstance(expr, VIotaE):
-        counters.bump(VARITH)
-    else:  # pragma: no cover - planning rejects anything else
-        raise MachineError(f"unknown vector expression {type(expr).__name__}")
-
-
-def _count_sbins(counters: OpCounters, operand) -> None:
-    """SCALAR bumps interp._eval_s would make evaluating this operand."""
-    if not isinstance(operand, SExpr):
-        return
-    sbins = _sbin_count(operand)
-    if sbins:
-        counters.bump(SCALAR, sbins)
-
-
-def _sbin_count(expr: SExpr) -> int:
-    if isinstance(expr, SBin):
-        return 1 + _sbin_count(expr.left) + _sbin_count(expr.right)
-    return 0
+    for pos in shape.order:
+        reg = shape.seq[pos].reg
+        env.vregs[reg] = rows[reg][-1].tobytes()

@@ -5,9 +5,8 @@ Layout:
 * :mod:`repro.serve.http` — minimal HTTP/1.1 over asyncio streams.
 * :mod:`repro.serve.singleflight` — coalescing of identical work.
 * :mod:`repro.serve.breaker` — the native-compile circuit breaker.
-* :mod:`repro.serve.app` — admission, micro-batching, deadlines,
-  degradation, drain; :func:`~repro.serve.app.serve_forever` is the
-  CLI entry point.
+* :mod:`repro.serve.app` — admission, deadlines, degradation, drain;
+  :func:`~repro.serve.app.serve_forever` is the CLI entry point.
 
 See DESIGN.md §7 (Serving) for the architecture and the HTTP status
 contract, and ``benchmarks/bench_serve.py`` for the load harness.

@@ -15,25 +15,23 @@ across one CLI invocation.  The request path is hardened in layers:
 2. **Single-flight.**  Identical concurrent requests (and concurrent
    native warmups of one program signature) coalesce onto one task
    (:mod:`repro.serve.singleflight`): N twins, one simdize, one ``cc``.
-3. **Micro-batching.**  Concurrent ``/verify`` requests whose programs
-   share a signature class are collected for a few milliseconds and
-   handed to one worker-thread call
-   (:func:`~repro.simdize.verify.verify_equivalence_batch`), which
-   runs them config by config.
-4. **Deadlines.**  Every request carries a budget (``X-Repro-Deadline``
+   Every other ``/verify`` runs
+   :func:`~repro.simdize.verify.verify_equivalence` on a worker thread
+   as soon as it is admitted.
+3. **Deadlines.**  Every request carries a budget (``X-Repro-Deadline``
    header, default ``deadline``); exceeding it answers ``504``.
    Cancellation is memory-safe by construction: requests only ever
    mutate request-local ``Memory`` objects built from their own seed,
    and shared caches are touched from worker threads, which cancellation
    abandons but never interrupts — so no deadline can leave a
    half-mutated memory or a torn cache behind.
-5. **Circuit breaker.**  The native tier's compile pipeline sits
+4. **Circuit breaker.**  The native tier's compile pipeline sits
    behind a :class:`~repro.serve.breaker.CircuitBreaker`; repeated
    compile failures or budget overruns trip it and requests degrade to
    jit-only serving — recorded in response metadata with the same
    structured shape as :class:`~repro.machine.backend.ResilientBackend`
    fallback records — until a half-open probe recovers.
-6. **Graceful drain.**  SIGTERM/SIGINT stop the listener, let
+5. **Graceful drain.**  SIGTERM/SIGINT stop the listener, let
    in-flight requests finish (bounded by ``drain_timeout``), flush a
    final stats line, and exit 0.
 
@@ -97,7 +95,6 @@ class ServeConfig:
     compile_budget: float = 15.0  # breaker-guarded native warmup budget
     breaker_threshold: int = 3    # consecutive failures that trip it
     breaker_cooldown: float = 5.0
-    batch_window: float = 0.005   # micro-batch collection window (s)
     drain_timeout: float = 30.0   # grace for in-flight work on SIGTERM
 
     @classmethod
@@ -117,8 +114,6 @@ class ServeConfig:
                                        base.breaker_threshold),
             breaker_cooldown=_env_float("REPRO_SERVE_BREAKER_COOLDOWN",
                                         base.breaker_cooldown),
-            batch_window=_env_float("REPRO_SERVE_BATCH_WINDOW",
-                                    base.batch_window),
             drain_timeout=_env_float("REPRO_SERVE_DRAIN_TIMEOUT",
                                      base.drain_timeout),
         )
@@ -145,61 +140,6 @@ def _json_response(status: int, payload: dict,
     return status, body, "application/json", (extra or {})
 
 
-class _MicroBatcher:
-    """Collect compatible /verify jobs briefly, execute them in one
-    worker-thread call, config by config.
-
-    Jobs are grouped by ``(signature class, backend, scalar_backend)``,
-    so everything in a group shares one compiled kernel.  The first job
-    of a group arms a ``call_later(window)`` flush; each job resolves
-    through its own future, so a job abandoned at its deadline never
-    blocks (or corrupts) its batch-mates.
-    """
-
-    def __init__(self, app: "ServeApp", window: float):
-        self._app = app
-        self._window = window
-        self._groups: dict[tuple, list] = {}
-
-    def submit(self, group_key: tuple, item) -> asyncio.Future:
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        group = self._groups.get(group_key)
-        if group is None:
-            self._groups[group_key] = [(item, fut)]
-            loop.call_later(self._window, self._flush, group_key)
-        else:
-            group.append((item, fut))
-        return fut
-
-    def _flush(self, group_key: tuple) -> None:
-        group = self._groups.pop(group_key, None)
-        if not group:
-            return
-        asyncio.ensure_future(self._run_group(group_key, group))
-
-    async def _run_group(self, group_key: tuple, group) -> None:
-        app = self._app
-        _, backend, scalar_backend = group_key
-        items = [item for item, _ in group]
-        app.counters["batches"] += 1
-        app.counters["batch_rows"] += len(items)
-        try:
-            reports = await app._offload(app._execute_batch, items, backend,
-                                         scalar_backend)
-        except Exception as exc:
-            for _, fut in group:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
-        for (_, fut), report in zip(group, reports):
-            if not fut.done():
-                fut.set_result(report)
-
-    def __len__(self) -> int:
-        return sum(len(g) for g in self._groups.values())
-
-
 class ServeApp:
     """The request-handling core, independent of any real socket.
 
@@ -213,7 +153,6 @@ class ServeApp:
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown)
         self.flight = SingleFlight()
-        self.batcher = _MicroBatcher(self, self.config.batch_window)
         self.counters: dict[str, int] = defaultdict(int)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.config.workers),
@@ -532,12 +471,11 @@ class ServeApp:
 
     async def _do_verify(self, payload: dict):
         spec = self._parse_spec(payload)
-        result, class_key, item = await self._offload(self._verify_prepare,
-                                                      spec)
+        result, run = await self._offload(self._verify_prepare, spec)
         backend, degraded = await self._gate_native(spec.backend,
                                                     result.program)
-        report = await asyncio.shield(self.batcher.submit(
-            (class_key, backend, spec.scalar_backend), item))
+        report = await self._offload(self._verify_run, run, backend,
+                                     spec.scalar_backend)
         body = {
             "verified": True,
             "policy": result.policy,
@@ -568,7 +506,6 @@ class ServeApp:
         """
         from repro.bench.runner import _cached_simdize
         from repro.lang import compile_source
-        from repro.machine.backend import numpy_available
         from repro.machine.scalar import RunBindings
         from repro.simdize.verify import fill_random, make_space
 
@@ -580,19 +517,15 @@ class ServeApp:
         mem = space.make_memory()
         fill_random(space, mem, rng)
         bindings = RunBindings(trip=spec.trip, scalars=spec.scalars)
-        if numpy_available():
-            from repro.machine.jit import _cached_signature
+        return result, (result.program, space, mem, bindings)
 
-            class_key = _cached_signature(result.program)
-        else:
-            class_key = result.class_key()
-        return result, class_key, (result.program, space, mem, bindings)
+    def _verify_run(self, run, backend: str, scalar_backend: str):
+        from repro.simdize.verify import verify_equivalence
 
-    def _execute_batch(self, items, backend: str, scalar_backend: str):
-        from repro.simdize.verify import verify_equivalence_batch
-
-        return verify_equivalence_batch(items, backend=backend,
-                                        scalar_backend=scalar_backend)
+        program, space, mem, bindings = run
+        return verify_equivalence(program, space, mem, bindings,
+                                  backend=backend,
+                                  scalar_backend=scalar_backend)
 
     # -- the breaker-guarded native warmup ----------------------------
 
@@ -641,13 +574,10 @@ class ServeApp:
         return "native", None
 
     def _program_signature(self, program) -> str:
-        from repro.machine.backend import numpy_available
+        # Callers gate on numpy: without it there is no native tier.
+        from repro.machine import jit
 
-        if numpy_available():
-            from repro.machine.jit import _cached_signature
-
-            return _cached_signature(program)
-        return repr(program.source.signature())
+        return jit.program_signature(program)
 
     def _warm_native(self, program) -> None:
         """Compile the program's native kernel ahead of execution.
@@ -766,7 +696,6 @@ class ServeApp:
                 "max_queue": self.config.max_queue,
                 "deadline_s": self.config.deadline,
                 "compile_budget_s": self.config.compile_budget,
-                "batch_window_s": self.config.batch_window,
                 "workers": self.config.workers,
             },
         }

@@ -7,11 +7,9 @@ from repro.simdize.verify import (
     fill_random,
     make_space,
     verify_equivalence,
-    verify_equivalence_batch,
 )
 
 __all__ = [
     "SimdizeResult", "simdize", "REUSE_MODES", "SimdOptions", "scheme_name",
     "EquivalenceReport", "fill_random", "make_space", "verify_equivalence",
-    "verify_equivalence_batch",
 ]

@@ -44,16 +44,6 @@ class SimdizeResult:
         """Static stream-shift count chosen by the placement policy."""
         return self.graph.shift_count()
 
-    def class_key(self) -> tuple:
-        """A NumPy-free structural grouping key for this result.
-
-        Two results with equal keys lowered the same source structure
-        the same way; the serve micro-batcher groups by this when the
-        jit engine's finer program signature is unavailable (no NumPy).
-        """
-        return (self.program.source.signature(), self.program.V,
-                self.options)
-
 
 def simdize(loop: Loop, V: int = 16, options: SimdOptions | None = None) -> SimdizeResult:
     """Simdize ``loop`` for a ``V``-byte machine with alignment constraints."""

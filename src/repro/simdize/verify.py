@@ -19,7 +19,6 @@ from repro.ir.expr import Loop
 from repro.machine.arrays import ArraySpace
 from repro.machine.backend import (
     ExecutionBackend,
-    ResilientBackend,
     ScalarBackend,
     get_resilient_backend,
     get_resilient_scalar_backend,
@@ -161,73 +160,6 @@ def verify_equivalence(
         fallback=vector_result.fallback,
         scalar_fallback=scalar_result.fallback,
     )
-
-
-def verify_equivalence_batch(
-    items: list,
-    backend: str = "auto",
-    scalar_backend: str | ScalarBackend = "auto",
-    profile: PhaseProfile | None = None,
-) -> list[EquivalenceReport]:
-    """:func:`verify_equivalence` over many configs in one call.
-
-    ``items`` holds ``(program, space, mem, bindings)`` per config.
-    Both sides run config by config (the vector side through
-    :meth:`~repro.machine.backend.ResilientBackend.run_batch`), and
-    each config's memory images are compared independently, so a
-    single diverging config raises with the same diagnostics
-    :func:`verify_equivalence` gives it.  Reports come back in input
-    order, field-identical to per-config calls.
-    """
-    engine = ResilientBackend(backend)
-    scalar_engine = (
-        get_resilient_scalar_backend(scalar_backend)
-        if isinstance(scalar_backend, str)
-        else scalar_backend
-    )
-    scalar_mems = [mem.clone() for _, _, mem, _ in items]
-    vector_mems = [mem.clone() for _, _, mem, _ in items]
-    before = jit_compile_stats() if profile is not None else {}
-    with timed(profile, "execute"):
-        scalar_results = [
-            scalar_engine.run(program.source, space, smem,
-                              bindings or RunBindings())
-            for (program, space, _, bindings), smem
-            in zip(items, scalar_mems)
-        ]
-        vector_results = engine.run_batch([
-            (program, space, vmem, bindings or RunBindings())
-            for (program, space, _, bindings), vmem
-            in zip(items, vector_mems)
-        ])
-    if profile is not None:
-        _attribute_jit_compile(profile, before, jit_compile_stats())
-        for scalar_result, vector_result in zip(scalar_results,
-                                                vector_results):
-            _count_degradations(profile, vector_result, scalar_result)
-
-    reports = []
-    for (program, space, _, _), smem, vmem, scalar_result, vector_result \
-            in zip(items, scalar_mems, vector_mems,
-                   scalar_results, vector_results):
-        with timed(profile, "verify"):
-            matched = smem.snapshot() == vmem.snapshot()
-        if not matched:
-            detail = _first_mismatch(smem, vmem, space)
-            raise VerificationError(
-                f"simdized execution diverges from scalar reference for "
-                f"loop {program.source.name!r}: {detail}"
-            )
-        reports.append(EquivalenceReport(
-            scalar_ops=scalar_result.counters,
-            vector_ops=vector_result.counters,
-            trip=scalar_result.trip,
-            data_count=scalar_result.data_count,
-            used_fallback=vector_result.used_fallback,
-            fallback=vector_result.fallback,
-            scalar_fallback=scalar_result.fallback,
-        ))
-    return reports
 
 
 def _count_degradations(

@@ -205,3 +205,38 @@ class TestEngineParity:
             run = engine.run(result.program, space, mem,
                              RunBindings(trip=trip))
             assert run.used_fallback is False, f"{label} fell back"
+
+
+@needs_numpy
+class TestFigureSweepParity:
+    """Acceptance criterion: every array tier is byte-identical and
+    counter-identical to the bytes oracle across the Figure 11/12
+    sweep space (every scheme × compile-time/runtime alignment)."""
+
+    @pytest.mark.parametrize("offset_reassoc", [False, True],
+                             ids=["fig11", "fig12"])
+    @pytest.mark.parametrize("backend", ["numpy", "jit", "native"])
+    def test_sweep_matches_bytes_oracle(self, backend, offset_reassoc):
+        from repro.bench import figure_configs
+        from repro.bench.runner import _cached_simdize
+        from repro.bench.synth import synthesize
+        from repro.machine import native
+
+        if backend == "native" and native._compiler_identity()[0] is None:
+            pytest.skip("no host C compiler")
+        for label, config in figure_configs(offset_reassoc, count=1, trip=67):
+            syn = synthesize(config.params, config.seed, config.V)
+            result = _cached_simdize(syn.loop, config.V, config.options)
+            rand = random.Random(config.seed ^ 0x5EED)
+            space = make_space(syn.loop, config.V, rand, syn.base_residues)
+            base = space.make_memory()
+            fill_random(space, base, rand)
+            trip = config.params.trip if syn.loop.runtime_upper else None
+            runs = {}
+            for name in ("bytes", backend):
+                mem = base.clone()
+                run = get_backend(name).run(result.program, space, mem,
+                                            RunBindings(trip=trip))
+                runs[name] = (mem.snapshot(), run.counters.as_dict(),
+                              run.trip, run.used_fallback)
+            assert runs["bytes"] == runs[backend], f"{label} diverged"

@@ -70,7 +70,7 @@ def sweep_programs(count=2, trip=67, offset_reassoc=False):
                                        trip=trip):
         syn = synthesize(cfg.params, cfg.seed, cfg.V)
         result = simdize(syn.loop, cfg.V, cfg.options)
-        sig = jit._cached_signature(result.program)
+        sig = jit.program_signature(result.program)
         if sig not in seen:
             seen.add(sig)
             programs.append(result.program)
@@ -167,7 +167,7 @@ class TestBatchedTranslationUnits:
         compilequeue.precompile(programs)
         identity = native._compiler_identity()[1]
         victim_key = native._disk_key(
-            jit._cached_signature(programs[0]), identity)
+            jit.program_signature(programs[0]), identity)
         get_cache()._path(victim_key).unlink()
         native.clear_memory_cache()
         before = dict(native.STATS)
@@ -208,7 +208,7 @@ class TestBatchedTranslationUnits:
         identity = native._compiler_identity()[1]
         requests = []
         for program in programs:
-            signature = jit._cached_signature(program)
+            signature = jit.program_signature(program)
             key = native._disk_key(signature, identity)
             requests.append(native.build_request(
                 signature, key, jit.get_kernel(program), program))

@@ -4,9 +4,9 @@
 engine to bit-exact parity with the byte oracle; this file pins the
 caching machinery around it — structural signatures, the in-process
 LRU, the versioned disk cache (stale-version recompiles, corrupted
-entries degrade to silent misses), the profile attribution, and the
-Figure 11/12 sweep acceptance criterion (byte-identical memories and
-bit-identical counters against the bytes oracle).
+entries degrade to silent misses), and the profile attribution.  The
+Figure 11/12 sweep acceptance criterion lives in ``test_backend.py``,
+one test for all three array tiers.
 """
 
 import copy
@@ -58,9 +58,9 @@ class TestSignature:
 
     def test_signature_memoized_on_program(self):
         program = fig1_program()
-        sig = jit._cached_signature(program)
+        sig = jit.program_signature(program)
         assert program._jit_sig == sig
-        assert jit._cached_signature(program) is sig
+        assert jit.program_signature(program) is sig
 
 
 class TestKernelCache:
@@ -85,9 +85,9 @@ class TestKernelCache:
         jit.get_kernel(programs[0])          # touch: 0 is now most recent
         jit.get_kernel(programs[2])          # evicts 1, not 0
         sigs = list(jit._KERNEL_CACHE)
-        assert jit._cached_signature(programs[0]) in sigs
-        assert jit._cached_signature(programs[1]) not in sigs
-        assert jit._cached_signature(programs[2]) in sigs
+        assert jit.program_signature(programs[0]) in sigs
+        assert jit.program_signature(programs[1]) not in sigs
+        assert jit.program_signature(programs[2]) in sigs
 
     def test_disk_roundtrip_skips_codegen(self):
         """A cleared memory cache reloads the spec from disk instead of
@@ -119,7 +119,7 @@ class TestKernelCache:
         program = fig1_program()
         jit.get_kernel(program)
         cache = get_cache()
-        path = cache._path(jit._disk_key(jit._cached_signature(program)))
+        path = cache._path(jit._disk_key(jit.program_signature(program)))
         assert path.exists()
         path.write_bytes(b"this is not a pickle")
         jit.clear_memory_cache()
@@ -167,33 +167,3 @@ class TestProfileIntegration:
         assert profile.counts.get("kernel_memory_misses", 0) >= 1
         text = profile.format()
         assert "compile" in text and "kernel" in text
-
-
-class TestFigureSweepParity:
-    """Acceptance criterion: --backend jit is byte-identical and
-    counter-identical to the bytes oracle across the Figure 11/12
-    sweep space (every scheme × compile-time/runtime alignment)."""
-
-    @pytest.mark.parametrize("offset_reassoc", [False, True],
-                             ids=["fig11", "fig12"])
-    def test_sweep_matches_bytes_oracle(self, offset_reassoc):
-        from repro.bench import figure_configs
-        from repro.bench.runner import _cached_simdize
-        from repro.bench.synth import synthesize
-
-        for label, config in figure_configs(offset_reassoc, count=1, trip=67):
-            syn = synthesize(config.params, config.seed, config.V)
-            result = _cached_simdize(syn.loop, config.V, config.options)
-            rand = random.Random(config.seed ^ 0x5EED)
-            space = make_space(syn.loop, config.V, rand, syn.base_residues)
-            base = space.make_memory()
-            fill_random(space, base, rand)
-            trip = config.params.trip if syn.loop.runtime_upper else None
-            runs = {}
-            for name in ("bytes", "jit"):
-                mem = base.clone()
-                run = get_backend(name).run(result.program, space, mem,
-                                            RunBindings(trip=trip))
-                runs[name] = (mem.snapshot(), run.counters.as_dict(),
-                              run.trip, run.used_fallback)
-            assert runs["bytes"] == runs["jit"], f"{label} diverged"

@@ -7,11 +7,11 @@ identity-versioned disk metas and digest-keyed ``.so`` entries),
 tampered/corrupt entry quarantine, the jit-delegation path for
 programs the C emitter
 declines, degradation on hosts without a compiler or under injected
-compile faults, profile attribution of the new ``cc``/``native_load``
-phases, and the Figure 11/12 sweep acceptance criterion
-(byte-identical memories and bit-identical counters against the bytes
-oracle).  Everything needing a real compiler is guarded by
-``needs_cc``; the degradation tests run anywhere numpy does.
+compile faults, and profile attribution of the new
+``cc``/``native_load`` phases.  The Figure 11/12 sweep acceptance
+criterion lives in ``test_backend.py``, one test for all three array
+tiers.  Everything needing a real compiler is guarded by ``needs_cc``;
+the degradation tests run anywhere numpy does.
 """
 
 import random
@@ -93,34 +93,6 @@ class TestNativeParity:
         assert kernel.cfn is not None
         assert kernel.meta.so_sha256
 
-    @needs_cc
-    @pytest.mark.parametrize("offset_reassoc", [False, True],
-                             ids=["fig11", "fig12"])
-    def test_sweep_matches_bytes_oracle(self, offset_reassoc):
-        """Acceptance criterion: --backend native is byte-identical and
-        counter-identical to the bytes oracle across the Figure 11/12
-        sweep space (every scheme × compile-time/runtime alignment)."""
-        from repro.bench import figure_configs
-        from repro.bench.runner import _cached_simdize
-        from repro.bench.synth import synthesize
-
-        for label, config in figure_configs(offset_reassoc, count=1, trip=67):
-            syn = synthesize(config.params, config.seed, config.V)
-            result = _cached_simdize(syn.loop, config.V, config.options)
-            rand = random.Random(config.seed ^ 0x5EED)
-            space = make_space(syn.loop, config.V, rand, syn.base_residues)
-            base = space.make_memory()
-            fill_random(space, base, rand)
-            trip = config.params.trip if syn.loop.runtime_upper else None
-            runs = {}
-            for name in ("bytes", "native"):
-                mem = base.clone()
-                run = get_backend(name).run(result.program, space, mem,
-                                            RunBindings(trip=trip))
-                runs[name] = (mem.snapshot(), run.counters.as_dict(),
-                              run.trip, run.used_fallback)
-            assert runs["bytes"] == runs["native"], f"{label} diverged"
-
 
 class TestKernelCache:
     @needs_cc
@@ -192,7 +164,7 @@ class TestKernelCache:
         before = dict(native.STATS)
         native.get_native_kernel(program)
         cache = get_cache()
-        sig = jit._cached_signature(program)
+        sig = jit.program_signature(program)
         key = native._disk_key(sig, native._compiler_identity()[1])
         junk = b"\x7fELF but not really"
         digest = hashlib.sha256(junk).hexdigest()
@@ -212,7 +184,7 @@ class TestKernelCache:
         before = dict(native.STATS)
         native.get_native_kernel(program)
         cache = get_cache()
-        sig = jit._cached_signature(program)
+        sig = jit.program_signature(program)
         key = native._disk_key(sig, native._compiler_identity()[1])
         cache._path(key).write_bytes(b"this is not a pickle")
         native.clear_memory_cache()

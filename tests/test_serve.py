@@ -3,8 +3,8 @@
 Every hardening layer is driven end to end against a real asyncio
 server on a loopback socket: admission shedding (429 + Retry-After),
 single-flight coalescing (N identical concurrent requests, one
-computation — and one ``cc`` for one signature), micro-batching of
-same-class /verify requests, per-request deadlines (504, with no
+computation — and one ``cc`` for one signature), concurrent same-class
+/verify requests answered as if each came alone, per-request deadlines (504, with no
 shared state mutated by the abandoned work), the native-compile
 circuit breaker (trips under injected compile faults, recovers through
 a half-open probe), the ``serve`` fault phase (reject / delay /
@@ -48,7 +48,7 @@ def _arm(monkeypatch, spec: str) -> None:
 def _config(**overrides) -> ServeConfig:
     base = dict(port=0, workers=2, max_inflight=4, max_queue=8,
                 deadline=30.0, compile_budget=5.0, breaker_threshold=2,
-                breaker_cooldown=0.2, batch_window=0.02, drain_timeout=5.0)
+                breaker_cooldown=0.2, drain_timeout=5.0)
     base.update(overrides)
     return ServeConfig(**base)
 
@@ -245,17 +245,19 @@ class TestCoalescingAndBatching:
     @needs_numpy
     def test_same_class_verifies_micro_batch(self):
         async def scenario():
-            srv = await _start(_config(batch_window=0.05))
+            srv = await _start()
             try:
                 # Same program structure, different seeds: distinct
-                # requests, one signature class -> one batched call.
-                results = await asyncio.gather(*[
-                    srv.fetch("POST", "/verify",
-                              {"source": SRC, "seed": seed, "backend": "jit"})
-                    for seed in range(4)])
-                assert [s for s, _ in results] == [200] * 4
-                assert srv.app.counters["batches"] == 1
-                assert srv.app.counters["batch_rows"] == 4
+                # requests of one signature class, sent concurrently,
+                # each answered as if it came alone.
+                payloads = [{"source": SRC, "seed": seed, "backend": "jit"}
+                            for seed in range(4)]
+                together = await asyncio.gather(*[
+                    srv.fetch("POST", "/verify", p) for p in payloads])
+                assert [s for s, _ in together] == [200] * 4
+                for payload, answer in zip(payloads, together):
+                    assert answer == await srv.fetch("POST", "/verify",
+                                                     payload)
             finally:
                 await srv.close()
         run(scenario())
