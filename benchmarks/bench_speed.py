@@ -256,15 +256,7 @@ def test_backend_speed():
 
                 native_s = _time_engine(get_backend("native"), workloads)
                 jit_steady_s = _steady_time(get_backend("jit"))
-                # The steady-only view needs the classic per-piece run:
-                # the whole-run driver executes sections + steady as one
-                # C call and never enters the _steady hook.
-                real_native_finish = NativeBackend.__dict__["_finish_env"]
-                NativeBackend._finish_env = JitBackend.__dict__["_finish_env"]
-                try:
-                    native_steady_s = _steady_time(get_backend("native"))
-                finally:
-                    NativeBackend._finish_env = real_native_finish
+                native_steady_s = _steady_time(get_backend("native"))
 
                 native_mod.clear_memory_cache()
                 start = time.perf_counter()
@@ -482,8 +474,8 @@ def test_backend_speed():
         PAIR_ELEMS = 16384
         PAIR_TRIP = PAIR_ELEMS - 73
 
-        def _pair_steady(src: str, name: str) -> float:
-            """Best direct-call steady time for one mini-C kernel."""
+        def _pair_call(src: str, name: str):
+            """(cfn, args, keepalive) of one mini-C kernel's steady call."""
             loop = compile_source(src, name=name)
             from repro.simdize import SimdOptions
             result = _cached_simdize(loop, 16,
@@ -495,15 +487,24 @@ def test_backend_speed():
             made = _marshal_direct(result.program, space, mem,
                                    RunBindings(trip=PAIR_TRIP))
             assert made is not None, f"{name} kernel not lowered natively"
-            fn, args, _keep = made
+            return made
+
+        def _pair_steady(aligned, shifted) -> tuple[float, float]:
+            """Best direct-call steady time of each kernel in the pair.
+
+            The two alternate round by round, so a host that changes
+            speed mid-measurement slows both sides alike instead of
+            only the kernel timed second.
+            """
             reps = 20 * SIMD_REPS
-            best = float("inf")
+            best = [float("inf"), float("inf")]
             for _ in range(ROUNDS):
-                start = time.perf_counter()
-                for _ in range(reps):
-                    fn(*args)
-                best = min(best, time.perf_counter() - start)
-            return best / reps
+                for side, (fn, args, _keep) in enumerate((aligned, shifted)):
+                    start = time.perf_counter()
+                    for _ in range(reps):
+                        fn(*args)
+                    best[side] = min(best[side], time.perf_counter() - start)
+            return best[0] / reps, best[1] / reps
 
         try:
             scalar_kernels, simd_scalar_steady_s, simd_scalar_whole_s = \
@@ -522,14 +523,15 @@ def test_backend_speed():
                 set_cache_dir(cache_root)
                 try:
                     jit.clear_memory_cache()
-                    aligned_steady_s = _pair_steady(
-                        _PAIR_DECLS +
-                        "for (i = 0; i < n; i++) { a[i] = b[i] + c[i]; }",
-                        "pair_aligned")
-                    shifted_steady_s = _pair_steady(
-                        _PAIR_DECLS + "for (i = 0; i < n; i++) "
-                        "{ a[i+3] = b[i+1] + c[i+2]; }",
-                        "pair_shifted")
+                    aligned_steady_s, shifted_steady_s = _pair_steady(
+                        _pair_call(
+                            _PAIR_DECLS +
+                            "for (i = 0; i < n; i++) { a[i] = b[i] + c[i]; }",
+                            "pair_aligned"),
+                        _pair_call(
+                            _PAIR_DECLS + "for (i = 0; i < n; i++) "
+                            "{ a[i+3] = b[i+1] + c[i+2]; }",
+                            "pair_shifted"))
                 finally:
                     reset_cache_dir()
                     jit.clear_memory_cache()

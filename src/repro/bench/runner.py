@@ -465,8 +465,9 @@ def _supervise(tasks, worker, make_job, jobs, policy, profile,
 
     ``jobs > 1`` dispatches rounds of tasks onto a
     ``ProcessPoolExecutor`` and waits per-future with the policy
-    timeout.  A worker death (``BrokenProcessPool``) or chunk timeout
-    tears the pool down, requeues the unfinished tasks, and counts a
+    timeout.  A worker death (``BrokenProcessPool``, whether a future
+    or a later ``submit`` reports it) or chunk timeout tears the pool
+    down, requeues the unfinished tasks, and counts a
     ``pool_restart``; after :data:`_POOL_DEATH_LIMIT` deaths the
     remaining work degrades to in-process serial execution
     (``serial_fallbacks``) — worker faults cannot take the sweep down
@@ -515,9 +516,22 @@ def _supervise(tasks, worker, make_job, jobs, policy, profile,
         round_tasks = list(pending)
         pending.clear()
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(round_tasks)))
-        futures = [(pool.submit(worker, make_job(t.indices)), t)
-                   for t in round_tasks]
+        futures = []
         broken = False
+        for pos, task in enumerate(round_tasks):
+            try:
+                futures.append((pool.submit(worker, make_job(task.indices)),
+                                task))
+            except BrokenProcessPool:
+                # A worker died while the round was still being
+                # submitted: the same pool death, found one step
+                # earlier.  Tasks never submitted go back uncharged.
+                pool_deaths += 1
+                if profile is not None:
+                    profile.count("pool_restarts")
+                broken = True
+                pending.extend(round_tasks[pos:])
+                break
         for fut, task in futures:
             if broken or _interrupted() is not None:
                 # The pool is gone (or a stop signal arrived); harvest

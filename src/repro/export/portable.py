@@ -491,14 +491,9 @@ def kernel_unit_prelude(V: int, dtype: DataType, simd: bool = False) -> str:
     would collide); all helpers are ``static inline`` so the resulting
     objects link together without symbol clashes.
 
-    Each signature contributes two exported functions: the steady
-    kernel ``simdal_steady_<digest>`` and the whole-run driver
-    ``simdal_run_<digest>`` (prologue/epilogue sections plus the
-    steady call).  ``SIMDAL_NOINLINE`` marks both so ``cc -O3``
-    optimizes each exported body exactly once instead of re-inlining
-    the steady loop into its caller — the driver's win is fewer ctypes
-    crossings, not inlining, and duplicated inlining made batched
-    translation units ~6x slower to compile.
+    Each signature contributes one exported function, its steady
+    kernel ``simdal_steady_<digest>``; nothing in the unit calls it,
+    so ``cc -O3`` optimizes each kernel body exactly once.
     """
     helpers = simd_helpers(V, dtype) if simd \
         else PortableBackend().helpers(V, dtype)
@@ -508,11 +503,6 @@ def kernel_unit_prelude(V: int, dtype: DataType, simd: bool = False) -> str:
         f"({mode}) */\n"
         "#include <stdint.h>\n"
         "#include <string.h>\n"
-        "#if defined(__GNUC__) || defined(__clang__)\n"
-        "#define SIMDAL_NOINLINE __attribute__((noinline))\n"
-        "#else\n"
-        "#define SIMDAL_NOINLINE\n"
-        "#endif\n"
         + helpers.rstrip()
         + "\n"
     )

@@ -171,7 +171,7 @@ def compile_requests(requests, disk):
     start = time.perf_counter()
     lib = ctypes.CDLL(str(so_path))
     for req in requests:
-        loaded[req.signature] = (native._bind_functions(lib, req.meta),
+        loaded[req.signature] = (native._bind_symbol(lib, req.meta.symbol),
                                  req.meta)
     load_s = time.perf_counter() - start
     native._adopt_build(lib, so_path.read_bytes(),
@@ -200,7 +200,7 @@ def precompile(programs, profile=None) -> int:
         return 0
     if native._compiler_identity()[0] is None:
         return 0
-    from repro.machine import jit, steady
+    from repro.machine import jit
 
     before = {k: v for k, v in native.STATS.items() if isinstance(v, int)}
     disk = get_cache()
@@ -215,7 +215,7 @@ def precompile(programs, profile=None) -> int:
                 continue
             seen.add(signature)
             jk = jit.get_kernel(program)
-            if steady.analyze(program) is None:
+            if jk.spec.table is None:
                 native._cache_put(
                     signature, native._NativeKernel(jk=jk, meta=None,
                                                     cfn=None))
@@ -250,11 +250,10 @@ def precompile(programs, profile=None) -> int:
                     native._FAILED[req.key] = failures.get(
                         req.signature, "batched native compile failed")
                     continue
-                (cfn, rfn), meta = pair
+                cfn, meta = pair
                 native._cache_put(
                     req.signature,
-                    native._NativeKernel(jk=req.jk, meta=meta, cfn=cfn,
-                                         rfn=rfn))
+                    native._NativeKernel(jk=req.jk, meta=meta, cfn=cfn))
                 compiled += 1
             native.STATS["precompiled"] += compiled
     except FaultInjected:

@@ -796,10 +796,9 @@ def clear_memory_cache() -> None:
 class JitBackend:
     """Compile-once execution of vector programs (bit-exact vs bytes).
 
-    The ``_kernel_for`` / ``_steady`` / ``_finish_env`` hooks are the
-    entire subclass surface: the native backend
-    (:mod:`repro.machine.native`) overrides them to swap the steady
-    loop — or the whole guarded run — for a compiled C kernel while
+    The ``_kernel_for`` / ``_steady`` hooks are the entire subclass
+    surface: the native backend (:mod:`repro.machine.native`) overrides
+    them to swap the steady loop for a compiled C kernel while
     inheriting the guard, section, and trip machinery unchanged.
     """
 
@@ -811,31 +810,6 @@ class JitBackend:
     def _steady(self, env, loop, kernel) -> bool:
         return steady.run_steady(env, loop, kernel.spec.table, kernel.fn)
 
-    def _finish_env(self, env, kernel) -> bool:
-        """Preheader/prologue, steady loop, epilogue for one guarded env.
-
-        Runs everything after the guard/trip checks of :meth:`run`.
-        The native backend overrides this to execute a whole accepted
-        run as one C call (sections included) and only falls through
-        here when the run declines whole-run lowering.
-        """
-        program = env.program
-        if kernel.pre is not None:
-            kernel.pre(env)
-        else:
-            interp._exec_stmts(env, program.preheader, i=None)
-            for section in program.prologue:
-                interp._exec_section(env, section)
-        fell_back = False
-        if program.steady is not None:
-            fell_back = self._steady(env, program.steady, kernel)
-        if kernel.post is not None:
-            kernel.post(env)
-        else:
-            for section in program.epilogue:
-                interp._exec_section(env, section)
-        return fell_back
-
     def run(
         self,
         program,
@@ -845,9 +819,25 @@ class JitBackend:
         trace=None,
     ) -> VectorRunResult:
         def finish(env) -> bool:
-            # The kernel is acquired only past the guard: a guarded
-            # scalar run never compiles one.
-            return self._finish_env(env, self._kernel_for(program))
+            """Preheader/prologue, steady loop, epilogue for one guarded
+            env.  The kernel is acquired only past the guard: a guarded
+            scalar run never compiles one."""
+            kernel = self._kernel_for(program)
+            if kernel.pre is not None:
+                kernel.pre(env)
+            else:
+                interp._exec_stmts(env, program.preheader, i=None)
+                for section in program.prologue:
+                    interp._exec_section(env, section)
+            fell_back = False
+            if program.steady is not None:
+                fell_back = self._steady(env, program.steady, kernel)
+            if kernel.post is not None:
+                kernel.post(env)
+            else:
+                for section in program.epilogue:
+                    interp._exec_section(env, section)
+            return fell_back
 
         return steady.run_guarded(program, space, mem, bindings, trace,
                                   finish)

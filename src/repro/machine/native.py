@@ -13,18 +13,17 @@ existing byte buffers with zero-copy pointer passing.
 
 Division of labour — native is the jit engine with the hot path
 swapped out.  It uses jit only through public names: the program
-signature, and the jit kernel that runs the sections and every run the
-C path declines.  The translation unit carries two entry points per
-signature: the steady kernel and a whole-run driver
-``simdal_run_<digest>`` (prologue/epilogue vector sections lowered as
-flag-gated blocks fed by a per-run slot table), so an accepted run is
-**one** ctypes crossing.  The split that keeps figures exact:
+signature, and the jit kernel that runs the preheader, the
+prologue/epilogue splice sections, and every run the C path declines.
+The translation unit carries one entry point per signature, the steady
+kernel ``simdal_steady_<digest>``; every run is jit's ``pre`` section
+function, one ctypes call for the steady loop, then jit's ``post``.
+The split that keeps figures exact:
 
-* everything value-dependent — scalar registers, section conditions
-  and addressing, guard fallback, trip resolution, and all counter
-  bookkeeping — resolves in Python (for whole-run calls on a shadow
-  env *before* the C call; anything outside the lowered surface bails
-  to the classic per-piece path from untouched state);
+* everything value-dependent — scalar registers, the sections, guard
+  fallback, trip resolution, and all counter bookkeeping — resolves in
+  Python, so the section semantics live in the interpreter and jit
+  only;
 * batchability, the window table and the per-run window/collision
   check come from the shared steady-loop model
   (:mod:`repro.machine.steady`), so native batches and falls back on
@@ -97,16 +96,6 @@ from repro.faults import fault as _fault
 from repro.machine import compilequeue, interp, jit, steady
 from repro.machine.alignedbuf import ALIGNMENT, aligned_view, as_ctypes_u8
 from repro.machine import vector as vec
-from repro.machine.counters import (
-    BRANCH,
-    VARITH,
-    VCOPY,
-    VLOAD,
-    VPERM,
-    VSEL,
-    VSPLAT,
-    VSTORE,
-)
 from repro.machine.jit import JitBackend
 from repro.vir.program import VProgram
 from repro.vir.vexpr import (
@@ -120,13 +109,13 @@ from repro.vir.vexpr import (
     VSpliceE,
     VSplatE,
 )
-from repro.vir.vstmt import SetS, SetV, VStoreS
+from repro.vir.vstmt import SetV, VStoreS
 
 #: Bump when the emitted C kernel layout or ABI changes: disk entries
 #: written by older code must never load.  v2: per-signature
 #: ``simdal_steady_<digest>`` symbols (batched translation units).
-#: v3: whole-run ``simdal_run_<digest>`` (lowered prologue/epilogue
-#: sections) and a class batch driver.
+#: v3: a whole-run driver (lowered prologue/epilogue sections) and a
+#: class batch driver.
 #: v4: two emitter modes (scalar-lane / vector-extension), ``restrict``
 #: parameters, aligned ``_a`` loads/stores backed by the aligned-buffer
 #: marshalling.
@@ -136,7 +125,9 @@ from repro.vir.vstmt import SetS, SetV, VStoreS
 #: source-free meta per signature.
 #: v7: ``wb[]`` follows the steady model's window-table order, and the
 #: meta carries that table.
-NATIVE_CODE_VERSION = 7
+#: v8: the whole-run driver is gone; each unit exports one function per
+#: signature, the steady kernel.
+NATIVE_CODE_VERSION = 8
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).
@@ -153,7 +144,6 @@ STATS = {
     "tus": 0,              # translation units fed to those invocations
     "tu_kernels": 0,       # kernels carried by successful batches
     "precompiled": 0,      # kernels compiled ahead by the sweep pipeline
-    "whole_runs": 0,       # accepted runs executed as one C call end-to-end
     "simd_kernels": 0,     # kernels emitted for the vector-ext prelude
     "scalar_kernels": 0,   # kernels emitted for the scalar-lane prelude
     "simd_probes": 0,      # vector-extension capability probes compiled
@@ -182,11 +172,6 @@ def kernel_symbol(signature: str) -> str:
     resolves in every other.
     """
     return f"{KERNEL_SYMBOL}_{_sig_digest(signature)}"
-
-
-def run_symbol(signature: str) -> str:
-    """The whole-run driver symbol: sections + guarded steady call."""
-    return f"simdal_run_{_sig_digest(signature)}"
 
 
 class NativeUnavailable(MachineError):
@@ -229,25 +214,8 @@ class _CantEmit(Exception):
 # time — exactly the interpreter's semantics — so loop-carried reads
 # and reductions need no special lowering, and every run the model's
 # window check accepts produces the same bytes the batched tiers do.
-#
-# Since NATIVE_CODE_VERSION 3 every kernel ships a second function in
-# the same translation unit:
-#
-#   void simdal_run(uint8_t *mem, int64_t lb, int64_t n,
-#                   const int64_t *wb, const int64_t *scal,
-#                   const uint8_t *cvec, uint8_t *vregs,
-#                   const int64_t *sect)
-#
-# the whole-run driver — the lowered prologue section blocks, the
-# steady kernel call (guarded by n > 0), then the lowered epilogue
-# blocks.  ``sect`` is the per-run section table: one flag slot per
-# section (0 = the marshaller resolved its condition false, skip the
-# block) followed by the section's value slots — precomputed truncated
-# load/store base addresses, splat lane values, iota counters, runtime
-# shift/splice amounts — in the emitter's traversal order.  Everything
-# value-dependent (scalar registers, conditions, addressing, bounds
-# checks) is resolved at marshal time on a shadow env, so the C side
-# is pure straight-line vector code over mem/vregs.
+# The prologue/epilogue sections around the call run in jit's
+# generated ``pre``/``post`` functions.
 
 @dataclass
 class _NativeMeta:
@@ -264,10 +232,6 @@ class _NativeMeta:
     points: tuple = ()       # runtime vsplice SExprs, after shifts
     splats: tuple = ()       # (operand SExpr, dtype) per cvec block
     bad_amounts: tuple = ()  # (what, value) compile-time out-of-range
-    run_symbol: str = ""     # simdal_run_<digest> (whole-run driver)
-    sections_c: bool = False  # prologue/epilogue lowered into simdal_run
-    sect_len: int = 0        # per-run sect[] table length
-    sect_spans: tuple = ()   # (base, count) per section, prologue first
 
 
 @dataclass
@@ -277,7 +241,6 @@ class _NativeKernel:
     jk: jit.Kernel           # sections, and every run C does not take
     meta: _NativeMeta | None
     cfn: object | None       # ctypes steady fn, or None to delegate to jit
-    rfn: object = None       # ctypes whole-run driver (simdal_run)
     plan: object = None      # lazy per-process _InvokePlan (never pickled)
 
     @property
@@ -309,10 +272,9 @@ class _KernelEmitter:
         self.splats: list = []
         self._splat_idx: dict = {}
         self.bad_amounts: list = []
-        self._sect_cursor = 0
         # Alignment suffixes for load/store helpers.  Buffer bases
         # (mem, vregs, cvec) come from the aligned
-        # allocator, and every emitted offset — window/section bases
+        # allocator, and every emitted offset — window bases
         # (V-truncated) and vregs/cvec slots (k*V) — is a multiple of
         # V, so slot accesses (_av) are V-aligned whenever V divides
         # the allocator's ALIGNMENT; window accesses (_aw) additionally
@@ -399,133 +361,6 @@ class _KernelEmitter:
             return f"simdal_op_{expr.op.name}({a}, {b})"
         raise _CantEmit(f"no C lowering for {type(expr).__name__}")
 
-    # -- prologue/epilogue section lowering (whole-run surface) ---------
-    #
-    # Sections are straight-line SetS/SetV/VStoreS blocks guarded by a
-    # scalar condition and addressed by a scalar i-expression.  All
-    # scalar work stays in the Python marshaller (it never reads vector
-    # state, so the split is exact); the C side receives precomputed
-    # values through per-section sect[] slots, allocated here in the
-    # SAME traversal order the marshaller walks at run time.
-
-    def _sect_slot(self) -> str:
-        idx = self._sect_cursor
-        self._sect_cursor += 1
-        return f"sect[{idx}]"
-
-    def _sect_vexpr(self, expr: VExpr) -> str:
-        if isinstance(expr, VLoadE):
-            # The marshaller slots the truncated, bounds-checked base.
-            return f"simdal_load{self._av}(mem + {self._sect_slot()})"
-        if isinstance(expr, VRegE):
-            return (f"simdal_load{self._av}"
-                    f"(vregs + {self.slot(expr.name) * self.V})")
-        if isinstance(expr, VShiftPairE):
-            a = self._sect_vexpr(expr.a)
-            b = self._sect_vexpr(expr.b)
-            if isinstance(expr.shift, int):
-                if not 0 <= expr.shift <= self.V:
-                    raise _CantEmit("section shift outside [0, V]")
-                return f"simdal_shiftpair_c({a}, {b}, {expr.shift})"
-            s = self._sect_slot()
-            return f"simdal_shiftpair({a}, {b}, {s})"
-        if isinstance(expr, VSpliceE):
-            a = self._sect_vexpr(expr.a)
-            b = self._sect_vexpr(expr.b)
-            if isinstance(expr.point, int):
-                if not 0 <= expr.point <= self.V:
-                    raise _CantEmit("section point outside [0, V]")
-                return f"simdal_splice_c({a}, {b}, {expr.point})"
-            p = self._sect_slot()
-            return f"simdal_splice({a}, {b}, {p})"
-        if isinstance(expr, VSplatE):
-            if expr.dtype != self.dtype:
-                raise _CantEmit("splat dtype differs from the loop dtype")
-            return f"simdal_splat({self._sect_slot()})"
-        if isinstance(expr, VIotaE):
-            if expr.dtype != self.dtype:
-                raise _CantEmit("iota dtype differs from the loop dtype")
-            return f"simdal_iota({self._sect_slot()})"
-        if isinstance(expr, VBinE):
-            if expr.dtype != self.dtype:
-                raise _CantEmit("binop dtype differs from the loop dtype")
-            a = self._sect_vexpr(expr.a)
-            b = self._sect_vexpr(expr.b)
-            return f"simdal_op_{expr.op.name}({a}, {b})"
-        raise _CantEmit(f"no C lowering for {type(expr).__name__}")
-
-    def _sect_stmts(self, stmts) -> list[str]:
-        lines: list[str] = []
-        V = self.V
-        for stmt in stmts:
-            if isinstance(stmt, SetS):
-                continue  # scalar registers live in the marshaller only
-            if isinstance(stmt, SetV):
-                if stmt.is_copy:
-                    src = (f"simdal_load{self._av}(vregs + "
-                           f"{self.slot(stmt.expr.name) * V})")
-                else:
-                    src = self._sect_vexpr(stmt.expr)
-                lines.append(f"        simdal_store{self._av}(vregs + "
-                             f"{self.slot(stmt.reg) * V}, {src});")
-            elif isinstance(stmt, VStoreS):
-                text = self._sect_vexpr(stmt.src)
-                lines.append(
-                    f"        simdal_store{self._av}"
-                    f"(mem + {self._sect_slot()}, {text});"
-                )
-            else:
-                raise _CantEmit(f"no C lowering for {type(stmt).__name__}")
-        return lines
-
-    def _sect_block(self, section, spans: list) -> list[str]:
-        base = self._sect_cursor
-        flag = self._sect_slot()
-        body = self._sect_stmts(section.stmts)
-        spans.append((base, self._sect_cursor - base))
-        return [f"    if ({flag}) {{"] + body + ["    }"]
-
-    def _emit_sections(self):
-        """(prologue blocks, epilogue blocks, spans, lowered?).
-
-        All-or-nothing: any form outside the subset declines section
-        lowering for the whole signature — the run driver degrades to
-        a guarded steady call and sections stay on the jit/interp path.
-        """
-        self._sect_cursor = 0
-        spans: list = []
-        try:
-            pro = [self._sect_block(s, spans) for s in self.program.prologue]
-            epi = [self._sect_block(s, spans) for s in self.program.epilogue]
-        except _CantEmit:
-            self._sect_cursor = 0
-            return [], [], (), False
-        return pro, epi, tuple(spans), True
-
-    def _emit_run(self, pro_blocks, epi_blocks) -> list[str]:
-        symbol = run_symbol(self.signature)
-        steady_sym = kernel_symbol(self.signature)
-        pad = " " * (len(symbol) + 6)
-        lines = [
-            f"SIMDAL_NOINLINE",
-            f"void {symbol}(uint8_t *restrict mem, int64_t lb, int64_t n,",
-            f"{pad}const int64_t *restrict wb,",
-            f"{pad}const int64_t *restrict scal,",
-            f"{pad}const uint8_t *restrict cvec,",
-            f"{pad}uint8_t *restrict vregs,",
-            f"{pad}const int64_t *restrict sect) {{",
-            "    (void)sect;",
-        ]
-        for block in pro_blocks:
-            lines.extend(block)
-        lines.append(
-            f"    if (n > 0) {steady_sym}(mem, lb, n, wb, scal, cvec, vregs);"
-        )
-        for block in epi_blocks:
-            lines.extend(block)
-        lines.append("}")
-        return lines
-
     def emit(self) -> tuple[str, _NativeMeta]:
         body: list[str] = []
         outs: list[str] = []
@@ -547,7 +382,6 @@ class _KernelEmitter:
         symbol = kernel_symbol(self.signature)
         pad = " " * (len(symbol) + 6)
         lines = [
-            f"SIMDAL_NOINLINE",
             f"void {symbol}(uint8_t *restrict mem, int64_t lb, int64_t n,",
             f"{pad}const int64_t *restrict wb,",
             f"{pad}const int64_t *restrict scal,",
@@ -573,13 +407,6 @@ class _KernelEmitter:
                 f"v{self.slot(name)});"
             )
         lines.append("}")
-        # The whole-run driver follows the steady kernel in the same
-        # unit (definition-before-use, non-static so other translation
-        # units never collide on the digest-unique names).
-        pro_blocks, epi_blocks, spans, sections_c = self._emit_sections()
-        sect_len = self._sect_cursor if sections_c else 0
-        lines.append("")
-        lines.extend(self._emit_run(pro_blocks, epi_blocks))
         meta = _NativeMeta(
             signature=self.signature,
             table=self.shape.table,
@@ -591,10 +418,6 @@ class _KernelEmitter:
             points=tuple(self.points),
             splats=tuple(self.splats),
             bad_amounts=tuple(self.bad_amounts),
-            run_symbol=run_symbol(self.signature),
-            sections_c=sections_c,
-            sect_len=sect_len,
-            sect_spans=spans,
         )
         return "\n".join(lines) + "\n", meta
 
@@ -941,24 +764,6 @@ def _bind_symbol(lib, symbol: str):
     return fn
 
 
-def _bind_functions(lib, meta: _NativeMeta):
-    """Resolve (steady, whole-run) for one signature's kernel."""
-    cfn = _bind_symbol(lib, meta.symbol)
-    rfn = getattr(lib, meta.run_symbol)
-    rfn.restype = None
-    rfn.argtypes = [
-        ctypes.POINTER(ctypes.c_uint8),   # mem
-        ctypes.c_int64,                   # lb
-        ctypes.c_int64,                   # n
-        ctypes.POINTER(ctypes.c_int64),   # wb
-        ctypes.POINTER(ctypes.c_int64),   # scal
-        ctypes.POINTER(ctypes.c_uint8),   # cvec
-        ctypes.POINTER(ctypes.c_uint8),   # vregs
-        ctypes.POINTER(ctypes.c_int64),   # sect
-    ]
-    return cfn, rfn
-
-
 # ---------------------------------------------------------------------------
 # Two-tier kernel cache
 # ---------------------------------------------------------------------------
@@ -1073,18 +878,18 @@ def _load_from_disk(disk, key: str, signature: str,
     """Warm path: a validated meta bound to its ``.so``, or None."""
     entry = disk.get(key)
     if (not isinstance(entry, _NativeMeta) or entry.signature != signature
-            or not entry.symbol or not entry.run_symbol
+            or not entry.symbol
             or not isinstance(entry.table, steady.SteadyTable)):
         return None
     lib = _library(disk, entry.so_sha256)
     if lib is None:
         return None
     try:
-        cfn, rfn = _bind_functions(lib, entry)
+        cfn = _bind_symbol(lib, entry.symbol)
     except AttributeError:
-        disk.quarantine(key)  # a meta naming symbols its .so lacks
+        disk.quarantine(key)  # a meta naming a symbol its .so lacks
         return None
-    return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn)
+    return _NativeKernel(jk=jk, meta=entry, cfn=cfn)
 
 
 def _compile_native(key: str, signature: str, jk: jit.Kernel,
@@ -1102,8 +907,8 @@ def _compile_native(key: str, signature: str, jk: jit.Kernel,
         reason = failures.get(signature, "native compile failed")
         _FAILED[key] = reason
         raise NativeUnavailable(reason)
-    (cfn, rfn), meta = pair
-    return _NativeKernel(jk=jk, meta=meta, cfn=cfn, rfn=rfn)
+    cfn, meta = pair
+    return _NativeKernel(jk=jk, meta=meta, cfn=cfn)
 
 
 def get_native_kernel(program: VProgram) -> _NativeKernel:
@@ -1116,7 +921,7 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
         return kernel
     STATS["memory_misses"] += 1
     jk = jit.get_kernel(program)
-    if steady.analyze(program) is None:
+    if jk.spec.table is None:
         # The steady loop itself is unbatchable: there is nothing for a
         # C kernel to run that jit's per-iteration path doesn't cover.
         kernel = _NativeKernel(jk=jk, meta=None, cfn=None)
@@ -1189,9 +994,8 @@ class _InvokePlan:
     hot or cold.  Keyed weakly so retired spaces don't pin entries.
     """
 
-    __slots__ = ("seed_offsets", "out_offsets", "all_offsets", "vregs_len",
-                 "splats_dyn", "c_cvec_const", "cvec_const", "wb_memo",
-                 "nw", "ns", "nc", "nv_stride", "nsect")
+    __slots__ = ("seed_offsets", "out_offsets", "vregs_len", "splats_dyn",
+                 "c_cvec_const", "cvec_const", "wb_memo")
 
     def __init__(self, meta: _NativeMeta):
         V = meta.table.V
@@ -1201,14 +1005,7 @@ class _InvokePlan:
                                   for name in meta.seed_regs)
         self.out_offsets = tuple((name, slots[name] * V)
                                  for name in meta.out_regs)
-        self.all_offsets = {name: k * V for name, k in slots.items()}
         self.vregs_len = max(1, len(meta.vreg_names) * V)
-        # Whole-run table sizes.
-        self.nw = len(meta.table.keys)
-        self.ns = len(meta.shifts) + len(meta.points)
-        self.nc = len(meta.splats) * V
-        self.nv_stride = len(meta.vreg_names) * V
-        self.nsect = meta.sect_len
         if all(isinstance(operand, SConst) for operand, _ in meta.splats):
             consts = bytearray()
             for operand, dtype in meta.splats:
@@ -1242,8 +1039,7 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     (window check, memoized per space) or :class:`MachineError` (range
     checks) before anything is mutated, from the same pre-mutation
     points the batched tiers use, so every tier accepts and rejects
-    exactly the same runs.  Shared by the per-run invoke and the
-    whole-run marshaller.
+    exactly the same runs.
     """
     meta = kernel.meta
     V = meta.table.V
@@ -1316,294 +1112,16 @@ def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Whole-run marshalling (sections + steady as one C call)
-# ---------------------------------------------------------------------------
-#
-# The marshaller resolves everything value-dependent — scalar
-# registers, section conditions, addressing, bounds and range checks,
-# counter bookkeeping — on a SHADOW env (same program/space/memory/
-# bindings, fresh register files and counters), walking the program in
-# the interpreter's exact order and collecting the sect[]/wb/scal/cvec
-# tables the C driver consumes.  Nothing outside the shadow mutates
-# until the C call returns (preheader statements cannot touch memory:
-# loads/stores need a loop counter and raise first), so any _Bail —
-# an unlowered form, a failed check, a condition the emitter could not
-# know — simply discards the shadow and replays the classic jit path
-# from pristine state, reproducing byte-exact error and fallback
-# semantics.  On success the shadow's counters/registers merge into
-# the real env plus the analytic steady bumps, so OPD tables stay
-# bit-identical to the bytes oracle.
-
-class _Bail(Exception):
-    """This run falls outside the whole-run C surface (classic replay)."""
-
-
-_I64_MASK = (1 << 64) - 1
-_I64_SIGN = 1 << 63
-
-
-def _as_i64(value: int) -> int:
-    """Two's-complement fold into ctypes' int64 range.
-
-    Slot values ride an int64 table; the C side casts back to the
-    unsigned lane type, so only the low 64 bits matter.
-    """
-    return ((value & _I64_MASK) ^ _I64_SIGN) - _I64_SIGN
-
-
-class _Row:
-    """One marshalled run: the tables a whole-run C call consumes."""
-
-    __slots__ = ("shadow", "lb", "n", "wb", "scal", "cvec", "sect",
-                 "vregs", "written")
-
-    def __init__(self, shadow, lb, n, wb, scal, cvec, sect, vregs, written):
-        self.shadow = shadow     # the marshal-time env
-        self.lb = lb
-        self.n = n
-        self.wb = wb             # window bases, run-relative
-        self.scal = scal         # checked runtime shift/point amounts
-        self.cvec = cvec         # splat constants, bytes
-        self.sect = sect         # section flag + value slots
-        self.vregs = vregs       # seeded register buffer (stride-exact)
-        self.written = written   # registers C writes that commit reads back
-
-
-def _store_base(shadow: interp._Env, addr, i0, V: int) -> int:
-    """The truncated, bounds-checked base a section load/store touches."""
-    if i0 is None:
-        raise _Bail  # interp raises MachineError here; classic replays it
-    a = shadow.space[addr.array].addr(i0 + addr.elem)
-    base = a - a % V
-    if base < 0 or base + V > shadow.mem.size:
-        raise _Bail
-    return base
-
-
-def _marshal_vexpr(shadow: interp._Env, expr, i0, vals: list,
-                   defined: set, V: int) -> None:
-    """Mirror interp._eval_v's counter bumps; slot values in emit order."""
-    if isinstance(expr, VLoadE):
-        shadow.counters.bump(VLOAD)
-        vals.append(_store_base(shadow, expr.addr, i0, V))
-        return
-    if isinstance(expr, VRegE):
-        if expr.name not in defined:
-            raise _Bail  # read-before-set: classic replay raises it
-        return
-    if isinstance(expr, VShiftPairE):
-        _marshal_vexpr(shadow, expr.a, i0, vals, defined, V)
-        _marshal_vexpr(shadow, expr.b, i0, vals, defined, V)
-        shift = expr.shift
-        if not isinstance(shift, int):
-            shift = interp._eval_s(shadow, shift)
-            if not 0 <= shift <= V:
-                raise _Bail
-            vals.append(shift)
-        elif not 0 <= shift <= V:
-            raise _Bail
-        shadow.counters.bump(VPERM)
-        return
-    if isinstance(expr, VSpliceE):
-        _marshal_vexpr(shadow, expr.a, i0, vals, defined, V)
-        _marshal_vexpr(shadow, expr.b, i0, vals, defined, V)
-        point = expr.point
-        if not isinstance(point, int):
-            point = interp._eval_s(shadow, point)
-            if not 0 <= point <= V:
-                raise _Bail
-            vals.append(point)
-        elif not 0 <= point <= V:
-            raise _Bail
-        shadow.counters.bump(VSEL)
-        return
-    if isinstance(expr, VSplatE):
-        value = interp._eval_s(shadow, expr.operand)
-        shadow.counters.bump(VSPLAT)
-        vals.append(_as_i64(expr.dtype.wrap(value)))
-        return
-    if isinstance(expr, VBinE):
-        _marshal_vexpr(shadow, expr.a, i0, vals, defined, V)
-        _marshal_vexpr(shadow, expr.b, i0, vals, defined, V)
-        shadow.counters.bump(VARITH)
-        return
-    if isinstance(expr, VIotaE):
-        if i0 is None:
-            raise _Bail
-        shadow.counters.bump(VARITH)
-        vals.append(_as_i64(i0 + expr.bias))
-        return
-    raise _Bail
-
-
-def _marshal_stmts(shadow: interp._Env, stmts, i0, vals: list, defined: set,
-                   written: list, written_set: set, V: int) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, SetS):
-            shadow.sregs[stmt.reg] = interp._eval_s(shadow, stmt.expr)
-        elif isinstance(stmt, SetV):
-            if stmt.is_copy:
-                shadow.counters.bump(VCOPY)
-                if stmt.expr.name not in defined:
-                    raise _Bail
-            else:
-                _marshal_vexpr(shadow, stmt.expr, i0, vals, defined, V)
-            defined.add(stmt.reg)
-            if stmt.reg not in written_set:
-                written_set.add(stmt.reg)
-                written.append(stmt.reg)
-        elif isinstance(stmt, VStoreS):
-            # interp order: src evaluates (and bumps) before the store
-            # counter and address — slots land in the same order.
-            _marshal_vexpr(shadow, stmt.src, i0, vals, defined, V)
-            shadow.counters.bump(VSTORE)
-            vals.append(_store_base(shadow, stmt.addr, i0, V))
-        else:
-            raise _Bail
-
-
-def _marshal_section(shadow: interp._Env, section, sect: list, span,
-                     defined: set, written: list, written_set: set,
-                     V: int) -> None:
-    base, count = span
-    if section.cond is not None:
-        shadow.counters.bump(BRANCH)
-        if not interp._eval_s(shadow, section.cond):
-            return  # flag slot stays 0: C skips the block
-    i0 = (interp._eval_s(shadow, section.i_expr)
-          if section.i_expr is not None else None)
-    vals: list = []
-    _marshal_stmts(shadow, section.stmts, i0, vals, defined, written,
-                   written_set, V)
-    if len(vals) + 1 != count:
-        raise _Bail  # defensive: emitter/marshaller slot drift
-    sect[base] = 1
-    sect[base + 1:base + count] = vals
-
-
-def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
-    """Marshal one guarded env into a whole-run row, mutating nothing.
-
-    Raises :class:`_Bail` when any part of the run falls outside the
-    lowered surface; the caller replays the classic path on the still
-    untouched env.
-    """
-    program = env.program
-    meta = kernel.meta
-    plan = _plan_for(kernel)
-    V = meta.table.V
-    shadow = interp._Env(program, env.space, env.mem, env.bindings, None)
-    try:
-        # Memory-safe on the shared mem: preheader loads/stores need a
-        # loop counter and raise inside interp before touching bytes.
-        interp._exec_stmts(shadow, program.preheader, i=None)
-    except MachineError:
-        raise _Bail from None
-    defined = set(shadow.vregs)
-    written: list = []
-    written_set: set = set()
-    sect = [0] * plan.nsect
-    spans = meta.sect_spans
-    n_pro = len(program.prologue)
-    if len(spans) != n_pro + len(program.epilogue):
-        raise _Bail  # defensive: meta shape drift
-    for section, span in zip(program.prologue, spans[:n_pro]):
-        _marshal_section(shadow, section, sect, span, defined, written,
-                         written_set, V)
-    steady = program.steady
-    lb = n = 0
-    wb: list = [0] * plan.nw
-    scal: list = [0] * plan.ns
-    cvec: bytes = b"\x00" * plan.nc
-    if steady is not None:
-        lb = interp._eval_s(shadow, steady.lb)
-        ub = interp._eval_s(shadow, steady.ub)
-        if steady.step <= 0:
-            raise _Bail
-        n = len(range(lb, ub, steady.step))
-        if n > 0:
-            for name in meta.seed_regs:
-                if name not in defined:
-                    raise _Bail
-            try:
-                wb, scal, cvec = _steady_tables(kernel, shadow, lb, n)
-            except (steady.Unbatchable, MachineError):
-                raise _Bail from None
-            wb = list(wb)  # the memoized base list must never be shared
-            for name in meta.out_regs:
-                defined.add(name)
-                if name not in written_set:
-                    written_set.add(name)
-                    written.append(name)
-    for section, span in zip(program.epilogue, spans[n_pro:]):
-        _marshal_section(shadow, section, sect, span, defined, written,
-                         written_set, V)
-    offsets = plan.all_offsets
-    for name in written:
-        if name not in offsets:
-            raise _Bail  # defensive: register without a vregs slot
-    vregs = aligned_view(plan.nv_stride)
-    for name, value in shadow.vregs.items():
-        offset = offsets.get(name)
-        if offset is not None:
-            vregs[offset:offset + V] = value
-    return _Row(shadow, lb, n, wb, scal, cvec, sect, vregs, tuple(written))
-
-
-def _invoke_run(kernel: _NativeKernel, env: interp._Env) -> bool:
-    """Execute one whole run as a single C call; False = marshal bailed.
-
-    On success the shadow's counters and registers fold back into the
-    real env, plus the analytic steady bumps.
-    """
-    try:
-        row = _marshal_run(kernel, env)
-    except _Bail:
-        return False
-    mem_buf = env.mem.raw()
-    c_mem = _u8_array(len(mem_buf)).from_buffer(mem_buf)
-    vregs = row.vregs if len(row.vregs) else aligned_view(1)
-    c_vregs = _u8_array(len(vregs)).from_buffer(vregs)
-    cvec = aligned_view(max(1, len(row.cvec)))
-    cvec[:len(row.cvec)] = row.cvec
-    c_cvec = as_ctypes_u8(cvec)
-    c_wb = _i64_array(max(1, len(row.wb)))(*row.wb)
-    c_scal = _i64_array(max(1, len(row.scal)))(*row.scal)
-    c_sect = _i64_array(max(1, len(row.sect)))(*row.sect)
-    try:
-        kernel.rfn(c_mem, row.lb, row.n, c_wb, c_scal, c_cvec, c_vregs,
-                   c_sect)
-    finally:
-        del c_mem, c_vregs, c_cvec
-    table = kernel.meta.table
-    V = table.V
-    shadow = row.shadow
-    env.counters.merge(shadow.counters)
-    if row.n > 0:
-        table.bump(env.counters, row.n)
-    env.sregs.update(shadow.sregs)
-    env.vregs.update(shadow.vregs)
-    offsets = kernel.plan.all_offsets
-    for name in row.written:
-        offset = offsets[name]
-        env.vregs[name] = bytes(row.vregs[offset:offset + V])
-    STATS["whole_runs"] += 1
-    return True
-
-
-# ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
 
 class NativeBackend(JitBackend):
     """Machine-code execution of vector programs (bit-exact vs bytes).
 
-    Inherits the jit engine's run/guard/section machinery and swaps the
-    steady loop for the compiled C kernel via the hook points.  When a
-    kernel's whole-run surface compiled (``meta.sections_c``), accepted
-    runs execute as a single ``simdal_run`` call; anything the
-    marshaller bails on replays the classic per-piece path from
-    untouched state.
+    Inherits the jit engine's run/guard/section machinery and swaps
+    only the steady loop for the compiled C kernel: jit's ``pre``
+    runs the preheader and prologue, one ``simdal_steady`` call runs
+    the loop, and jit's ``post`` runs the epilogue.
     """
 
     name = "native"
@@ -1617,11 +1135,3 @@ class NativeBackend(JitBackend):
             return steady.run_steady(env, loop, jk.spec.table, jk.fn)
         return steady.run_steady(env, loop, kernel.meta.table,
                                  partial(_invoke, kernel))
-
-    def _finish_env(self, env, kernel):
-        meta = kernel.meta
-        if (kernel.cfn is not None and kernel.rfn is not None
-                and meta is not None and meta.sections_c
-                and _invoke_run(kernel, env)):
-            return False
-        return super()._finish_env(env, kernel)

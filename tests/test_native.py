@@ -84,14 +84,31 @@ class TestNativeParity:
 
     @needs_cc
     def test_kernel_actually_ran_in_c(self):
-        """Parity must come from the compiled kernel, not silent jit
-        delegation: the cached kernel carries a live ctypes function."""
+        """Parity must come from the compiled steady kernel, not silent
+        jit delegation: each run of a program with prologue and
+        epilogue sections makes exactly one C steady call, and the
+        shared object exports nothing else for the signature."""
         program = fig1_program()
-        runs = run_engines(program, ("bytes", "native"))
-        assert runs["bytes"] == runs["native"]
+        assert program.prologue and program.epilogue
         kernel = native.get_native_kernel(program)
         assert kernel.cfn is not None
-        assert kernel.meta.so_sha256
+        calls = []
+        real_cfn = kernel.cfn
+
+        def spy(*args):
+            calls.append(args)
+            return real_cfn(*args)
+
+        kernel.cfn = spy
+        for seed in (9, 10):
+            runs = run_engines(program, ("bytes", "native"), seed=seed)
+            assert runs["bytes"] == runs["native"]
+            assert runs["native"][3] is False   # no per-iteration fallback
+        assert len(calls) == 2
+        lib = native._LIBS[kernel.meta.so_sha256]
+        digest = kernel.meta.symbol.rsplit("_", 1)[1]
+        assert hasattr(lib, kernel.meta.symbol)
+        assert not hasattr(lib, f"simdal_run_{digest}")
 
 
 class TestKernelCache:

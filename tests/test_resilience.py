@@ -169,6 +169,50 @@ class TestSupervisedSweep:
         assert profile.counts["pool_restarts"] >= 1
         assert profile.counts["serial_fallbacks"] == 1
 
+    def test_pool_broken_during_submit_requeues_the_round(self, monkeypatch):
+        """A worker that dies while the parent is still submitting makes
+        ``submit`` itself raise BrokenProcessPool; that is one pool
+        death, and the tasks not yet submitted rerun uncharged."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.bench import runner
+
+        submits = []
+
+        class BreaksOnSecondSubmit:
+            """Runs each task in-process; its second submit finds the
+            pool broken."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, job):
+                submits.append(job)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a worker died mid-submit")
+                future = Future()
+                future.set_result(fn(job))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        configs = _sweep_configs()
+        clean = measure_many(configs, jobs=1)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        profile = PhaseProfile()
+        # A chunk timeout keeps the requested fan-out on any host and
+        # gives one config per task.
+        rows = measure_many(configs, jobs=2, profile=profile,
+                            run_policy=RunPolicy(timeout=60.0))
+        assert rows == clean
+        assert profile.counts["pool_restarts"] == 1
+        assert "retries" not in profile.counts
+        assert "serial_fallbacks" not in profile.counts
+        assert len(submits) == len(configs) + 1
+
     def test_transient_fault_is_retried_away(self, monkeypatch):
         configs = _sweep_configs()
         clean = measure_many(configs, jobs=1)
