@@ -36,8 +36,8 @@ Measurements over a fixed, seeded Figure-11 sweep:
 * **native simd** — the vector-extension emitter vs the scalar-lane
   emitter on identical pre-marshalled steady-kernel calls (the
   marshalling around one ctypes crossing is mode-invariant and would
-  drown the kernel body at engine level), plus a whole-run view and a
-  measured aligned-vs-shifted kernel pair.  Bars: >= 1.3x on the
+  drown the kernel body at engine level), plus a measured
+  aligned-vs-shifted kernel pair.  Bars: >= 1.3x on the
   direct steady path and a >= 1.05x measured realignment overhead —
   the paper's aligned-access claim on real hardware.  Skipped when cc
   fails the vector-extension probe.
@@ -383,7 +383,6 @@ def test_backend_speed():
     # the Python-side marshalling around one ctypes crossing (~20 us)
     # is mode-invariant and would otherwise drown the ~2 us kernel
     # body, so engine-level timing cannot see the codegen difference.
-    # The whole-run view is recorded honestly (diluted) but unasserted.
     if native_mod._compiler_identity()[0] is None:
         native_simd_section = {"skipped": "no C compiler on host"}
         simd_steady_speedup = None
@@ -460,12 +459,11 @@ def test_backend_speed():
                     steady_s = best / SIMD_REPS
                     kernels = len(calls)
                     del calls  # release buffer exports
-                    whole_s = _time_engine(get_backend("native"), workloads)
                 finally:
                     reset_cache_dir()
                     jit.clear_memory_cache()
                     native_mod.clear_memory_cache()
-            return kernels, steady_s, whole_s
+            return kernels, steady_s
 
         # The pair runs at a much longer trip than the sweep workloads:
         # one steady call must spend far longer in the loop body than
@@ -507,9 +505,8 @@ def test_backend_speed():
             return best[0] / reps, best[1] / reps
 
         try:
-            scalar_kernels, simd_scalar_steady_s, simd_scalar_whole_s = \
-                _mode_times(False)
-            simd_kernels, simd_steady_s, simd_whole_s = _mode_times(True)
+            scalar_kernels, simd_scalar_steady_s = _mode_times(False)
+            simd_kernels, simd_steady_s = _mode_times(True)
 
             # Aligned-vs-shifted pair under the vector-ext emitter: the
             # same computation with zero-offset accesses (all streams
@@ -549,9 +546,6 @@ def test_backend_speed():
             "scalar_lane_steady_s": round(simd_scalar_steady_s, 6),
             "vector_ext_steady_s": round(simd_steady_s, 6),
             "steady_speedup": round(simd_steady_speedup, 2),
-            "scalar_lane_whole_s": round(simd_scalar_whole_s, 4),
-            "vector_ext_whole_s": round(simd_whole_s, 4),
-            "whole_speedup": round(simd_scalar_whole_s / simd_whole_s, 2),
             "pair_trip": PAIR_TRIP,
             "aligned_steady_s": round(aligned_steady_s, 7),
             "shifted_steady_s": round(shifted_steady_s, 7),
@@ -675,9 +669,6 @@ def test_backend_speed():
             f"  steady  scalar-lane {simd_scalar_steady_s * 1e6:8.1f} us  "
             f"vector-ext {simd_steady_s * 1e6:8.1f} us   "
             f"({simd_steady_speedup:.1f}x)",
-            f"  whole   scalar-lane {simd_scalar_whole_s:8.4f} s   "
-            f"vector-ext {simd_whole_s:8.4f} s   "
-            f"({ns['whole_speedup']:.2f}x)",
             f"  realignment pair: aligned {aligned_steady_s * 1e9:7.0f} ns  "
             f"shifted {shifted_steady_s * 1e9:7.0f} ns per call   "
             f"({realignment_overhead:.2f}x overhead)",

@@ -54,7 +54,7 @@ def _nat():
 # Batched translation units
 # ---------------------------------------------------------------------------
 
-def _run_cc(argv):
+def _run_cc(argv, budget=None):
     """Run one ``cc`` invocation with a wall-clock budget.
 
     The subprocess gets its own session so a hang (a wedged linker, an
@@ -63,10 +63,13 @@ def _run_cc(argv):
     killing only the driver would leak them.  Returns a completed-
     process-shaped object; on timeout ``returncode`` is None and
     ``stderr`` carries the budget, so callers charge the batch exactly
-    like any other nonzero exit.
+    like any other nonzero exit.  Kernel compiles, the capability
+    probes and the ``--version`` call all run here; ``budget``
+    (seconds) defaults to :func:`~repro.machine.native.cc_timeout`.
     """
     native = _nat()
-    budget = native.cc_timeout()
+    if budget is None:
+        budget = native.cc_timeout()
     proc = subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,

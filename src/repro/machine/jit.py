@@ -34,11 +34,18 @@ signature (:func:`program_signature`):
 * an in-process LRU of materialized closures (``_KERNEL_CACHE``), so
   repeated trips and policy ablations pay zero planning or dispatch;
 * the shared disk cache (:mod:`repro.cache`) holding the picklable
-  :class:`_KernelSpec` — generated source plus the constant tables its
-  helpers are rebuilt from — under a key versioned by package version
-  and :data:`KERNEL_CODE_VERSION`, so ``measure_many`` workers and
-  repeated CLI runs skip codegen too.  A stale code version simply
-  never hits; a corrupted entry is a silent miss (cache doctrine).
+  :class:`_KernelSpec` — generated source, the constant tables its
+  helpers are rebuilt from, and the source's compiled code object as
+  :mod:`marshal` bytes with their SHA-256 — under a key versioned by
+  package version, :data:`KERNEL_CODE_VERSION` and the interpreter's
+  bytecode tag (``sys.implementation.cache_tag`` plus
+  ``importlib.util.MAGIC_NUMBER``, the pair importlib validates a
+  ``.pyc`` with), so ``measure_many`` workers and repeated CLI runs
+  skip codegen *and* ``compile()``.  A stale code version or another
+  interpreter's entry simply never hits; a corrupted entry is a silent
+  miss (cache doctrine); stored code bytes that miss their digest or
+  do not load as a code object fall back to compiling the source, and
+  the entry is rewritten with good bytes.
 
 This module is only imported when NumPy is present; use
 :func:`repro.machine.backend.get_backend` for gated access.
@@ -46,9 +53,14 @@ This module is only imported when NumPy is present; use
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import marshal
+import sys
 import time
+import types
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +96,13 @@ from repro.vir.vstmt import Section, SetS, SetV, VStmt, VStoreS
 #: v3: kernels drop their config-batched half; one call runs one run.
 #: v4: steady kernels call the shared model (:mod:`repro.machine.steady`)
 #: and index windows in its table order.
-KERNEL_CODE_VERSION = 4
+#: v5: entries carry the marshalled code object of their source.
+KERNEL_CODE_VERSION = 5
+
+#: The bytecode format this interpreter writes and reads: marshalled
+#: code from another interpreter is unusable, so it keys every entry.
+_CODE_TAG = (f"{sys.implementation.cache_tag}:"
+             f"{importlib.util.MAGIC_NUMBER.hex()}")
 
 #: Compile/cache counters (process-wide; snapshot via
 #: :func:`repro.machine.backend.jit_compile_stats`).
@@ -95,6 +113,7 @@ STATS = {
     "disk_hits": 0,      # spec loaded from the disk cache
     "disk_misses": 0,
     "compile_s": 0.0,    # seconds spent lowering + materializing
+    "source_compiles": 0,  # kernel sources passed to compile()
 }
 
 
@@ -209,8 +228,10 @@ class _KernelSpec:
 
     Everything here is picklable (strings, ints, dicts, frozen IR
     dataclasses), so a spec round-trips through the disk cache; the
-    non-picklable parts — the NumPy helper closures and the compiled
-    code object — are rebuilt from these tables by :func:`_materialize`.
+    non-picklable parts — the NumPy helper closures — are rebuilt from
+    these tables by :func:`_materialize`.  Only the copy written to
+    disk carries ``code``: the in-memory spec of a materialized kernel
+    never holds the marshalled bytes.
     """
 
     signature: str
@@ -218,6 +239,8 @@ class _KernelSpec:
     sections_ok: bool      # preheader/prologue/epilogue compiled
     V: int = 0
     source: str = ""       # one module: _kernel / _pre / _post defs
+    code: bytes = b""      # marshal.dumps(compile(source)), disk copy only
+    code_sha256: str = ""  # hex SHA-256 of ``code``
     # -- steady-kernel constants, one per _b{k}/_f{k}/... name ------------
     binops: tuple = ()     # (op name, DataType)
     folds: tuple = ()      # (op name, DataType)
@@ -694,10 +717,33 @@ def _bump_all(counters, counts):
         counters.bump(category, amount)
 
 
-def _materialize(spec: _KernelSpec) -> tuple:
-    """Compile a spec's source against its rebuilt helper namespace."""
-    if not spec.source:
-        return None, None, None
+def _compile_source(spec: _KernelSpec) -> types.CodeType:
+    STATS["source_compiles"] += 1
+    return compile(spec.source, "<repro-jit-kernel>", "exec")
+
+
+def _stored_code(entry: _KernelSpec) -> types.CodeType | None:
+    """The code object a disk entry carries, or None to compile anew.
+
+    Pickle does not checksum its payload, and running a damaged code
+    object can crash the interpreter instead of raising, so the bytes
+    must match their digest before :func:`marshal.loads` sees them,
+    and what it returns must be a code object.  The bytes are dropped
+    from the entry either way: the in-memory kernel never keeps them.
+    """
+    data, digest = entry.code, entry.code_sha256
+    entry.code, entry.code_sha256 = b"", ""
+    if not data or hashlib.sha256(data).hexdigest() != digest:
+        return None
+    try:
+        code = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return None
+    return code if isinstance(code, types.CodeType) else None
+
+
+def _materialize(spec: _KernelSpec, code: types.CodeType) -> tuple:
+    """Run a spec's compiled source against its rebuilt helper namespace."""
     ns: dict = {
         "_vshiftpair": vec.vshiftpair,
         "_vsplice": vec.vsplice,
@@ -731,7 +777,6 @@ def _materialize(spec: _KernelSpec) -> tuple:
             ns[f"_iob{idx}"] = _make_byte_iota(bias, dtype, spec.V)
         for idx, counts in enumerate(spec.counts):
             ns[f"_cnt{idx}"] = counts
-    code = compile(spec.source, "<repro-jit-kernel>", "exec")
     exec(code, ns)
     return ns.get("_kernel"), ns.get("_pre"), ns.get("_post")
 
@@ -747,7 +792,8 @@ _KERNEL_CACHE_MAX = 256
 def _disk_key(signature: str) -> str:
     from repro import __version__
 
-    return f"jit-kernel:{__version__}:{KERNEL_CODE_VERSION}:{signature}"
+    return (f"jit-kernel:{__version__}:{KERNEL_CODE_VERSION}:{_CODE_TAG}:"
+            f"{signature}")
 
 
 def get_kernel(program: VProgram) -> Kernel:
@@ -761,21 +807,36 @@ def get_kernel(program: VProgram) -> Kernel:
     STATS["memory_misses"] += 1
     _fault("compile")  # REPRO_FAULT=compile:… fails the kernel build here
     start = time.perf_counter()
+    key = _disk_key(signature)
     disk = get_cache()
-    spec = None
+    spec = code = fns = None
     if disk is not None:
-        entry = disk.get(_disk_key(signature))
+        entry = disk.get(key)
         if isinstance(entry, _KernelSpec) and entry.signature == signature:
-            spec = entry
+            spec, code = entry, _stored_code(entry)
             STATS["disk_hits"] += 1
         else:
             STATS["disk_misses"] += 1
     if spec is None:
         spec = _compile_spec(program, signature)
         STATS["codegens"] += 1
+    if code is not None:
+        try:
+            fns = _materialize(spec, code)
+        except Exception:
+            pass  # stored code that cannot define the kernel: recompile
+    if fns is None:
+        # A miss, or an entry whose code is unusable: compile the source
+        # once and (re)write the entry with that code.  Dumping caches a
+        # copy of each function's bytecode on its code object, which the
+        # kernel would keep alive, so it runs the unmarshalled twin, as
+        # a warm load does.
+        data = marshal.dumps(_compile_source(spec))
+        fns = _materialize(spec, marshal.loads(data))
         if disk is not None:
-            disk.put(_disk_key(signature), spec)
-    fn, pre, post = _materialize(spec)
+            disk.put(key, replace(
+                spec, code=data, code_sha256=hashlib.sha256(data).hexdigest()))
+    fn, pre, post = fns
     STATS["compile_s"] += time.perf_counter() - start
     kernel = Kernel(spec=spec, fn=fn, pre=pre, post=post)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:

@@ -57,7 +57,10 @@ re-resolves whenever ``REPRO_CC``/``CC`` change (and
 :func:`reset_compiler_cache` drops it plus any memoized cc failures),
 so a transient or fault-injected toolchain failure cannot poison later
 legitimate compiles.  A missing ``.so`` entry is a miss; one that
-fails its digest or ``dlopen`` is quarantined, never raised.
+fails its digest or ``dlopen`` is quarantined, never raised.  The
+outcomes of the ``-march=native`` and vector-extension probes are
+persisted in one more entry under the compiler identity (see
+:func:`compiler_flags`), so a warm process starts no probe ``cc``.
 
 Hosts without a C compiler (and ``REPRO_FAULT=compile:*`` runs) raise
 :class:`NativeUnavailable` from kernel acquisition — before any memory
@@ -527,13 +530,15 @@ def _compiler_identity() -> tuple[str | None, str]:
     if found is None:
         _CC = (env, (None, "none"))
         return _CC[1]
+    banner = ""
     try:
-        proc = subprocess.run([found, "--version"], capture_output=True,
-                              text=True, timeout=min(30.0, cc_timeout()))
-        banner = (proc.stdout or proc.stderr).splitlines()[0] if \
-            (proc.stdout or proc.stderr) else ""
-    except Exception:
-        banner = ""
+        proc = compilequeue._run_cc([found, "--version"],
+                                    budget=min(30.0, cc_timeout()))
+    except (OSError, subprocess.SubprocessError):
+        proc = None
+    if proc is not None and proc.returncode is not None:
+        text = proc.stdout or proc.stderr
+        banner = text.splitlines()[0] if text else ""
     digest = hashlib.sha256(f"{found}\0{banner}".encode()).hexdigest()[:16]
     _CC = (env, (found, digest))
     return _CC[1]
@@ -551,6 +556,15 @@ _FLAGS: tuple[tuple[str, str | None], tuple[str, ...]] | None = None
 #: Memoized vector-extension capability: (same env key, supported?).
 _SIMD: tuple[tuple[str, str | None], bool] | None = None
 
+#: The persisted probe entry as this process knows it: (disk key,
+#: outcomes), where outcomes may hold ``"flags"`` (the resolved flags)
+#: and ``"simd"`` (the flags probed with, supported?).
+_PROBED: tuple[str, dict] | None = None
+
+#: Set by :func:`reset_compiler_cache`: the next probe resolution
+#: ignores the persisted entry, probes cold and overwrites it.
+_REPROBE = False
+
 #: Test/bench override for the emitter mode (None = env + probe).
 _SIMD_OVERRIDE: bool | None = None
 
@@ -565,47 +579,98 @@ def _env_key() -> tuple[str, str | None]:
     return (_cc_env(), _flags_env())
 
 
-def _try_compile(cc: str, args: list, source: str, stem: str) -> bool:
-    """One syntax-only probe invocation: does ``cc args source`` fly?"""
+def _try_compile(cc: str, args: list, source: str,
+                 stem: str) -> bool | None:
+    """One syntax-only probe: does ``cc args source`` compile?
+
+    True or False as the compiler's exit status says; None when it gave
+    no answer (killed at the budget, or could not be started).  Only an
+    exit status is ever persisted.
+    """
     path = _workdir() / f"{stem}.c"
     try:
         path.write_text(source)
-        proc = subprocess.run(
-            [cc, *args, "-fsyntax-only", str(path)],
-            capture_output=True, text=True, timeout=min(60.0, cc_timeout()),
-        )
-        return proc.returncode == 0
-    except Exception:
-        return False
+        proc = compilequeue._run_cc([cc, *args, "-fsyntax-only", str(path)],
+                                    budget=min(60.0, cc_timeout()))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if proc.returncode is None:
+        return None
+    return proc.returncode == 0
+
+
+def _probe_key(identity: str) -> str:
+    from repro import __version__
+
+    return (f"native-probes:{__version__}:{NATIVE_CODE_VERSION}:"
+            f"{identity}:{_flags_env()!r}")
+
+
+def _probe_outcomes(identity: str) -> dict:
+    """The probe outcomes persisted for this compiler and
+    ``REPRO_CC_FLAGS`` value, read from disk once per key."""
+    global _PROBED, _REPROBE
+    key = _probe_key(identity)
+    if _PROBED is None or _PROBED[0] != key:
+        outcomes = {}
+        disk = get_cache()
+        if disk is not None and not _REPROBE:
+            entry = disk.get(key)
+            if isinstance(entry, dict):
+                outcomes = entry
+        _REPROBE = False
+        _PROBED = (key, outcomes)
+    return _PROBED[1]
+
+
+def _persist_probe(identity: str, name: str, value) -> None:
+    """Record one probe outcome the compiler gave as an exit status."""
+    outcomes = _probe_outcomes(identity)
+    outcomes[name] = value
+    disk = get_cache()
+    if disk is not None:
+        disk.put(_probe_key(identity), dict(outcomes))
 
 
 def compiler_flags() -> tuple[str, ...]:
     """The optimization flags every native cc invocation uses.
 
     ``-O3`` always; then ``-march=native`` when the toolchain accepts
-    it (probed once with a trivial unit), *unless* ``REPRO_CC_FLAGS``
-    is set — the env value (shell-split, appended after ``-O3``)
-    replaces the probed default entirely, so it is both an extension
-    point and the opt-out.  Memoized, keyed on the compiler/flags env
-    pair; :func:`reset_compiler_cache` clears it.
+    it (probed with a trivial unit), *unless* ``REPRO_CC_FLAGS`` is
+    set — the env value (shell-split, appended after ``-O3``) replaces
+    the probed default entirely, so it is both an extension point and
+    the opt-out.  Memoized, keyed on the compiler/flags env pair; the
+    probe's answer is also persisted in the disk cache under the
+    compiler identity, so a warm process starts no probe ``cc``.  A
+    probe that times out or cannot start counts as "no" for this
+    process only.  :func:`reset_compiler_cache` clears the memo and
+    makes the next resolution probe again.
     """
     global _FLAGS
     key = _env_key()
     if _FLAGS is not None and _FLAGS[0] == key:
         return _FLAGS[1]
-    flags = ["-O3"]
+    flags = ("-O3",)
     requested = _flags_env()
     if requested is not None:
-        flags += shlex.split(requested)
+        flags += tuple(shlex.split(requested))
     else:
-        cc, _ = _compiler_identity()
+        cc, identity = _compiler_identity()
         if cc is not None:
-            STATS["flag_probes"] += 1
-            if _try_compile(cc, ["-O3", "-march=native"],
-                            _MARCH_PROBE_SRC, "probe_march"):
-                flags.append("-march=native")
-    _FLAGS = (key, tuple(flags))
-    return _FLAGS[1]
+            stored = _probe_outcomes(identity).get("flags")
+            if isinstance(stored, tuple) and all(
+                    isinstance(flag, str) for flag in stored):
+                flags = stored
+            else:
+                STATS["flag_probes"] += 1
+                ok = _try_compile(cc, ["-O3", "-march=native"],
+                                  _MARCH_PROBE_SRC, "probe_march")
+                if ok:
+                    flags += ("-march=native",)
+                if ok is not None:
+                    _persist_probe(identity, "flags", flags)
+    _FLAGS = (key, flags)
+    return flags
 
 
 def _simd_probe_source() -> str:
@@ -636,20 +701,34 @@ def simd_supported() -> bool:
     unit that uses every idiom the SIMD emitter emits; GCC < 12 (no
     ``__builtin_shufflevector``) and non-GNU compilers fail it and the
     tier silently stays on the scalar-lane emitter.  Memoized alongside
-    the compiler identity; :func:`reset_compiler_cache` clears it.
+    the compiler identity, and persisted with the flags it was probed
+    under in the same disk entry as :func:`compiler_flags`' answer, so
+    a warm process starts no probe ``cc``; a probe that times out or
+    cannot start counts as unsupported for this process only.
+    :func:`reset_compiler_cache` clears the memo and makes the next
+    resolution probe again.
     """
     global _SIMD
     key = _env_key()
     if _SIMD is not None and _SIMD[0] == key:
         return _SIMD[1]
-    cc, _ = _compiler_identity()
+    cc, identity = _compiler_identity()
     ok = False
     if cc is not None:
-        STATS["simd_probes"] += 1
-        ok = _try_compile(cc, list(compiler_flags()), _simd_probe_source(),
-                          "probe_simd")
-        if not ok:
-            STATS["simd_probe_failures"] += 1
+        flags = compiler_flags()
+        stored = _probe_outcomes(identity).get("simd")
+        if (isinstance(stored, tuple) and len(stored) == 2
+                and stored[0] == flags and isinstance(stored[1], bool)):
+            ok = stored[1]
+        else:
+            STATS["simd_probes"] += 1
+            answer = _try_compile(cc, list(flags), _simd_probe_source(),
+                                  "probe_simd")
+            ok = bool(answer)
+            if not ok:
+                STATS["simd_probe_failures"] += 1
+            if answer is not None:
+                _persist_probe(identity, "simd", (flags, answer))
     _SIMD = (key, ok)
     return ok
 
@@ -695,13 +774,17 @@ def reset_compiler_cache() -> None:
     toolchain (or pointing ``REPRO_CC``/``REPRO_CC_FLAGS`` somewhere
     sane) call this to retry cold.  Clears the flag resolution and the
     vector-extension capability probe along with the compiler identity
-    — they are functions of the same toolchain.  The warn-once flag
-    survives — one missing-compiler warning per process is enough.
+    — they are functions of the same toolchain — and the next
+    resolution ignores their persisted outcomes: it probes again and
+    overwrites the disk entry.  The warn-once flag survives — one
+    missing-compiler warning per process is enough.
     """
-    global _CC, _FLAGS, _SIMD
+    global _CC, _FLAGS, _SIMD, _PROBED, _REPROBE
     _CC = None
     _FLAGS = None
     _SIMD = None
+    _PROBED = None
+    _REPROBE = True
     _FAILED.clear()
 
 

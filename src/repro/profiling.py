@@ -103,6 +103,13 @@ class PhaseProfile:
         if evictions or scans:
             lines.append(f"  disk cache     {evictions} evictions, "
                          f"{scans} scans (REPRO_CACHE_MAX_BYTES)")
+        materialized = self.counts.get("kernel_memory_misses", 0)
+        if materialized:
+            # A warm disk entry carries its code object: 0 compiles.
+            compiles = self.counts.get("kernel_source_compiles", 0)
+            lines.append(f"jit kernels: {materialized} materialized, "
+                         f"{compiles} source "
+                         f"compile{'s' if compiles != 1 else ''}")
         mode_simd = self.counts.get("native_mode_simd", 0)
         mode_scalar = self.counts.get("native_mode_scalar", 0)
         if mode_simd or mode_scalar:

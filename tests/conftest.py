@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import shutil
+import tempfile
 
 import pytest
 
@@ -74,3 +77,28 @@ def _isolated_disk_cache(tmp_path, monkeypatch):
     reset_cache_dir()
     yield
     reset_cache_dir()
+
+
+_COLLECT_ENV: dict = {}
+
+
+def pytest_configure(config):
+    """Point the disk cache at a temporary directory while test modules
+    import.
+
+    Module-level compiler probes (``HAVE_SIMD`` guards) run at
+    collection, before any fixture, and persist their outcomes in the
+    disk cache; this keeps them out of ``~/.cache/repro`` too.
+    """
+    _COLLECT_ENV["old"] = os.environ.get("REPRO_CACHE_DIR")
+    _COLLECT_ENV["dir"] = tempfile.mkdtemp(prefix="repro-test-cache-")
+    os.environ["REPRO_CACHE_DIR"] = _COLLECT_ENV["dir"]
+
+
+def pytest_unconfigure(config):
+    old = _COLLECT_ENV.get("old")
+    if old is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = old
+    shutil.rmtree(_COLLECT_ENV.get("dir", ""), ignore_errors=True)

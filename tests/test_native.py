@@ -303,6 +303,9 @@ class TestDegradation:
             return types.SimpleNamespace(returncode=1, stdout="",
                                          stderr="ICE: exploding compiler")
 
+        # Probes run through the same seam; resolve them with the real
+        # compiler first, so only the kernel compile meets the broken one.
+        native.emitter_mode()
         monkeypatch.setattr(compilequeue, "_run_cc", broken_cc)
         program = fig1_program()
         with pytest.raises(native.NativeUnavailable, match="exploding"):
@@ -319,6 +322,7 @@ class TestDegradation:
         def broken_cc(cmd, **kwargs):
             return types.SimpleNamespace(returncode=1, stdout="", stderr="")
 
+        native.emitter_mode()  # probes meet the real compiler
         monkeypatch.setattr(compilequeue, "_run_cc", broken_cc)
         report = run_and_verify(fig1_program(), backend="native")
         assert report.fallback is not None

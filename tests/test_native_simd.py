@@ -15,14 +15,23 @@ These tests pin the contract around the second mode:
 * **cache hygiene** — ``reset_compiler_cache`` clears the flag and
   capability memos, ``REPRO_CC_FLAGS`` changes re-resolve without a
   reset, ``set_simd_mode`` drops the in-process kernel cache, and the
-  disk key separates modes and flag sets.
+  disk key separates modes and flag sets;
+* **persisted probes** — a process that finds the probe entry starts
+  no probe ``cc`` and resolves the same flags and mode, a new
+  ``REPRO_CC_FLAGS`` value or ``reset_compiler_cache`` probes again,
+  and a probe killed at ``REPRO_CC_TIMEOUT`` is never persisted.
 
 Everything needing a compiler is guarded by ``needs_cc``; the memo
 and disk-key tests run anywhere numpy does.
 """
 
+import json
+import os
 import random
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -294,3 +303,108 @@ class TestCompilerCacheHygiene:
         assert len(native._NATIVE_CACHE) > 0
         native.set_simd_mode(True)
         assert len(native._NATIVE_CACHE) == 0
+
+
+#: Run in a fresh interpreter: resolve the probes with a spy on every
+#: compiler subprocess, and print what was resolved and started.
+_CHILD = """
+import json
+from repro.machine import compilequeue, native
+started = []
+real = compilequeue._run_cc
+def spy(argv, budget=None):
+    started.append(argv)
+    return real(argv, budget)
+compilequeue._run_cc = spy
+print(json.dumps({
+    "flags": list(native.compiler_flags()),
+    "mode": native.emitter_mode(),
+    "probes": native.STATS["flag_probes"] + native.STATS["simd_probes"],
+    "probe_cc": [argv for argv in started if "--version" not in argv],
+}))
+"""
+
+
+def _stored_probes():
+    from repro.cache import get_cache
+
+    _cc, identity = native._compiler_identity()
+    return get_cache().get(native._probe_key(identity))
+
+
+class TestPersistedProbes:
+    @needs_cc
+    def test_warm_process_starts_no_probe(self, _fresh_probes):
+        flags = native.compiler_flags()      # probes cold, persists
+        mode = native.emitter_mode()
+        assert _stored_probes() is not None
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["probe_cc"] == []
+        assert child["probes"] == 0
+        assert tuple(child["flags"]) == flags
+        assert child["mode"] == mode
+
+    @needs_cc
+    def test_cc_flags_change_probes_again(self, monkeypatch, _fresh_probes):
+        monkeypatch.delenv("REPRO_CC_FLAGS", raising=False)
+        native.simd_supported()
+        probes = native.STATS["simd_probes"]
+        monkeypatch.setenv("REPRO_CC_FLAGS", "-O2")
+        native.simd_supported()
+        assert native.STATS["simd_probes"] == probes + 1
+        # Back to the first value: its entry answers, no probe.
+        monkeypatch.delenv("REPRO_CC_FLAGS")
+        native.simd_supported()
+        assert native.STATS["simd_probes"] == probes + 1
+
+    @needs_simd
+    def test_reset_probes_again_and_overwrites(self, monkeypatch,
+                                               _fresh_probes):
+        from repro.cache import get_cache
+
+        flags = native.compiler_flags()
+        assert native.simd_supported() is True
+        _cc, identity = native._compiler_identity()
+        key = native._probe_key(identity)
+        get_cache().put(key, {"flags": flags, "simd": (flags, False)})
+        # Memos cleared without a reset: the entry is what answers.
+        for memo in ("_FLAGS", "_SIMD", "_PROBED"):
+            monkeypatch.setattr(native, memo, None)
+        probes = native.STATS["simd_probes"]
+        assert native.simd_supported() is False
+        assert native.STATS["simd_probes"] == probes
+        native.reset_compiler_cache()
+        assert native.simd_supported() is True
+        assert native.STATS["simd_probes"] == probes + 1
+        assert get_cache().get(key)["simd"] == (flags, True)
+
+    @needs_cc
+    def test_probe_timeout_is_not_persisted(self, tmp_path, monkeypatch,
+                                            _fresh_probes):
+        """A probe killed at the budget is "no" for this process only:
+        it counts one ``cc_timeouts``, nothing is stored, and the next
+        resolution probes again."""
+        fake = tmp_path / "sleepcc"
+        fake.write_text(
+            '#!/bin/sh\n'
+            'for a in "$@"; do\n'
+            '  [ "$a" = --version ] && { echo sleepcc 1.0; exit 0; }\n'
+            'done\n'
+            'sleep 30\n')
+        fake.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(fake))
+        monkeypatch.setenv("REPRO_CC_FLAGS", "")
+        monkeypatch.setenv("REPRO_CC_TIMEOUT", "0.3")
+        for _ in range(2):
+            timeouts = native.STATS["cc_timeouts"]
+            probes = native.STATS["simd_probes"]
+            assert native.simd_supported() is False
+            assert native.STATS["cc_timeouts"] == timeouts + 1
+            assert native.STATS["simd_probes"] == probes + 1
+            assert _stored_probes() is None
+            monkeypatch.setattr(native, "_SIMD", None)
