@@ -106,14 +106,21 @@ def _build_workloads() -> list[_Workload]:
     return workloads
 
 
-def _time_engine(engine, workloads: list[_Workload]) -> float:
-    best = float("inf")
+def _time_engines(engines, workloads: list[_Workload]) -> list[float]:
+    """Best-of-``ROUNDS`` time of each engine over ``workloads``.
+
+    The engines alternate round by round, so a host that changes speed
+    mid-measurement slows every engine alike instead of only the one
+    timed last.
+    """
+    best = [float("inf")] * len(engines)
     for _ in range(ROUNDS):
-        mems = [w.mem.clone() for w in workloads]
-        start = time.perf_counter()
-        for w, mem in zip(workloads, mems):
-            engine.run(w.program, w.space, mem, w.bindings)
-        best = min(best, time.perf_counter() - start)
+        for side, engine in enumerate(engines):
+            mems = [w.mem.clone() for w in workloads]
+            start = time.perf_counter()
+            for w, mem in zip(workloads, mems):
+                engine.run(w.program, w.space, mem, w.bindings)
+            best[side] = min(best[side], time.perf_counter() - start)
     return best
 
 
@@ -151,13 +158,13 @@ def test_backend_speed():
     numpy_engine.run(probe.program, probe.space, mem_n, probe.bindings)
     assert mem_b.snapshot() == mem_n.snapshot()
 
-    bytes_s = _time_engine(bytes_engine, workloads)
-    numpy_s = _time_engine(numpy_engine, workloads)
+    bytes_s, numpy_s = _time_engines([bytes_engine, numpy_engine], workloads)
     speedup = bytes_s / numpy_s
 
     # The compile-once jit engine on the same repeated-trip workload.
     # One warm pass compiles + caches every kernel; the timed rounds
-    # then measure the steady state a sweep actually runs in.  Cold
+    # then measure the steady state a sweep actually runs in, against
+    # numpy rounds timed alternately with them.  Cold
     # codegen happens against a throwaway shared disk cache, and a
     # second cold-memory pass measures pure disk-spec loads.
     from repro.machine import jit
@@ -174,8 +181,9 @@ def test_backend_speed():
             jit_cold_s = time.perf_counter() - start
             stats1 = dict(jit.STATS)
 
-            jit_s = _time_engine(get_backend("jit"), workloads)
-            jit_speedup = numpy_s / jit_s
+            jit_numpy_s, jit_s = _time_engines(
+                [numpy_engine, get_backend("jit")], workloads)
+            jit_speedup = jit_numpy_s / jit_s
 
             jit.clear_memory_cache()
             start = time.perf_counter()
@@ -254,7 +262,8 @@ def test_backend_speed():
                     get_backend("jit").run(w.program, w.space,
                                            w.mem.clone(), w.bindings)
 
-                native_s = _time_engine(get_backend("native"), workloads)
+                [native_s] = _time_engines([get_backend("native")],
+                                           workloads)
                 jit_steady_s = _steady_time(get_backend("jit"))
                 native_steady_s = _steady_time(get_backend("native"))
 
@@ -569,7 +578,7 @@ def test_backend_speed():
             "speedup": round(speedup, 2),
         },
         "jit_run": {
-            "numpy_s": round(numpy_s, 4),
+            "numpy_s": round(jit_numpy_s, 4),
             "jit_s": round(jit_s, 4),
             "speedup_vs_numpy": round(jit_speedup, 2),
             "kernels_compiled": cold_codegens,

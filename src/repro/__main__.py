@@ -1,7 +1,5 @@
 """Entry point for ``python -m repro``."""
 
-import sys
+from repro.cli import entry
 
-from repro.cli import main
-
-sys.exit(main())
+entry()

@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import AlignmentError
+from repro.ir.types import constructor_reduce
 
 
 class Offset:
     """Base class of stream offsets."""
 
     __slots__ = ()
+    __reduce__ = constructor_reduce
 
     @property
     def is_known(self) -> bool:
@@ -38,7 +40,7 @@ class Offset:
         return isinstance(self, AnyOffset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnownOffset(Offset):
     """A compile-time stream offset in ``[0, V)``."""
 
@@ -52,7 +54,7 @@ class KnownOffset(Offset):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuntimeOffset(Offset):
     """A runtime stream offset.
 
@@ -69,7 +71,7 @@ class RuntimeOffset(Offset):
         return f"@{self.array}%{self.residue}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnyOffset(Offset):
     """The wildcard offset of replicated (splat) streams."""
 

@@ -57,7 +57,8 @@ from repro.simdize.verify import fill_random, make_space, verify_equivalence
 
 #: Bump when SimdizeResult's shape (or anything it transitively pickles)
 #: changes: stale disk entries must miss, not deserialize wrongly.
-SIMDIZE_CACHE_VERSION = 1
+#: v2: IR nodes are slotted and pickle through their constructors.
+SIMDIZE_CACHE_VERSION = 2
 
 #: Per-process simdize memo: (loop signature, V, options) -> result.
 #: Bounded LRU — a hit moves the entry to the back, eviction takes the

@@ -25,12 +25,18 @@ Commands
 
 Every command reads the loop from a mini-C source file (see
 ``repro.lang``), or from stdin when FILE is ``-``.
+
+``python -m repro`` and ``python -m repro.cli`` run :func:`entry`,
+which freezes the collector's view of the heap around :func:`main`;
+library calls of :func:`main` keep the default collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from contextlib import contextmanager
 
 from repro.errors import SimdalError, SweepInterrupted, VerificationError
 from repro.lang import compile_source
@@ -97,12 +103,21 @@ def _apply_cache_dir(args: argparse.Namespace) -> None:
         set_cache_dir(args.cache_dir if args.cache_dir else None)
 
 
-def _make_profile(args: argparse.Namespace):
+@contextmanager
+def _profiling(args: argparse.Namespace):
+    """The command's ``--profile`` (None without the flag).
+
+    Inside the block the profile also counts the collector's pauses;
+    without ``--profile`` nothing is installed.
+    """
     if not args.profile:
-        return None
+        yield None
+        return
     from repro.profiling import PhaseProfile
 
-    return PhaseProfile()
+    profile = PhaseProfile()
+    with profile.gc_pauses():
+        yield profile
 
 
 def _bindings(args: argparse.Namespace) -> tuple[int | None, dict[str, int]]:
@@ -131,14 +146,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.simdize.driver import simdize
 
     _apply_cache_dir(args)
-    profile = _make_profile(args)
-    loop = compile_source(_read_source(args.file), name=args.name)
-    result = simdize(loop, args.V, _options(args))
-    trip, scalars = _bindings(args)
-    report = run_and_verify(result.program, seed=args.seed, trip=trip,
-                            scalars=scalars, backend=args.exec_backend,
-                            scalar_backend=args.scalar_backend,
-                            profile=profile)
+    with _profiling(args) as profile:
+        loop = compile_source(_read_source(args.file), name=args.name)
+        result = simdize(loop, args.V, _options(args))
+        trip, scalars = _bindings(args)
+        report = run_and_verify(result.program, seed=args.seed, trip=trip,
+                                scalars=scalars, backend=args.exec_backend,
+                                scalar_backend=args.scalar_backend,
+                                profile=profile)
     print(f"verified: simdized execution matches scalar semantics "
           f"(trip {report.trip})")
     print(f"policy {result.policy}, static stream shifts {result.shift_count}")
@@ -223,25 +238,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.runner import RunPolicy
 
     _apply_cache_dir(args)
-    profile = _make_profile(args)
     policy = RunPolicy(
         max_retries=args.max_retries,
         timeout=args.timeout,
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    sweep = dict(count=args.count, trip=args.trip_count, jobs=args.jobs,
-                 backend=args.exec_backend,
-                 scalar_backend=args.scalar_backend, profile=profile,
-                 run_policy=policy)
-    builders = {
-        "table1": lambda: table1(**sweep),
-        "table2": lambda: table2(**sweep),
-        "fig11": lambda: figure11(**sweep),
-        "fig12": lambda: figure12(**sweep),
-        "coverage": lambda: coverage_sweep(count=args.count * 10),
-    }
-    result = builders[args.name]()
+    with _profiling(args) as profile:
+        sweep = dict(count=args.count, trip=args.trip_count, jobs=args.jobs,
+                     backend=args.exec_backend,
+                     scalar_backend=args.scalar_backend, profile=profile,
+                     run_policy=policy)
+        builders = {
+            "table1": lambda: table1(**sweep),
+            "table2": lambda: table2(**sweep),
+            "fig11": lambda: figure11(**sweep),
+            "fig12": lambda: figure12(**sweep),
+            "coverage": lambda: coverage_sweep(count=args.count * 10),
+        }
+        result = builders[args.name]()
     print(result.format())
     if profile is not None:
         print()
@@ -411,5 +426,24 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
+def entry() -> None:
+    """Process entry of ``python -m repro`` and ``python -m repro.cli``.
+
+    A command's modules, IR and caches live until the process exits, so
+    the cyclic collector would only walk them again and again: freeze
+    what the imports made, run :func:`main`, and freeze again so the
+    collections of interpreter shutdown skip the command's heap too.
+    An exception or argparse's ``SystemExit`` skips the second freeze.
+    Nothing may rely on the collector at exit: there is no ``__del__``
+    or ``weakref.finalize``, and every file a command writes is closed
+    before :func:`main` returns.  :func:`main` itself never freezes or
+    disables the collector, so library callers keep the default one.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from repro.errors import IRError
-from repro.ir.types import BinaryOp, DataType
+from repro.ir.types import BinaryOp, DataType, constructor_reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayDecl:
     """A named array symbol.
 
@@ -36,6 +36,8 @@ class ArrayDecl:
     dtype: DataType
     length: int
     align: int | None = 0
+
+    __reduce__ = constructor_reduce
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
@@ -61,6 +63,7 @@ class Expr:
     """Base class of scalar loop-IR expressions."""
 
     __slots__ = ()
+    __reduce__ = constructor_reduce
 
     def children(self) -> tuple["Expr", ...]:
         return ()
@@ -72,7 +75,7 @@ class Expr:
             yield from child.walk()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref(Expr):
     """A stride-one reference ``array[i + offset]``.
 
@@ -90,7 +93,7 @@ class Ref(Expr):
         return f"{self.array.name}[i{sign}{abs(self.offset)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     """A loop-invariant integer literal."""
 
@@ -100,7 +103,7 @@ class Const(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarVar(Expr):
     """A loop-invariant runtime scalar (bound at execution time)."""
 
@@ -110,7 +113,7 @@ class ScalarVar(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopIndex(Expr):
     """The loop counter used as a *value* (``a[i] = i * 2``).
 
@@ -124,7 +127,7 @@ class LoopIndex(Expr):
         return "i"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp(Expr):
     """A two-operand lane operation applied elementwise."""
 
@@ -154,12 +157,14 @@ def as_expr(value: ExprLike) -> Expr:
     raise IRError(f"cannot use {value!r} as a loop-IR expression")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     """One assignment ``target = expr`` executed each loop iteration."""
 
     target: Ref
     expr: Expr
+
+    __reduce__ = constructor_reduce
 
     def __str__(self) -> str:
         return f"{self.target} = {self.expr};"
@@ -177,7 +182,7 @@ class Statement:
         return [n for n in self.expr.walk() if isinstance(n, (Const, ScalarVar))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reduction:
     """A reduction statement ``array[index] op= expr`` (extension).
 
@@ -198,6 +203,8 @@ class Reduction:
     target: Ref
     op: BinaryOp
     expr: Expr
+
+    __reduce__ = constructor_reduce
 
     def __str__(self) -> str:
         sym = self.op.symbol

@@ -13,7 +13,22 @@ from dataclasses import dataclass
 from repro.errors import IRError
 
 
-@dataclass(frozen=True)
+def constructor_reduce(node):
+    """The ``__reduce__`` of every frozen, slotted IR dataclass.
+
+    A node pickles as a call of its own class with its field values in
+    ``__init__`` order (``__match_args__``; no IR field is keyword-only
+    or ``init=False``).  Loading a pickled program then runs each
+    class's constructor, whose ``__post_init__`` hooks are pure checks,
+    instead of the per-object ``fields()`` walk of the ``__setstate__``
+    that ``slots=True`` generates, and the payload carries no field
+    names.
+    """
+    return type(node), tuple([getattr(node, name)
+                              for name in node.__match_args__])
+
+
+@dataclass(frozen=True, slots=True)
 class DataType:
     """An element type: ``name`` for printing, ``size`` in bytes, signedness.
 
@@ -24,6 +39,8 @@ class DataType:
     name: str
     size: int
     signed: bool
+
+    __reduce__ = constructor_reduce
 
     def __post_init__(self) -> None:
         if self.size not in (1, 2, 4, 8):
@@ -89,7 +106,7 @@ def type_by_name(name: str) -> DataType:
         raise IRError(f"unknown element type {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp:
     """A two-operand lane operation.
 
@@ -102,6 +119,8 @@ class BinaryOp:
     symbol: str
     associative: bool
     commutative: bool
+
+    __reduce__ = constructor_reduce
 
     def apply(self, a: int, b: int, dtype: DataType) -> int:
         """Evaluate the operation on two lane values, wrapping like hardware."""

@@ -196,7 +196,9 @@ def precompile(programs, profile=None) -> int:
     exists.
 
     Runs outside the verifier's stat windows, so it folds its own
-    STATS deltas and compiler seconds into ``profile`` directly.
+    native and jit STATS deltas (compiler, load and jit materialize
+    seconds, and the cache counters of the jit kernels it loads) into
+    ``profile`` directly.
     """
     native = _nat()
     if not programs:
@@ -204,13 +206,13 @@ def precompile(programs, profile=None) -> int:
     if native._compiler_identity()[0] is None:
         return 0
     from repro.machine import jit
+    from repro.machine.backend import jit_compile_stats
 
-    before = {k: v for k, v in native.STATS.items() if isinstance(v, int)}
+    before = jit_compile_stats() if profile is not None else {}
     disk = get_cache()
     requests = []
     seen = set()
     compiled = 0
-    cc_s = load_s = 0.0
     try:
         for program in programs:
             signature = jit.program_signature(program)
@@ -265,13 +267,5 @@ def precompile(programs, profile=None) -> int:
         # degradation — precompilation must never fail a sweep.
         pass
     if profile is not None:
-        if cc_s:
-            profile.add("cc", cc_s)
-        if load_s:
-            profile.add("native_load", load_s)
-        for key, value in native.STATS.items():
-            if isinstance(value, int):
-                delta = value - before.get(key, 0)
-                if delta:
-                    profile.count(f"native_{key}", delta)
+        profile.fold_engine_stats(before, jit_compile_stats())
     return compiled

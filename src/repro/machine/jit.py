@@ -97,7 +97,8 @@ from repro.vir.vstmt import Section, SetS, SetV, VStmt, VStoreS
 #: v4: steady kernels call the shared model (:mod:`repro.machine.steady`)
 #: and index windows in its table order.
 #: v5: entries carry the marshalled code object of their source.
-KERNEL_CODE_VERSION = 5
+#: v6: the IR nodes in a spec pickle through their constructors.
+KERNEL_CODE_VERSION = 6
 
 #: The bytecode format this interpreter writes and reads: marshalled
 #: code from another interpreter is unusable, so it keys every entry.

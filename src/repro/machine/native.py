@@ -130,7 +130,8 @@ from repro.vir.vstmt import SetV, VStoreS
 #: meta carries that table.
 #: v8: the whole-run driver is gone; each unit exports one function per
 #: signature, the steady kernel.
-NATIVE_CODE_VERSION = 8
+#: v9: the IR nodes in a meta pickle through their constructors.
+NATIVE_CODE_VERSION = 9
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).

@@ -10,10 +10,16 @@ when no profile is passed, so the hot path pays nothing by default.
 
 Profiles merge, which is how ``measure_many`` aggregates the profiles
 its worker processes send back with their measurements.
+
+A profile also counts the cyclic garbage collector's pauses while its
+:meth:`PhaseProfile.gc_pauses` window is open (the CLI opens it around
+a ``--profile`` command).  Collections that interpreter shutdown runs
+after the command returns fall outside every such window.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -24,6 +30,15 @@ from dataclasses import dataclass, field
 #: the same way lazy jit codegen is.
 PHASES = ("synthesize", "simdize", "compile", "cc", "native_load",
           "execute", "verify")
+
+#: Lazily-timed engine stats (``*_s`` keys of
+#: :func:`repro.machine.backend.jit_compile_stats`) and the phase each
+#: one reports under.
+_ENGINE_PHASES = {
+    "compile_s": "compile",
+    "native_cc_s": "cc",
+    "native_load_s": "native_load",
+}
 
 
 @dataclass
@@ -46,6 +61,62 @@ class PhaseProfile:
             yield
         finally:
             self.add(name, time.perf_counter() - start)
+
+    @contextmanager
+    def gc_pauses(self):
+        """Count the cyclic collector's pauses into this profile.
+
+        While the block runs, one ``gc.callbacks`` hook adds each
+        collection's pause to ``gc_pause_ns`` and counts it under
+        ``gc_collections_<generation>``; the hook is removed on the way
+        out, however the block ends.
+        """
+        started = 0
+
+        def hook(phase: str, info: dict) -> None:
+            nonlocal started
+            if phase == "start":
+                started = time.perf_counter_ns()
+                return
+            self.count("gc_pause_ns", time.perf_counter_ns() - started)
+            self.count(f"gc_collections_{info['generation']}")
+
+        gc.callbacks.append(hook)
+        try:
+            yield self
+        finally:
+            gc.callbacks.remove(hook)
+
+    def fold_engine_stats(self, before: dict, after: dict,
+                          out_of: str | None = None) -> None:
+        """Fold the deltas between two engine-stat snapshots.
+
+        ``before``/``after`` come from
+        :func:`repro.machine.backend.jit_compile_stats`.  Each ``*_s``
+        stat named in ``_ENGINE_PHASES`` is lazily-incurred wall
+        clock: its delta is added to its reporting phase and, when the
+        work ran inside another phase's window (``out_of``, e.g.
+        ``execute``), taken out of that phase so nothing is charged
+        twice.  Any other stat is a counter delta: names already
+        namespaced (``native_*``) pass through so ``hit_rate()`` pairs
+        line up, and bare jit counters gain the ``kernel_`` prefix.
+        """
+        for stat, value in after.items():
+            if stat.endswith("_s"):
+                phase = _ENGINE_PHASES.get(stat)
+                if phase is None:
+                    continue
+                dt = value - before.get(stat, 0.0)
+                if dt > 0:
+                    self.add(phase, dt)
+                    if out_of is not None:
+                        self.add(out_of, -dt)
+            else:
+                delta = value - before.get(stat, 0)
+                if delta:
+                    name = (stat if stat.startswith("native_")
+                            else f"kernel_{stat}")
+                    self.count(name, delta)
 
     def merge(self, other: "PhaseProfile | None") -> None:
         if other is None:
@@ -141,6 +212,14 @@ class PhaseProfile:
             precompiled = self.counts.get("native_precompiled", 0)
             if precompiled:
                 lines.append(f"  {'precompiled':<16s} {precompiled}")
+        collections = [self.counts.get(f"gc_collections_{generation}", 0)
+                       for generation in range(3)]
+        if any(collections):
+            total_collections = sum(collections)
+            pause_s = self.counts.get("gc_pause_ns", 0) / 1e9
+            lines.append(f"gc pauses: {pause_s:.3f} s in {total_collections} "
+                         f"collection{'s' if total_collections != 1 else ''} "
+                         f"({collections[2]} full)")
         resilience = []
         degraded_to = sorted(
             k for k in self.counts if k.startswith("degraded_to_")

@@ -22,13 +22,14 @@ from repro.align.analysis import ref_offset
 from repro.align.offsets import ANY, KnownOffset, Offset
 from repro.errors import GraphError
 from repro.ir.expr import Const, Expr, Loop, Ref, ScalarVar
-from repro.ir.types import BinaryOp, DataType
+from repro.ir.types import BinaryOp, DataType, constructor_reduce
 
 
 class RNode:
     """Base class of reorganization-graph nodes."""
 
     __slots__ = ()
+    __reduce__ = constructor_reduce
 
     def offset(self, V: int) -> Offset:
         """This node's stream offset property."""
@@ -43,7 +44,7 @@ class RNode:
             yield from child.walk()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RLoad(RNode):
     """``vload`` of a stride-one memory stream (paper eq. 1)."""
 
@@ -56,7 +57,7 @@ class RLoad(RNode):
         return f"vload({self.ref})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RSplat(RNode):
     """``vsplat`` of a loop-invariant scalar; offset is ⊥ (paper eq. 6)."""
 
@@ -73,7 +74,7 @@ class RSplat(RNode):
         return f"vsplat({self.operand})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RIota(RNode):
     """The vectorized loop counter (extension; ``ir.LoopIndex``).
 
@@ -90,7 +91,7 @@ class RIota(RNode):
         return "viota(i)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ROp(RNode):
     """A regular ``vop``; offset is the common offset of its inputs (eq. 4)."""
 
@@ -113,7 +114,7 @@ class ROp(RNode):
         return f"v{self.op.name}({args})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RShiftStream(RNode):
     """``vshiftstream``: change a register stream's offset to ``to`` (eq. 5)."""
 
@@ -134,7 +135,7 @@ class RShiftStream(RNode):
         return f"vshiftstream({self.src}, {self.to})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RStore(RNode):
     """``vstore`` of the ``src`` stream to a stride-one reference (C.2)."""
 

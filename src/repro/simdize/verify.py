@@ -140,7 +140,8 @@ def verify_equivalence(
         scalar_result = scalar_engine.run(loop, space, scalar_mem, bindings)
         vector_result = engine.run(program, space, vector_mem, bindings)
     if profile is not None:
-        _attribute_jit_compile(profile, before, jit_compile_stats())
+        profile.fold_engine_stats(before, jit_compile_stats(),
+                                  out_of="execute")
         _count_degradations(profile, vector_result, scalar_result)
 
     with timed(profile, "verify"):
@@ -171,54 +172,6 @@ def _count_degradations(
         profile.count(f"degraded_to_{vector_result.fallback['tier']}")
     if scalar_result.fallback is not None:
         profile.count("scalar_degraded")
-
-
-def _attribute_jit_compile(
-    profile: PhaseProfile, before: dict, after: dict
-) -> None:
-    """Move jit kernel-compile time out of ``execute`` into ``compile``.
-
-    The jit engine compiles lazily inside ``run()``, so without this
-    the first execution of each program would charge codegen to the
-    execute phase and hide the compile-once win the profile exists to
-    show.  Also folds the engine's kernel-cache counters (process-wide
-    deltas) into the profile's counter namespace.
-
-    The stat dict is treated as open-ended: any ``*_s`` key is a
-    lazily-incurred wall-clock phase to re-attribute out of
-    ``execute`` (``_PHASE_FOR`` maps it to its reporting phase), and
-    any other key is a counter delta.  Counters already namespaced
-    (``native_*``) pass through unchanged so ``hit_rate()`` pairs line
-    up; bare jit counters gain the historical ``kernel_`` prefix.  New
-    engine tiers thus flow through without this function growing a
-    fixed phase list.
-    """
-    if not after:
-        return
-    for stat in after:
-        if stat.endswith("_s"):
-            phase = _PHASE_FOR.get(stat)
-            if phase is None:
-                continue
-            dt = after.get(stat, 0.0) - before.get(stat, 0.0)
-            if dt > 0:
-                profile.add(phase, dt)
-                profile.add("execute", -dt)
-        else:
-            delta = after.get(stat, 0) - before.get(stat, 0)
-            if not delta:
-                continue
-            name = stat if stat.startswith("native_") else f"kernel_{stat}"
-            profile.count(name, delta)
-
-
-#: Lazily-timed engine stats (``*_s`` keys from ``jit_compile_stats``)
-#: and the profile phase each one reports under.
-_PHASE_FOR = {
-    "compile_s": "compile",
-    "native_cc_s": "cc",
-    "native_load_s": "native_load",
-}
 
 
 def _first_mismatch(a: Memory, b: Memory, space: ArraySpace) -> str:

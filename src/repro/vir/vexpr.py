@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 from repro.errors import CodegenError
-from repro.ir.types import BinaryOp, DataType
+from repro.ir.types import BinaryOp, DataType, constructor_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +34,10 @@ class SExpr:
     """Base class of scalar integer expressions."""
 
     __slots__ = ()
+    __reduce__ = constructor_reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SConst(SExpr):
     value: int
 
@@ -44,7 +45,7 @@ class SConst(SExpr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SVar(SExpr):
     """A runtime scalar binding (e.g. the symbolic trip count ``ub``)."""
 
@@ -54,7 +55,7 @@ class SVar(SExpr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBase(SExpr):
     """The runtime base address of an array."""
 
@@ -64,7 +65,7 @@ class SBase(SExpr):
         return f"&{self.array}[0]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SReg(SExpr):
     """A scalar register defined earlier by a ``SetS`` statement."""
 
@@ -97,7 +98,7 @@ _S_SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBin(SExpr):
     op: str
     left: SExpr
@@ -162,7 +163,7 @@ def as_sexpr(value: "int | SExpr") -> SExpr:
 # Addresses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Addr:
     """The stride-one address ``base(array) + (i + elem) * D``.
 
@@ -172,6 +173,8 @@ class Addr:
 
     array: str
     elem: int
+
+    __reduce__ = constructor_reduce
 
     def displaced(self, delta: int) -> "Addr":
         """The address with ``i -> i + delta`` substituted."""
@@ -192,12 +195,13 @@ class VExpr:
     """Base class of vector-valued expressions."""
 
     __slots__ = ()
+    __reduce__ = constructor_reduce
 
     def children(self) -> tuple["VExpr", ...]:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VLoadE(VExpr):
     """Truncating vector load (paper's ``vload``)."""
 
@@ -207,7 +211,7 @@ class VLoadE(VExpr):
         return f"vload({self.addr})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VShiftPairE(VExpr):
     """Select bytes ``shift..shift+V-1`` of ``a ++ b`` (paper's ``vshiftpair``)."""
 
@@ -222,7 +226,7 @@ class VShiftPairE(VExpr):
         return f"vshiftpair({self.a}, {self.b}, {self.shift})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VSpliceE(VExpr):
     """First ``point`` bytes of ``a`` then rest of ``b`` (paper's ``vsplice``)."""
 
@@ -237,7 +241,7 @@ class VSpliceE(VExpr):
         return f"vsplice({self.a}, {self.b}, {self.point})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VSplatE(VExpr):
     """Replicate a loop-invariant scalar into every lane."""
 
@@ -248,7 +252,7 @@ class VSplatE(VExpr):
         return f"vsplat({self.operand})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBinE(VExpr):
     """Lane-wise arithmetic on two vectors."""
 
@@ -264,7 +268,7 @@ class VBinE(VExpr):
         return f"v{self.op.name}({self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VIotaE(VExpr):
     """The vectorized loop counter (extension; see ``ir.LoopIndex``).
 
@@ -287,7 +291,7 @@ class VIotaE(VExpr):
         return f"viota(i {sign} {abs(self.bias)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VRegE(VExpr):
     """A vector register defined earlier by a ``SetV`` statement."""
 

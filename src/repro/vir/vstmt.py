@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ir.types import constructor_reduce
 from repro.vir.vexpr import Addr, SExpr, VExpr, VRegE
 
 
@@ -11,9 +12,10 @@ class VStmt:
     """Base class of vector-IR statements."""
 
     __slots__ = ()
+    __reduce__ = constructor_reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetS(VStmt):
     """Define scalar register ``reg`` with the value of ``expr``."""
 
@@ -24,7 +26,7 @@ class SetS(VStmt):
         return f"{self.reg} = {self.expr};"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetV(VStmt):
     """Define vector register ``reg`` with the value of ``expr``."""
 
@@ -40,7 +42,7 @@ class SetV(VStmt):
         return isinstance(self.expr, VRegE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VStoreS(VStmt):
     """Full-width truncating vector store of ``src`` at ``addr``."""
 

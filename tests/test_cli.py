@@ -1,7 +1,15 @@
 """Tests for the command-line interface."""
 
+import gc
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.export import find_compiler
 
@@ -117,3 +125,88 @@ class TestErrors:
         path.write_text("int a[300]; int n;"
                         "for (i = 0; i < n; i++) { a[i] = 1; }")
         assert main(["run", str(path), "--trip", "50", "--set", "oops"]) == 1
+
+
+#: Prints the child's frozen-object count at interpreter exit, after
+#: the entry's ``sys.exit``.
+_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(\n"
+    "    f'freeze count {gc.get_freeze_count()}\\n'))\n"
+)
+
+
+class TestProcessEntry:
+    """``python -m repro`` freezes the heap; ``main()`` never does."""
+
+    def _child(self, tmp_path, module, *args):
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "sitecustomize.py").write_text(_FREEZE_PROBE)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(probe), src]))
+        result = subprocess.run([sys.executable, "-m", module, *args],
+                                capture_output=True, text=True, env=env,
+                                timeout=120)
+        frozen = re.search(r"freeze count (\d+)", result.stderr)
+        assert frozen, result.stderr
+        return result, int(frozen.group(1))
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_entry_freezes_the_heap(self, tmp_path, source_file, module):
+        result, frozen = self._child(tmp_path, module, "simdize", source_file)
+        assert result.returncode == 0, result.stderr
+        assert "vec_perm(" in result.stdout
+        assert frozen > 0
+
+    def test_entry_exits_with_the_command_code(self, tmp_path):
+        path = tmp_path / "bad.c"
+        path.write_text("this is not a loop")
+        result, frozen = self._child(tmp_path, "repro", "simdize", str(path))
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert frozen > 0
+
+    def test_main_keeps_the_default_collector(self, source_file, capsys):
+        before = gc.get_freeze_count()
+        assert main(["run", source_file, "--profile"]) == 0
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled()
+
+
+class TestProfileCollectorPauses:
+    def test_profile_reports_gc_pauses(self, source_file, capsys,
+                                       monkeypatch):
+        import repro.cli as cli
+
+        parse = cli.compile_source
+
+        def collecting(*args, **kwargs):
+            gc.collect()  # one full collection inside the profiled window
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compile_source", collecting)
+        assert main(["run", source_file, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"gc pauses: \d+\.\d{3} s in \d+ collections? "
+                         r"\([1-9]\d* full\)", out), out
+
+    def test_no_pause_line_without_profile(self, source_file, capsys):
+        assert main(["run", source_file]) == 0
+        assert "gc pauses" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["run", "{src}"],
+        ["run", "{src}", "--profile"],
+        ["run", "{bad}", "--profile"],
+        ["bench", "fig11", "--count", "1", "--trip-count", "61",
+         "--profile"],
+    ], ids=["plain", "profile", "failing-profile", "bench-profile"])
+    def test_gc_callbacks_unchanged_after_main(self, args, source_file,
+                                               tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("this is not a loop")
+        argv = [arg.format(src=source_file, bad=bad) for arg in args]
+        before = list(gc.callbacks)
+        main(argv)
+        assert gc.callbacks == before

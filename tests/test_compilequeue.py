@@ -17,6 +17,7 @@ import ctypes
 import multiprocessing
 import pickle
 import random
+import re
 import types
 
 import pytest
@@ -221,6 +222,30 @@ class TestBatchedTranslationUnits:
         assert "exit" in failures[requests[1].signature]
         # one failed batch attempt + one singleton per request
         assert cc_s > 0.0
+
+    @needs_cc
+    def test_native_profile_lists_the_jit_kernels_precompile_loads(
+            self, tmp_path, capsys):
+        """The prewarm materializes every jit kernel a native sweep
+        runs, so ``--profile`` must report them: compiled from source
+        on the cold pass, loaded as stored code objects on the warm
+        one (memory caches cleared, as in a fresh process)."""
+        from repro.cli import main
+
+        argv = ["bench", "fig11", "--count", "2", "--trip-count", "67",
+                "--backend", "native", "--profile",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert re.search(r"jit kernels: [1-9]\d* materialized, [1-9]\d* "
+                         r"source compiles?", cold), cold
+        jit.clear_memory_cache()
+        native.clear_memory_cache()
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert re.search(r"jit kernels: [1-9]\d* materialized, 0 source "
+                         r"compiles", warm), warm
+        assert "native_disk" in warm and "native pipeline:" not in warm
 
 
 class TestCompilerResolution:
