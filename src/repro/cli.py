@@ -27,8 +27,8 @@ Every command reads the loop from a mini-C source file (see
 ``repro.lang``), or from stdin when FILE is ``-``.
 
 ``python -m repro`` and ``python -m repro.cli`` run :func:`entry`,
-which freezes the collector's view of the heap around :func:`main`;
-library calls of :func:`main` keep the default collector.
+which freezes the collector's view of the heap once :func:`main`
+returns; library calls of :func:`main` keep the default collector.
 """
 
 from __future__ import annotations
@@ -430,16 +430,15 @@ def entry() -> None:
     """Process entry of ``python -m repro`` and ``python -m repro.cli``.
 
     A command's modules, IR and caches live until the process exits, so
-    the cyclic collector would only walk them again and again: freeze
-    what the imports made, run :func:`main`, and freeze again so the
-    collections of interpreter shutdown skip the command's heap too.
-    An exception or argparse's ``SystemExit`` skips the second freeze.
-    Nothing may rely on the collector at exit: there is no ``__del__``
-    or ``weakref.finalize``, and every file a command writes is closed
-    before :func:`main` returns.  :func:`main` itself never freezes or
-    disables the collector, so library callers keep the default one.
+    once :func:`main` returns, freeze the heap: the collections of
+    interpreter shutdown then skip it instead of walking every object
+    the command made.  An exception or argparse's ``SystemExit`` skips
+    the freeze.  Nothing may rely on the collector at exit: there is no
+    ``__del__`` or ``weakref.finalize``, and every file a command writes
+    is closed before :func:`main` returns.  :func:`main` itself never
+    freezes or disables the collector, so library callers keep the
+    default one.
     """
-    gc.freeze()
     code = main()
     gc.freeze()
     sys.exit(code)

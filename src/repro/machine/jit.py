@@ -657,14 +657,46 @@ def _make_byte_binop(name: str, dtype, V: int):
 
     Reuses the model's lane closures (:func:`repro.machine.steady.binop`),
     so the sections and the steady loop share one proven arithmetic
-    model instead of the interpreter's per-lane Python loop.
+    model instead of the interpreter's per-lane Python loop.  Modular
+    add and sub, the common ops, take the whole-vector integer path of
+    :func:`_make_byte_addsub`, which skips NumPy's per-call overhead.
     """
+    if name in ("add", "sub"):
+        return _make_byte_addsub(name, dtype, V)
     rows = steady.binop(name, dtype)
 
     def bbin(a, b):
         ra = np.frombuffer(a, dtype=np.uint8).reshape(1, V)
         rb = np.frombuffer(b, dtype=np.uint8).reshape(1, V)
         return rows(ra, rb).tobytes()
+
+    return bbin
+
+
+def _make_byte_addsub(name: str, dtype, V: int):
+    """Lane-wise modular add or sub of two V-byte vectors as two ints.
+
+    With each lane's top bit masked off, the low bits' carries (add) or
+    borrows (sub, from a minuend whose top bits are set) stay inside
+    their lane; the top bit a lane would get modulo ``2**bits`` is then
+    restored by xor with the operands' top bits.
+    """
+    top = 1 << (dtype.bits - 1)
+    high = int.from_bytes(top.to_bytes(dtype.size, "little")
+                          * (V // dtype.size), "little")
+    low = ((1 << 8 * V) - 1) ^ high
+    from_bytes = int.from_bytes
+
+    if name == "add":
+        def bbin(a, b):
+            x, y = from_bytes(a, "little"), from_bytes(b, "little")
+            return (((x & low) + (y & low))
+                    ^ ((x ^ y) & high)).to_bytes(V, "little")
+    else:
+        def bbin(a, b):
+            x, y = from_bytes(a, "little"), from_bytes(b, "little")
+            return (((x | high) - (y & low))
+                    ^ ((x ^ ~y) & high)).to_bytes(V, "little")
 
     return bbin
 

@@ -137,7 +137,8 @@ _FREEZE_PROBE = (
 
 
 class TestProcessEntry:
-    """``python -m repro`` freezes the heap; ``main()`` never does."""
+    """``python -m repro`` freezes the heap once ``main()`` returns;
+    ``main()`` never does."""
 
     def _child(self, tmp_path, module, *args):
         probe = tmp_path / "probe"

@@ -6,8 +6,9 @@ caching machinery around it — structural signatures, the in-process
 LRU, the versioned disk cache (stale-version recompiles, corrupted
 entries degrade to silent misses), the marshalled code objects a warm
 load runs instead of compiling the source (digest and type checks, the
-source fallback, the interpreter tag in the key), and the profile
-attribution.  The
+source fallback, the interpreter tag in the key), the profile
+attribution, and the section helpers' lane arithmetic against the
+interpreter's ``vbinop``.  The
 Figure 11/12 sweep acceptance criterion lives in ``test_backend.py``,
 one test for all three array tiers.
 """
@@ -21,8 +22,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.ir.types import ALL_OPS, ALL_TYPES
 from repro.machine import RunBindings, get_backend, numpy_available
 from repro.machine.backend import jit_compile_stats
+from repro.machine.vector import vbinop
 from repro.simdize import SimdOptions, fill_random, make_space, simdize
 
 from conftest import build_fig1
@@ -301,3 +304,20 @@ class TestCodeObjectCache:
         assert jit.STATS["disk_misses"] == before["disk_misses"] + 1
         assert jit.STATS["codegens"] == before["codegens"] + 1
         assert jit.STATS["source_compiles"] == before["source_compiles"] + 1
+
+
+class TestByteBinops:
+    """The section helpers match the interpreter's vbinop byte for byte."""
+
+    @pytest.mark.parametrize("V", [8, 16, 32])
+    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
+    def test_every_op_and_type_matches_vbinop(self, op, V):
+        rng = random.Random(f"{op.name}:{V}")
+        edges = (0, 1, 0x7F, 0x80, 0xFF)
+        for dtype in ALL_TYPES:
+            bbin = jit._make_byte_binop(op.name, dtype, V)
+            for _ in range(200):
+                a, b = (bytes(rng.choice((*edges, rng.randrange(256)))
+                              for _ in range(V)) for _ in range(2))
+                assert bbin(a, b) == vbinop(op, a, b, dtype, V), (
+                    dtype.name, a.hex(), b.hex())
