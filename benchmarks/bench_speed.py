@@ -19,8 +19,9 @@ Measurements over a fixed, seeded Figure-11 sweep:
   to machine code via the C emitter, both whole-run and
   steady-loop-only vs jit; bar: >= 5x on the steady loop (10x is the
   recorded target) and a 100% warm disk hit rate for the shared
-  objects.  Skipped (recorded, not failed) on hosts without a C
-  compiler.
+  objects.  Skipped (recorded, not failed) on hosts where native is
+  unavailable (no C compiler, or one failing the vector-extension
+  probe).
 * **compile pipeline** — cold kernel acquisition one-cc-per-signature
   vs one batched multi-kernel translation unit
   (``compilequeue.precompile``).  Bars: <= 6 cc invocations for the
@@ -33,14 +34,12 @@ Measurements over a fixed, seeded Figure-11 sweep:
   engines forced to bytes vs both forced to numpy, at the same
   paper-scale trip; bar: >= 5x.  This is the number that used to be
   scalar-dominated before the batched scalar engine existed.
-* **native simd** — the vector-extension emitter vs the scalar-lane
-  emitter on identical pre-marshalled steady-kernel calls (the
-  marshalling around one ctypes crossing is mode-invariant and would
-  drown the kernel body at engine level), plus a measured
-  aligned-vs-shifted kernel pair.  Bars: >= 1.3x on the
-  direct steady path and a >= 1.05x measured realignment overhead —
-  the paper's aligned-access claim on real hardware.  Skipped when cc
-  fails the vector-extension probe.
+* **native simd** — a measured aligned-vs-shifted kernel pair on
+  pre-marshalled steady-kernel calls (the marshalling around one
+  ctypes crossing would drown the kernel body at engine level).  Bar:
+  a >= 1.05x measured realignment overhead — the paper's
+  aligned-access claim on real hardware.  Skipped where native is
+  unavailable.
 
 The sweep-level figures (worker counts, cold and warm caches, the
 serving tier) are measured end to end by ``perfbench/``.
@@ -216,8 +215,9 @@ def test_backend_speed():
     from repro.machine.native import NativeBackend
 
     native_section: dict
-    if native_mod._compiler_identity()[0] is None:
-        native_section = {"skipped": "no C compiler on host"}
+    if not native_mod.simd_supported():
+        native_section = {"skipped": "native unavailable on host (no C "
+                                     "compiler passes the probe)"}
         native_steady_speedup = None
         native_hit_rate = None
     else:
@@ -385,21 +385,13 @@ def test_backend_speed():
     verify_numpy_s = _time_sweep(verify_configs, "numpy", "numpy")
     verify_speedup = verify_bytes_s / verify_numpy_s
 
-    # True-SIMD emitter: scalar-lane vs vector-extension codegen on the
-    # same signature set, plus a measured aligned-vs-shifted kernel
-    # pair — the paper's realignment-overhead claim on real hardware.
-    # The steady comparison times direct pre-marshalled kernel calls:
-    # the Python-side marshalling around one ctypes crossing (~20 us)
-    # is mode-invariant and would otherwise drown the ~2 us kernel
-    # body, so engine-level timing cannot see the codegen difference.
-    if native_mod._compiler_identity()[0] is None:
-        native_simd_section = {"skipped": "no C compiler on host"}
-        simd_steady_speedup = None
-        realignment_overhead = None
-    elif not native_mod.simd_supported():
-        native_simd_section = {
-            "skipped": "compiler fails the vector-extension probe"}
-        simd_steady_speedup = None
+    # A measured aligned-vs-shifted kernel pair — the paper's
+    # realignment-overhead claim on real hardware.  It times direct
+    # pre-marshalled kernel calls: the Python-side marshalling around
+    # one ctypes crossing (~20 us) would otherwise drown the kernel
+    # body, so engine-level timing cannot see the difference.
+    if "skipped" in native_section:
+        native_simd_section = {"skipped": native_section["skipped"]}
         realignment_overhead = None
     else:
         import ctypes as _ct
@@ -420,11 +412,11 @@ def test_backend_speed():
             if steady is None or steady.step <= 0:
                 return None
             m = mem.clone()
-            env = interp_mod._Env(program, space, m, bindings, None)
+            env = interp_mod.Env(program, space, m, bindings, None)
             try:
-                interp_mod._exec_stmts(env, program.preheader, i=None)
-                lb = interp_mod._eval_s(env, steady.lb)
-                ub = interp_mod._eval_s(env, steady.ub)
+                interp_mod.exec_stmts(env, program.preheader, i=None)
+                lb = interp_mod.eval_s(env, steady.lb)
+                ub = interp_mod.eval_s(env, steady.ub)
                 n = len(range(lb, ub, steady.step))
                 if n <= 0:
                     return None
@@ -443,36 +435,6 @@ def test_backend_speed():
                     as_ctypes_u8(cbuf),
                     (_ct.c_uint8 * plan.vregs_len).from_buffer(vregs))
             return kernel.cfn, args, (m, vregs, cbuf)
-
-        SIMD_REPS = 20
-
-        def _mode_times(simd: bool):
-            native_mod.set_simd_mode(simd)
-            with tempfile.TemporaryDirectory() as cache_root:
-                set_cache_dir(cache_root)
-                try:
-                    jit.clear_memory_cache()
-                    calls = []
-                    for w in workloads:
-                        made = _marshal_direct(w.program, w.space, w.mem,
-                                               w.bindings)
-                        if made is not None:
-                            calls.append(made)
-                    best = float("inf")
-                    for _ in range(ROUNDS):
-                        start = time.perf_counter()
-                        for _ in range(SIMD_REPS):
-                            for fn, args, _keep in calls:
-                                fn(*args)
-                        best = min(best, time.perf_counter() - start)
-                    steady_s = best / SIMD_REPS
-                    kernels = len(calls)
-                    del calls  # release buffer exports
-                finally:
-                    reset_cache_dir()
-                    jit.clear_memory_cache()
-                    native_mod.clear_memory_cache()
-            return kernels, steady_s
 
         # The pair runs at a much longer trip than the sweep workloads:
         # one steady call must spend far longer in the loop body than
@@ -503,7 +465,7 @@ def test_backend_speed():
             speed mid-measurement slows both sides alike instead of
             only the kernel timed second.
             """
-            reps = 20 * SIMD_REPS
+            reps = 400
             best = [float("inf"), float("inf")]
             for _ in range(ROUNDS):
                 for side, (fn, args, _keep) in enumerate((aligned, shifted)):
@@ -513,48 +475,34 @@ def test_backend_speed():
                     best[side] = min(best[side], time.perf_counter() - start)
             return best[0] / reps, best[1] / reps
 
-        try:
-            scalar_kernels, simd_scalar_steady_s = _mode_times(False)
-            simd_kernels, simd_steady_s = _mode_times(True)
+        # Aligned-vs-shifted pair: the same computation with zero-offset
+        # accesses (all streams aligned, no realignment) vs the Figure-1
+        # offsets (three vshiftstream realignments per iteration).
+        _PAIR_DECLS = (f"int16_t a[{PAIR_ELEMS}] align 0; "
+                       f"int16_t b[{PAIR_ELEMS}] align 0; "
+                       f"int16_t c[{PAIR_ELEMS}] align 0; int n;\n")
+        with tempfile.TemporaryDirectory() as cache_root:
+            set_cache_dir(cache_root)
+            try:
+                jit.clear_memory_cache()
+                aligned_steady_s, shifted_steady_s = _pair_steady(
+                    _pair_call(
+                        _PAIR_DECLS +
+                        "for (i = 0; i < n; i++) { a[i] = b[i] + c[i]; }",
+                        "pair_aligned"),
+                    _pair_call(
+                        _PAIR_DECLS + "for (i = 0; i < n; i++) "
+                        "{ a[i+3] = b[i+1] + c[i+2]; }",
+                        "pair_shifted"))
+            finally:
+                reset_cache_dir()
+                jit.clear_memory_cache()
+                native_mod.clear_memory_cache()
 
-            # Aligned-vs-shifted pair under the vector-ext emitter: the
-            # same computation with zero-offset accesses (all streams
-            # aligned, no realignment) vs the Figure-1 offsets (three
-            # vshiftstream realignments per iteration).
-            _PAIR_DECLS = (f"int16_t a[{PAIR_ELEMS}] align 0; "
-                           f"int16_t b[{PAIR_ELEMS}] align 0; "
-                           f"int16_t c[{PAIR_ELEMS}] align 0; int n;\n")
-            native_mod.set_simd_mode(True)
-            with tempfile.TemporaryDirectory() as cache_root:
-                set_cache_dir(cache_root)
-                try:
-                    jit.clear_memory_cache()
-                    aligned_steady_s, shifted_steady_s = _pair_steady(
-                        _pair_call(
-                            _PAIR_DECLS +
-                            "for (i = 0; i < n; i++) { a[i] = b[i] + c[i]; }",
-                            "pair_aligned"),
-                        _pair_call(
-                            _PAIR_DECLS + "for (i = 0; i < n; i++) "
-                            "{ a[i+3] = b[i+1] + c[i+2]; }",
-                            "pair_shifted"))
-                finally:
-                    reset_cache_dir()
-                    jit.clear_memory_cache()
-                    native_mod.clear_memory_cache()
-        finally:
-            native_mod.set_simd_mode(None)
-
-        simd_steady_speedup = simd_scalar_steady_s / simd_steady_s
         realignment_overhead = shifted_steady_s / aligned_steady_s
         native_simd_section = {
             "emitter": native_mod.emitter_mode(),
             "cc_flags": list(native_mod.compiler_flags()),
-            "kernels": simd_kernels,
-            "trip": SPEED_TRIP,
-            "scalar_lane_steady_s": round(simd_scalar_steady_s, 6),
-            "vector_ext_steady_s": round(simd_steady_s, 6),
-            "steady_speedup": round(simd_steady_speedup, 2),
             "pair_trip": PAIR_TRIP,
             "aligned_steady_s": round(aligned_steady_s, 7),
             "shifted_steady_s": round(shifted_steady_s, 7),
@@ -672,12 +620,8 @@ def test_backend_speed():
     else:
         ns = native_simd_section
         lines += [
-            f"native simd emitter over {ns['kernels']} kernels "
-            f"(trip {SPEED_TRIP}, direct steady calls, "
+            f"native simd emitter (trip {PAIR_TRIP}, direct steady calls, "
             f"cc {' '.join(ns['cc_flags'])}):",
-            f"  steady  scalar-lane {simd_scalar_steady_s * 1e6:8.1f} us  "
-            f"vector-ext {simd_steady_s * 1e6:8.1f} us   "
-            f"({simd_steady_speedup:.1f}x)",
             f"  realignment pair: aligned {aligned_steady_s * 1e9:7.0f} ns  "
             f"shifted {shifted_steady_s * 1e9:7.0f} ns per call   "
             f"({realignment_overhead:.2f}x overhead)",
@@ -718,16 +662,10 @@ def test_backend_speed():
     assert verify_speedup >= 5.0, (
         f"end-to-end verify path only {verify_speedup:.1f}x faster")
     if "skipped" not in native_simd_section:
-        # The vector-extension emitter against the scalar-lane one on
-        # identical pre-marshalled steady calls (measured ~3-4x here;
-        # the bar leaves margin for weaker autovectorizers making the
-        # scalar-lane baseline faster).  The realignment pair pins the
-        # paper's core claim on hardware: the same computation with
-        # misaligned streams must cost measurably more than its
-        # aligned twin under the aligned-SIMD code path.
-        assert simd_steady_speedup >= 1.3, (
-            f"vector-ext steady path only {simd_steady_speedup:.2f}x "
-            f"over scalar-lane")
+        # The realignment pair pins the paper's core claim on hardware:
+        # the same computation with misaligned streams must cost
+        # measurably more than its aligned twin under the aligned-SIMD
+        # code path.
         assert realignment_overhead >= 1.05, (
             f"shifted kernel only {realignment_overhead:.2f}x the "
             f"aligned one — realignment overhead not measurable")

@@ -126,7 +126,7 @@ def gen_expr(ctx: CodegenCtx, node: RNode, disp: int = 0, residue: int = 0) -> V
         return VIotaE(disp, ctx.loop.dtype)
     if isinstance(node, ROp):
         inputs = [gen_expr(ctx, child, disp, residue) for child in node.inputs]
-        return _fold_op(node, inputs)
+        return fold_op(node, inputs)
     if isinstance(node, RShiftStream):
         return gen_shift_stream(ctx, node, disp, residue)
     raise CodegenError(f"unknown graph node {type(node).__name__}")
@@ -152,7 +152,7 @@ def gen_shift_stream(ctx: CodegenCtx, node: RShiftStream, disp: int, residue: in
     return VShiftPairE(lo, hi, plan.amount)
 
 
-def _fold_op(node: ROp, inputs: list[VExpr]) -> VExpr:
+def fold_op(node: ROp, inputs: list[VExpr]) -> VExpr:
     """Combine n-ary graph inputs into binary vector arithmetic."""
     if not inputs:
         raise CodegenError(f"operation {node} has no inputs")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.codegen.context import CodegenCtx
-from repro.codegen.exprgen import gen_expr, gen_splat, plan_shift, _fold_op
+from repro.codegen.exprgen import gen_expr, gen_splat, plan_shift, fold_op
 from repro.errors import CodegenError
 from repro.reorg.graph import RIota, RLoad, RNode, ROp, RShiftStream, RSplat
 from repro.vir.vexpr import Addr, VExpr, VIotaE, VLoadE, VRegE, VShiftPairE
@@ -57,7 +57,7 @@ def gen_expr_sp(
         return VIotaE(disp, ctx.loop.dtype)
     if isinstance(node, ROp):
         inputs = [gen_expr_sp(ctx, child, disp, residue, pieces) for child in node.inputs]
-        return _fold_op(node, inputs)
+        return fold_op(node, inputs)
     if isinstance(node, RShiftStream):
         return gen_shift_stream_sp(ctx, node, disp, residue, pieces)
     raise CodegenError(f"unknown graph node {type(node).__name__}")

@@ -1,4 +1,5 @@
-"""Portable plain-C backend for the C exporter — and the native tier.
+"""Portable plain-C backend for the C exporter, and the native tier's
+vector-extension helpers.
 
 Unlike the SSE/AltiVec backends, which map vector operations onto a
 specific ISA's intrinsics (and must *reject* ops the ISA cannot express
@@ -17,23 +18,22 @@ a per-lane loop with the virtual machine's exact semantics —
 * ``viota`` floor-divides the (possibly negative) counter exactly like
   :func:`repro.machine.vec.viota`.
 
-At ``-O3`` the compilers auto-vectorize these lane loops, so the native
-execution tier gets real SIMD instructions without this module ever
-naming an ISA.  Every op is expressible, so — unlike SSE/AltiVec —
-``CodegenError`` is never raised for an op/dtype combination, which is
-what the native tier needs from its default dialect.
+At ``-O3`` the compilers auto-vectorize these lane loops without this
+module ever naming an ISA.  Every op is expressible, so — unlike
+SSE/AltiVec — ``CodegenError`` is never raised for an op/dtype
+combination.
 
 Little-endian hosts only (lane order in memory matters); the emitted
 unit refuses to compile elsewhere rather than silently diverge.
 
-The native tier has a second, preferred flavour of the same helper
-set: :func:`simd_helpers` maps ``simdal_vec`` onto GCC/Clang
-``__attribute__((vector_size(V)))`` types — true SIMD expressions,
-``__builtin_shufflevector`` realignment, and
+The native tier compiles its kernels against a second flavour of the
+same helper set: :func:`simd_helpers` maps ``simdal_vec`` onto
+GCC/Clang ``__attribute__((vector_size(V)))`` types — true SIMD
+expressions, ``__builtin_shufflevector`` realignment, and
 ``__builtin_assume_aligned`` loads/stores — with byte-identical
-semantics.  :func:`kernel_unit_prelude` selects between the two; the
-exporter proper (``repro export``) always uses the scalar-lane
-backend, which compiles anywhere.
+semantics, behind :func:`kernel_unit_prelude`.  The exporter proper
+(``repro export``) always uses the scalar-lane backend, which compiles
+anywhere.
 """
 
 from __future__ import annotations
@@ -235,14 +235,6 @@ static inline simdal_vec simdal_op_ssub(simdal_vec a, simdal_vec b) {{
     }}
     return r;
 }}
-
-/* Mode-compat aliases: the kernel emitter is emitter-mode-agnostic
-   and always writes the aligned (_a) and constant-amount (_c) forms;
-   in scalar-lane mode they are the plain helpers. */
-#define simdal_load_a simdal_load
-#define simdal_store_a simdal_store
-#define simdal_shiftpair_c(a, b, k) simdal_shiftpair((a), (b), (k))
-#define simdal_splice_c(a, b, p) simdal_splice((a), (b), (p))
 """
 
     def load(self, ptr: str) -> str:
@@ -301,7 +293,7 @@ def simd_helpers(V: int, dtype: DataType) -> str:
 
     Lane order is memory order on a little-endian host (enforced by
     the same preprocessor guard as the scalar helpers), so results are
-    byte-identical to the scalar-lane emitter and the bytes oracle.
+    byte-identical to the scalar helpers and the bytes oracle.
     """
     if V % dtype.size != 0:
         raise CodegenError(
@@ -473,36 +465,29 @@ static inline simdal_vec simdal_op_ssub(simdal_vec a, simdal_vec b) {{
 """
 
 
-def kernel_unit_prelude(V: int, dtype: DataType, simd: bool = False) -> str:
+def kernel_unit_prelude(V: int, dtype: DataType) -> str:
     """The self-contained prelude of a steady-kernel translation unit.
 
-    Standard includes plus the full helper block for one ``(V, dtype)``
-    pair — the scalar-lane helpers by default, or the vector-extension
-    helpers (:func:`simd_helpers`) when ``simd`` is true.  The kernel
-    emitter's output is mode-agnostic (both helper sets export the same
-    names, including the ``_a`` aligned and ``_c`` constant-amount
-    forms), so the emitter mode lives entirely in this prelude and in
-    the disk-cache key.  The helper names (``simdal_vec``, ``simdal_load``, …) are
+    Standard includes plus the vector-extension helper block
+    (:func:`simd_helpers`) for one ``(V, dtype)`` pair, including the
+    ``_a`` aligned and ``_c`` constant-amount forms the kernel emitter
+    writes.  The helper names (``simdal_vec``, ``simdal_load``, …) are
     fixed and dtype-parameterized, so one prelude serves *every* kernel
-    sharing the pair — the native compile pipeline batches all such
-    kernels into a single ``.c`` file behind one prelude and compiles
-    many signatures with one ``cc`` invocation.  Kernels with different
-    lane types must land in different translation units (the typedefs
-    would collide); all helpers are ``static inline`` so the resulting
-    objects link together without symbol clashes.
+    sharing the pair — the native tier batches all such kernels into a
+    single ``.c`` file behind one prelude and compiles many signatures
+    with one ``cc`` invocation.  Kernels with different lane types must
+    land in different translation units (the typedefs would collide);
+    all helpers are ``static inline`` so the resulting objects link
+    together without symbol clashes.
 
     Each signature contributes one exported function, its steady
     kernel ``simdal_steady_<digest>``; nothing in the unit calls it,
     so ``cc -O3`` optimizes each kernel body exactly once.
     """
-    helpers = simd_helpers(V, dtype) if simd \
-        else PortableBackend().helpers(V, dtype)
-    mode = "vector-ext" if simd else "scalar-lane"
     return (
-        f"/* generated by simdal: steady-kernel translation unit "
-        f"({mode}) */\n"
+        "/* generated by simdal: steady-kernel translation unit */\n"
         "#include <stdint.h>\n"
         "#include <string.h>\n"
-        + helpers.rstrip()
+        + simd_helpers(V, dtype).rstrip()
         + "\n"
     )

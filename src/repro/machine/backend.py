@@ -350,9 +350,8 @@ def jit_compile_stats() -> dict:
     interpreter must not be forced to import it.  The jit engine's
     counters appear under their own names; the native engine's are
     folded in under a ``native_`` prefix (``native_cc_s``,
-    ``native_memory_hits``, the emitter-mode and probe counters
-    ``native_mode_simd``, ``native_simd_probes``, …) so one snapshot
-    covers both tiers.
+    ``native_memory_hits``, the probe counters ``native_simd_probes``
+    and ``native_flag_probes``, …) so one snapshot covers both tiers.
     """
     import sys
 

@@ -82,7 +82,7 @@ class VectorRunResult:
         return self.counters.total
 
 
-class _Env:
+class Env:
     """Mutable execution state: register files and memory handles."""
 
     def __init__(self, program: VProgram, space: ArraySpace, mem: Memory,
@@ -114,7 +114,7 @@ def run_vector(
     Passing a :class:`~repro.machine.trace.Trace` records every memory
     and reorganization operation with its phase and address.
     """
-    env = _Env(program, space, mem, bindings or RunBindings(), trace)
+    env = Env(program, space, mem, bindings or RunBindings(), trace)
     env.counters.bump(CALL, 2)  # one call + one return, as the paper measures
 
     if program.guard_min_trip is not None:
@@ -126,34 +126,35 @@ def run_vector(
     elif env.trip != program.source.upper and isinstance(program.source.upper, int):
         raise MachineError("compile-time trip count mismatch")
 
-    _exec_stmts(env, program.preheader, i=None)
+    exec_stmts(env, program.preheader, i=None)
     for section in program.prologue:
-        _exec_section(env, section)
+        exec_section(env, section)
     if program.steady is not None:
         _exec_steady(env, program.steady)
     for section in program.epilogue:
-        _exec_section(env, section)
+        exec_section(env, section)
     return VectorRunResult(env.counters, env.trip, used_fallback=False)
 
 
 # ---------------------------------------------------------------------------
-# Execution helpers
+# Execution helpers.  The public ones carry the evaluation order every
+# tier shares: numpy, jit, native and the steady model call them.
 # ---------------------------------------------------------------------------
 
-def _exec_section(env: _Env, section: Section) -> None:
+def exec_section(env: Env, section: Section) -> None:
     if env.trace is not None:
         env.trace.set_phase(section.label)
     if section.cond is not None:
         env.counters.bump(BRANCH)
-        if not _eval_s(env, section.cond):
+        if not eval_s(env, section.cond):
             return
-    i = _eval_s(env, section.i_expr) if section.i_expr is not None else None
-    _exec_stmts(env, section.stmts, i)
+    i = eval_s(env, section.i_expr) if section.i_expr is not None else None
+    exec_stmts(env, section.stmts, i)
 
 
-def _exec_steady(env: _Env, steady: SteadyLoop) -> None:
-    lb = _eval_s(env, steady.lb)
-    ub = _eval_s(env, steady.ub)
+def _exec_steady(env: Env, steady: SteadyLoop) -> None:
+    lb = eval_s(env, steady.lb)
+    ub = eval_s(env, steady.ub)
     pointers = env.program.pointer_count()
     if env.trace is not None:
         env.trace.set_phase("steady")
@@ -162,18 +163,18 @@ def _exec_steady(env: _Env, steady: SteadyLoop) -> None:
         # pointer plus the loop's compare-and-branch (DESIGN.md §5).
         env.counters.bump(SCALAR, pointers)
         env.counters.bump(BRANCH)
-        _exec_stmts(env, steady.body, i)
-        _exec_stmts(env, steady.bottom, i)
+        exec_stmts(env, steady.body, i)
+        exec_stmts(env, steady.bottom, i)
 
 
-def _exec_stmts(env: _Env, stmts: list[VStmt], i: int | None) -> None:
+def exec_stmts(env: Env, stmts: list[VStmt], i: int | None) -> None:
     for stmt in stmts:
         if isinstance(stmt, SetS):
-            env.sregs[stmt.reg] = _eval_s(env, stmt.expr)
+            env.sregs[stmt.reg] = eval_s(env, stmt.expr)
         elif isinstance(stmt, SetV):
             if stmt.is_copy:
                 env.counters.bump(VCOPY)
-                env.vregs[stmt.reg] = _read_vreg(env, stmt.expr.name)
+                env.vregs[stmt.reg] = read_vreg(env, stmt.expr.name)
             else:
                 env.vregs[stmt.reg] = _eval_v(env, stmt.expr, i)
         elif isinstance(stmt, VStoreS):
@@ -187,21 +188,21 @@ def _exec_stmts(env: _Env, stmts: list[VStmt], i: int | None) -> None:
             raise MachineError(f"unknown statement {type(stmt).__name__}")
 
 
-def _addr_value(env: _Env, addr: Addr, i: int | None) -> int:
+def _addr_value(env: Env, addr: Addr, i: int | None) -> int:
     if i is None:
         raise MachineError(f"address {addr} used in a section with no loop counter")
     bound = env.space[addr.array]
     return bound.addr(i + addr.elem)
 
 
-def _read_vreg(env: _Env, name: str) -> bytes:
+def read_vreg(env: Env, name: str) -> bytes:
     try:
         return env.vregs[name]
     except KeyError:
         raise MachineError(f"vector register {name!r} read before being set") from None
 
 
-def _eval_s(env: _Env, expr: SExpr) -> int:
+def eval_s(env: Env, expr: SExpr) -> int:
     if isinstance(expr, SConst):
         return expr.value
     if isinstance(expr, SVar):
@@ -217,14 +218,14 @@ def _eval_s(env: _Env, expr: SExpr) -> int:
         except KeyError:
             raise MachineError(f"scalar register {expr.name!r} read before being set") from None
     if isinstance(expr, SBin):
-        left = _eval_s(env, expr.left)
-        right = _eval_s(env, expr.right)
+        left = eval_s(env, expr.left)
+        right = eval_s(env, expr.right)
         env.counters.bump(SCALAR)
         return S_OPS[expr.op](left, right)
     raise MachineError(f"unknown scalar expression {type(expr).__name__}")
 
 
-def _eval_v(env: _Env, expr: VExpr, i: int | None) -> bytes:
+def _eval_v(env: Env, expr: VExpr, i: int | None) -> bytes:
     V = env.program.V
     if isinstance(expr, VLoadE):
         env.counters.bump(VLOAD)
@@ -234,21 +235,21 @@ def _eval_v(env: _Env, expr: VExpr, i: int | None) -> bytes:
                              site=(expr.addr.array, expr.addr.elem))
         return env.mem.vload(address, V)
     if isinstance(expr, VRegE):
-        return _read_vreg(env, expr.name)
+        return read_vreg(env, expr.name)
     if isinstance(expr, VShiftPairE):
         a = _eval_v(env, expr.a, i)
         b = _eval_v(env, expr.b, i)
-        shift = expr.shift if isinstance(expr.shift, int) else _eval_s(env, expr.shift)
+        shift = expr.shift if isinstance(expr.shift, int) else eval_s(env, expr.shift)
         env.counters.bump(VPERM)
         return vec.vshiftpair(a, b, shift, V)
     if isinstance(expr, VSpliceE):
         a = _eval_v(env, expr.a, i)
         b = _eval_v(env, expr.b, i)
-        point = expr.point if isinstance(expr.point, int) else _eval_s(env, expr.point)
+        point = expr.point if isinstance(expr.point, int) else eval_s(env, expr.point)
         env.counters.bump(VSEL)
         return vec.vsplice(a, b, point, V)
     if isinstance(expr, VSplatE):
-        value = _eval_s(env, expr.operand)
+        value = eval_s(env, expr.operand)
         env.counters.bump(VSPLAT)
         return vec.vsplat(expr.dtype.wrap(value), expr.dtype, V)
     if isinstance(expr, VBinE):

@@ -527,7 +527,7 @@ class _SectionEmitter:
                 out.append(f"{indent}vregs[{stmt.reg!r}] = "
                            f"{self.vexpr_src(stmt.expr, has_i)}")
         elif isinstance(stmt, VStoreS):
-            # Value before address, like interp._exec_stmts, so a bad
+            # Value before address, like interp.exec_stmts, so a bad
             # source register raises before a missing loop counter does.
             out.append(f"{indent}stv = {self.vexpr_src(stmt.src, has_i)}")
             out.append(f"{indent}vstore({self._addr_src(stmt.addr, has_i)}, "
@@ -536,7 +536,7 @@ class _SectionEmitter:
             raise _CantCompile(type(stmt).__name__)
 
     def _count_stmts(self, stmts: list[VStmt]) -> OpCounters:
-        """One execution's counter bumps, mirroring interp._exec_stmts."""
+        """One execution's counter bumps, mirroring interp.exec_stmts."""
         pc = OpCounters()
         for stmt in stmts:
             steady.count_stmt(pc, stmt)
@@ -920,9 +920,9 @@ class JitBackend:
             if kernel.pre is not None:
                 kernel.pre(env)
             else:
-                interp._exec_stmts(env, program.preheader, i=None)
+                interp.exec_stmts(env, program.preheader, i=None)
                 for section in program.prologue:
-                    interp._exec_section(env, section)
+                    interp.exec_section(env, section)
             fell_back = False
             if program.steady is not None:
                 fell_back = self._steady(env, program.steady, kernel)
@@ -930,7 +930,7 @@ class JitBackend:
                 kernel.post(env)
             else:
                 for section in program.epilogue:
-                    interp._exec_section(env, section)
+                    interp.exec_section(env, section)
             return fell_back
 
         return steady.run_guarded(program, space, mem, bindings, trace,

@@ -36,11 +36,14 @@ The split that keeps figures exact:
   (:meth:`~repro.machine.steady.SteadyTable.bump`), so OPD tables are
   byte-identical to the bytes oracle.
 
-Compilation itself goes through the pipeline in
-:mod:`repro.machine.compilequeue`: every kernel is emitted as a
-uniquely named ``simdal_steady_<digest>`` function so many signatures
-can share one translation unit and one ``cc`` invocation (the sweep
-runners precompile whole campaigns this way before workers fork).
+Every kernel is emitted with the vector-extension helpers
+(:func:`~repro.export.portable.kernel_unit_prelude`) as a uniquely
+named ``simdal_steady_<digest>`` function, so many signatures can
+share one translation unit and one ``cc`` invocation.  One acquisition
+core walks memory, then disk, then one batched ``cc`` for every miss;
+it has two entries: :func:`get_native_kernel` for one run, and
+:func:`precompile` for a sweep campaign, which the sweep runners call
+before workers fork.
 
 Kernels are cached at two tiers keyed on the structural signature:
 an in-process LRU of loaded ``ctypes`` functions, and the shared disk
@@ -62,10 +65,12 @@ outcomes of the ``-march=native`` and vector-extension probes are
 persisted in one more entry under the compiler identity (see
 :func:`compiler_flags`), so a warm process starts no probe ``cc``.
 
-Hosts without a C compiler (and ``REPRO_FAULT=compile:*`` runs) raise
-:class:`NativeUnavailable` from kernel acquisition — before any memory
-mutation — which the resilient chain turns into a structured
-``native → jit`` degradation with one warning per process.
+Hosts without a C compiler, or whose compiler fails the
+vector-extension probe (:func:`simd_supported`), and
+``REPRO_FAULT=compile:*`` runs raise :class:`NativeUnavailable` from
+kernel acquisition — before any memory mutation — which the resilient
+chain turns into a structured ``native → jit`` degradation with one
+warning per process.
 
 This module is only imported when NumPy is present (it builds on the
 jit tier and the NumPy steady-loop model); use
@@ -81,6 +86,7 @@ import itertools
 import os
 import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -92,11 +98,11 @@ from functools import partial
 from pathlib import Path
 
 from repro.cache import get_cache
-from repro.errors import MachineError
+from repro.errors import FaultInjected, MachineError
 from repro.export.portable import kernel_unit_prelude
 from repro.ir.types import DataType
 from repro.faults import fault as _fault
-from repro.machine import compilequeue, interp, jit, steady
+from repro.machine import interp, jit, steady
 from repro.machine.alignedbuf import ALIGNMENT, aligned_view, as_ctypes_u8
 from repro.machine import vector as vec
 from repro.machine.jit import JitBackend
@@ -147,14 +153,10 @@ STATS = {
     "cc_timeouts": 0,      # invocations killed at REPRO_CC_TIMEOUT
     "tus": 0,              # translation units fed to those invocations
     "tu_kernels": 0,       # kernels carried by successful batches
-    "precompiled": 0,      # kernels compiled ahead by the sweep pipeline
-    "simd_kernels": 0,     # kernels emitted for the vector-ext prelude
-    "scalar_kernels": 0,   # kernels emitted for the scalar-lane prelude
+    "precompiled": 0,      # kernels built by a campaign's precompile
     "simd_probes": 0,      # vector-extension capability probes compiled
     "simd_probe_failures": 0,  # probes the toolchain rejected
     "flag_probes": 0,      # -march=native flag probes compiled
-    "mode_simd": 0,        # cold acquisitions keyed in vector-ext mode
-    "mode_scalar": 0,      # cold acquisitions keyed in scalar-lane mode
 }
 
 #: Prefix of every steady-loop kernel symbol; the per-signature name
@@ -333,7 +335,7 @@ class _KernelEmitter:
             b = self.vexpr(expr.b, pos)
             if isinstance(expr.shift, int) and 0 <= expr.shift <= self.V:
                 # Literal amount: the _c macro is a compile-time byte
-                # shuffle in vector-ext mode (a plain call otherwise).
+                # shuffle.
                 return f"simdal_shiftpair_c({a}, {b}, {expr.shift})"
             s = self._amount(expr.shift, "shift")
             return f"simdal_shiftpair({a}, {b}, {s})"
@@ -430,7 +432,7 @@ def emit_kernel(program: VProgram,
                 shape: steady.SteadyShape) -> tuple[str, _NativeMeta]:
     """Just the steady-kernel C function plus its invoke tables.
 
-    This is the unit of batching: the compile pipeline concatenates
+    This is the unit of batching: :func:`compile_requests` concatenates
     many kernels (same V and dtype) behind one
     :func:`~repro.export.portable.kernel_unit_prelude`.  Raises
     :class:`_CantEmit` when the steady sequence cannot be lowered.
@@ -438,11 +440,25 @@ def emit_kernel(program: VProgram,
     return _KernelEmitter(program, shape).emit()
 
 
+@dataclass
+class CompileRequest:
+    """One signature kernel awaiting the batched build: everything
+    :func:`compile_requests` needs, so it never touches the program."""
+
+    signature: str      # structural signature (cache identity)
+    key: str            # versioned disk-cache key
+    V: int              # vector width — TU grouping axis
+    dtype: DataType     # lane type — TU grouping axis
+    kernel_src: str     # the kernel function (C)
+    meta: _NativeMeta   # invoke tables; so_sha256 filled on success
+    jk: jit.Kernel      # sections and fallback
+
+
 def build_request(signature: str, key: str, jk: jit.Kernel,
-                  program: VProgram):
-    """A :class:`~repro.machine.compilequeue.CompileRequest` for this
-    program, or None when the steady sequence cannot be lowered (the
-    caller caches a permanent jit-delegating kernel instead)."""
+                  program: VProgram) -> CompileRequest | None:
+    """A :class:`CompileRequest` for this program, or None when the
+    steady sequence cannot be lowered (the caller caches a permanent
+    jit-delegating kernel instead)."""
     shape = steady.analyze(program)
     if shape is None:
         return None
@@ -451,20 +467,9 @@ def build_request(signature: str, key: str, jk: jit.Kernel,
     except _CantEmit:
         return None
     STATS["codegens"] += 1
-    simd = simd_enabled()
-    STATS["simd_kernels" if simd else "scalar_kernels"] += 1
-    dtype = program.source.dtype
-    return compilequeue.CompileRequest(
-        signature=signature,
-        key=key,
-        symbol=meta.symbol,
-        V=program.V,
-        lane=dtype.name,
-        kernel_src=kernel_src,
-        prelude=kernel_unit_prelude(program.V, dtype, simd=simd),
-        meta=meta,
-        jk=jk,
-    )
+    return CompileRequest(signature=signature, key=key, V=program.V,
+                          dtype=program.source.dtype, kernel_src=kernel_src,
+                          meta=meta, jk=jk)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +516,40 @@ def cc_timeout() -> float:
     return _CC_TIMEOUT_DEFAULT
 
 
+def run_cc(argv, budget=None):
+    """Run one ``cc`` invocation with a wall-clock budget.
+
+    The subprocess gets its own session so a hang (a wedged linker, an
+    injected ``compile:timeout``) can be killed as a whole process
+    group — ``cc`` is a driver that forks cc1/as/ld children, and
+    killing only the driver would leak them.  Returns a completed-
+    process-shaped object; on timeout ``returncode`` is None and
+    ``stderr`` carries the budget, so callers charge the batch exactly
+    like any other nonzero exit.  Kernel builds, the capability probes
+    and the ``--version`` call all run here; ``budget`` (seconds)
+    defaults to :func:`cc_timeout`.
+    """
+    if budget is None:
+        budget = cc_timeout()
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=budget)
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError, OSError):
+            proc.kill()
+        proc.wait()
+        STATS["cc_timeouts"] += 1
+        return subprocess.CompletedProcess(
+            argv, None, "",
+            f"cc timed out after {budget:g}s (REPRO_CC_TIMEOUT)")
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
+
+
 def _compiler_identity() -> tuple[str | None, str]:
     """(compiler executable, identity hash) — memoized per request.
 
@@ -533,8 +572,7 @@ def _compiler_identity() -> tuple[str | None, str]:
         return _CC[1]
     banner = ""
     try:
-        proc = compilequeue._run_cc([found, "--version"],
-                                    budget=min(30.0, cc_timeout()))
+        proc = run_cc([found, "--version"], budget=min(30.0, cc_timeout()))
     except (OSError, subprocess.SubprocessError):
         proc = None
     if proc is not None and proc.returncode is not None:
@@ -566,9 +604,6 @@ _PROBED: tuple[str, dict] | None = None
 #: ignores the persisted entry, probes cold and overwrites it.
 _REPROBE = False
 
-#: Test/bench override for the emitter mode (None = env + probe).
-_SIMD_OVERRIDE: bool | None = None
-
 _MARCH_PROBE_SRC = "int simdal_flag_probe;\n"
 
 
@@ -591,8 +626,8 @@ def _try_compile(cc: str, args: list, source: str,
     path = _workdir() / f"{stem}.c"
     try:
         path.write_text(source)
-        proc = compilequeue._run_cc([cc, *args, "-fsyntax-only", str(path)],
-                                    budget=min(60.0, cc_timeout()))
+        proc = run_cc([cc, *args, "-fsyntax-only", str(path)],
+                      budget=min(60.0, cc_timeout()))
     except (OSError, subprocess.SubprocessError):
         return None
     if proc.returncode is None:
@@ -679,7 +714,7 @@ def _simd_probe_source() -> str:
     relies on (vector_size types, __builtin_shufflevector, vector
     compares/selects, __builtin_assume_aligned)."""
     dtype = DataType("int16", 2, True)
-    return kernel_unit_prelude(16, dtype, simd=True) + (
+    return kernel_unit_prelude(16, dtype) + (
         "simdal_vec simdal_simd_probe(simdal_vec a, simdal_vec b,\n"
         "                             int64_t k) {\n"
         "    simdal_vec r = simdal_op_add(simdal_shiftpair_c(a, b, 3),\n"
@@ -698,10 +733,11 @@ def _simd_probe_source() -> str:
 def simd_supported() -> bool:
     """Can the resolved compiler build the vector-extension helpers?
 
-    Probed once per (compiler, flags) resolution by compiling a test
-    unit that uses every idiom the SIMD emitter emits; GCC < 12 (no
-    ``__builtin_shufflevector``) and non-GNU compilers fail it and the
-    tier silently stays on the scalar-lane emitter.  Memoized alongside
+    The gate of the native tier: False without a compiler, and False
+    for one that fails the probe — a test unit using every idiom the
+    emitter emits.  GCC < 12 (no ``__builtin_shufflevector``) and
+    non-GNU compilers fail it, and native is then unavailable: every
+    run degrades to jit, with one warning per process.  Memoized alongside
     the compiler identity, and persisted with the flags it was probed
     under in the same disk entry as :func:`compiler_flags`' answer, so
     a warm process starts no probe ``cc``; a probe that times out or
@@ -734,36 +770,10 @@ def simd_supported() -> bool:
     return ok
 
 
-def simd_enabled() -> bool:
-    """Is the vector-extension emitter active for new kernels?
-
-    ``set_simd_mode`` overrides win; then ``REPRO_NATIVE_SIMD=0``
-    forces scalar-lane; otherwise the capability probe decides.
-    """
-    if _SIMD_OVERRIDE is not None:
-        return _SIMD_OVERRIDE
-    if os.environ.get("REPRO_NATIVE_SIMD", "") == "0":
-        return False
-    return simd_supported()
-
-
 def emitter_mode() -> str:
-    """``"vector-ext"`` or ``"scalar-lane"`` — the active emitter."""
-    return "vector-ext" if simd_enabled() else "scalar-lane"
-
-
-def set_simd_mode(value: bool | None) -> None:
-    """Force the emitter mode for this process (None = env + probe).
-
-    Flips what *new* kernels are compiled from, so the in-process
-    kernel cache is dropped — the disk key embeds the mode, so objects
-    of both modes coexist on disk without cross-loading.  Forcing True
-    on a host whose compiler fails the probe makes every compile fail
-    (and degrade to jit); benches check :func:`simd_supported` first.
-    """
-    global _SIMD_OVERRIDE
-    _SIMD_OVERRIDE = value
-    _NATIVE_CACHE.clear()
+    """``"vector-ext"``, the one emitter, or ``"unavailable"`` on a
+    host where no compiler passes its probe."""
+    return "vector-ext" if simd_supported() else "unavailable"
 
 
 def reset_compiler_cache() -> None:
@@ -778,7 +788,7 @@ def reset_compiler_cache() -> None:
     — they are functions of the same toolchain — and the next
     resolution ignores their persisted outcomes: it probes again and
     overwrites the disk entry.  The warn-once flag survives — one
-    missing-compiler warning per process is enough.
+    native-unavailable warning per process is enough.
     """
     global _CC, _FLAGS, _SIMD, _PROBED, _REPROBE
     _CC = None
@@ -790,21 +800,26 @@ def reset_compiler_cache() -> None:
 
 
 def _require_compiler() -> tuple[str, str]:
+    """(compiler, identity), or :class:`NativeUnavailable` when there is
+    no compiler or it fails the vector-extension probe."""
     global _WARNED
     cc, identity = _compiler_identity()
     if cc is None:
-        if not _WARNED:
-            _WARNED = True
-            warnings.warn(
-                "no C compiler found (tried $CC, gcc, cc, clang); the "
-                "native backend degrades to the jit tier for this process",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        raise NativeUnavailable(
-            "no C compiler available for the native backend"
+        found = "no C compiler found (tried $CC, gcc, cc, clang)"
+        reason = "no C compiler available for the native backend"
+    elif not simd_supported():
+        found = reason = f"C compiler {cc} fails the vector-extension probe"
+    else:
+        return cc, identity
+    if not _WARNED:
+        _WARNED = True
+        warnings.warn(
+            f"{found}; the native backend degrades to the jit tier for "
+            "this process",
+            RuntimeWarning,
+            stacklevel=4,
         )
-    return cc, identity
+    raise NativeUnavailable(reason)
 
 
 _WORKDIR: Path | None = None
@@ -871,21 +886,14 @@ _LIBS: dict[str, ctypes.CDLL] = {}
 def _disk_key(signature: str, cc_identity: str) -> str:
     from repro import __version__
 
-    # The emitter mode and the exact flag set are part of the object's
-    # identity: a scalar-lane .so must never satisfy a vector-ext
-    # lookup (or vice versa), and objects built with different flags
-    # (-march, REPRO_CC_FLAGS) must not cross-load either.
-    if simd_enabled():
-        mode = "simd"
-        STATS["mode_simd"] += 1
-    else:
-        mode = "scalar"
-        STATS["mode_scalar"] += 1
+    # The exact flag set is part of the object's identity: objects
+    # built with different flags (-march, REPRO_CC_FLAGS) must not
+    # cross-load.
     flags = hashlib.sha256(
         "\0".join(compiler_flags()).encode()
     ).hexdigest()[:8]
     return (f"native-kernel:{__version__}:{NATIVE_CODE_VERSION}:"
-            f"{cc_identity}:{mode}:{flags}:{signature}")
+            f"{cc_identity}:{flags}:{signature}")
 
 
 def _so_key(digest: str) -> str:
@@ -905,24 +913,6 @@ def clear_memory_cache() -> None:
     _NATIVE_CACHE.clear()
     _LIBS.clear()
     _FAILED.clear()
-
-
-def _adopt_build(lib, data: bytes, entries, disk) -> None:
-    """Register a freshly built ``.so`` and file it on disk.
-
-    ``lib`` is the handle the compile pipeline loaded from its own
-    output, ``data`` that file's bytes, ``entries`` one ``(key, meta)``
-    per signature built into it.  The disk gets one entry holding the
-    bytes under their digest, then one meta per signature naming it.
-    """
-    digest = hashlib.sha256(data).hexdigest()
-    _LIBS[digest] = lib
-    for _key, meta in entries:
-        meta.so_sha256 = digest
-    if disk is not None:
-        disk.put(_so_key(digest), data)
-        for key, meta in entries:
-            disk.put(key, meta)
 
 
 def _library(disk, digest: str):
@@ -976,27 +966,131 @@ def _load_from_disk(disk, key: str, signature: str,
     return _NativeKernel(jk=jk, meta=entry, cfn=cfn)
 
 
-def _compile_native(key: str, signature: str, jk: jit.Kernel,
-                    program: VProgram, disk) -> _NativeKernel:
-    """Cold path: a single-request batch through the compile pipeline."""
-    request = build_request(signature, key, jk, program)
-    if request is None:
-        return _NativeKernel(jk=jk, meta=None, cfn=None)
-    loaded, failures, cc_s, load_s = compilequeue.compile_requests(
-        [request], disk)
-    STATS["cc_s"] += cc_s
-    STATS["load_s"] += load_s
-    pair = loaded.get(signature)
-    if pair is None:
-        reason = failures.get(signature, "native compile failed")
-        _FAILED[key] = reason
-        raise NativeUnavailable(reason)
-    cfn, meta = pair
-    return _NativeKernel(jk=jk, meta=meta, cfn=cfn)
+def compile_requests(requests: list[CompileRequest], disk) -> int:
+    """Build ``requests`` as batched TUs behind one ``cc`` invocation.
+
+    Kernels sharing ``(V, lane dtype)`` share one ``.c`` file behind
+    one prelude (the helper names are fixed and dtype-parameterized),
+    and every group goes to a single ``cc`` that produces one ``.so``
+    exporting every ``simdal_steady_<digest>``.  That ``.so`` is loaded
+    once, every kernel it carries enters the memory cache, and the
+    disk gets one entry holding its bytes under their digest plus one
+    meta per signature naming it.  A failed batch of more than one
+    request recompiles each as a singleton, so one bad unit cannot sink
+    its batch-mates; a failed singleton memoizes its reason under its
+    disk key.  Returns the number of kernels built.
+    """
+    cc, _identity = _require_compiler()
+    units: OrderedDict[tuple, list] = OrderedDict()
+    for req in requests:
+        units.setdefault((req.V, req.dtype.name), []).append(req)
+    batch_id = hashlib.sha256(
+        "|".join(req.key for req in requests).encode()
+    ).hexdigest()[:16]
+    c_paths = []
+    for (V, lane), group in units.items():
+        path = _workdir() / f"tu_{batch_id}_{V}_{lane}.c"
+        path.write_text(kernel_unit_prelude(V, group[0].dtype)
+                        + "\n".join(req.kernel_src for req in group))
+        c_paths.append(str(path))
+    # Unique per invocation: a recompile of the same batch must never
+    # have the linker truncate a file a live dlopen handle maps.
+    so_path = _fresh_so_path(f"tu_{batch_id}")
+    start = time.perf_counter()
+    proc = run_cc([cc, *compiler_flags(), "-shared", "-fPIC",
+                   "-o", str(so_path), *c_paths])
+    STATS["cc_s"] += time.perf_counter() - start
+    STATS["cc_invocations"] += 1
+    if proc.returncode != 0:
+        if len(requests) > 1:
+            return sum(compile_requests([req], disk) for req in requests)
+        _FAILED[requests[0].key] = (f"{cc} failed (exit {proc.returncode}): "
+                                    f"{proc.stderr.strip()[:500]}")
+        return 0
+    STATS["tus"] += len(units)
+    STATS["tu_kernels"] += len(requests)
+    start = time.perf_counter()
+    lib = ctypes.CDLL(str(so_path))
+    kernels = [_NativeKernel(jk=req.jk, meta=req.meta,
+                             cfn=_bind_symbol(lib, req.meta.symbol))
+               for req in requests]
+    STATS["load_s"] += time.perf_counter() - start
+    data = so_path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    _LIBS[digest] = lib
+    for req, kernel in zip(requests, kernels):
+        req.meta.so_sha256 = digest
+        _cache_put(req.signature, kernel)
+    if disk is not None:
+        disk.put(_so_key(digest), data)
+        for req in requests:
+            disk.put(req.key, req.meta)
+    return len(requests)
+
+
+def _acquire(programs, per_run: bool) -> tuple[int, dict[str, str]]:
+    """Memory, then disk, then one batched ``cc`` for every miss.
+
+    The one acquisition path behind both entries,
+    :func:`get_native_kernel` (``per_run``) and :func:`precompile`.
+    Afterwards every program's kernel is in the memory cache, or its
+    build failure is memoized.  Returns the number of kernels built and
+    the failure reason of every signature left without a kernel.
+
+    Per run, ``REPRO_FAULT=compile:*`` fires at each batchable miss and
+    an unusable compiler raises :class:`NativeUnavailable`; for a
+    campaign the fault fires once, before the batched ``cc``.
+    """
+    disk = get_cache()
+    failed: dict[str, str] = {}
+    pending: list[CompileRequest] = []
+    seen = set()
+    for program in programs:
+        signature = jit.program_signature(program)
+        if signature in seen or signature in _NATIVE_CACHE:
+            continue
+        seen.add(signature)
+        jk = jit.get_kernel(program)
+        if jk.spec.table is None:
+            # The steady loop itself is unbatchable: there is nothing for
+            # a C kernel to run that jit's per-iteration path doesn't cover.
+            _cache_put(signature, _NativeKernel(jk=jk, meta=None, cfn=None))
+            continue
+        if per_run:
+            _fault("compile")  # REPRO_FAULT=compile:… fails the cc step
+        _cc, identity = _require_compiler()
+        key = _disk_key(signature, identity)
+        if key in _FAILED:
+            failed[signature] = _FAILED[key]
+            continue
+        if disk is not None:
+            kernel = _load_from_disk(disk, key, signature, jk)
+            STATS["disk_misses" if kernel is None else "disk_hits"] += 1
+            if kernel is not None:
+                _cache_put(signature, kernel)
+                continue
+        request = build_request(signature, key, jk, program)
+        if request is None:
+            _cache_put(signature, _NativeKernel(jk=jk, meta=None, cfn=None))
+        else:
+            pending.append(request)
+    built = 0
+    if pending:
+        if not per_run:
+            _fault("compile")
+        built = compile_requests(pending, disk)
+        for req in pending:
+            if req.key in _FAILED:
+                failed[req.signature] = _FAILED[req.key]
+    return built, failed
 
 
 def get_native_kernel(program: VProgram) -> _NativeKernel:
-    """The loaded native kernel for this program's signature (cached)."""
+    """The loaded native kernel for this program's signature (cached).
+
+    Raises :class:`NativeUnavailable` when the host has no usable
+    compiler or this signature's build failed (memoized).
+    """
     signature = jit.program_signature(program)
     kernel = _NATIVE_CACHE.get(signature)
     if kernel is not None:
@@ -1004,31 +1098,52 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
         STATS["memory_hits"] += 1
         return kernel
     STATS["memory_misses"] += 1
-    jk = jit.get_kernel(program)
-    if jk.spec.table is None:
-        # The steady loop itself is unbatchable: there is nothing for a
-        # C kernel to run that jit's per-iteration path doesn't cover.
-        kernel = _NativeKernel(jk=jk, meta=None, cfn=None)
-        _cache_put(signature, kernel)
-        return kernel
-    _fault("compile")  # REPRO_FAULT=compile:… fails the cc step here
-    cc, identity = _require_compiler()
-    key = _disk_key(signature, identity)
-    failed = _FAILED.get(key)
-    if failed is not None:
-        raise NativeUnavailable(failed)
-    disk = get_cache()
-    kernel = None
-    if disk is not None:
-        kernel = _load_from_disk(disk, key, signature, jk)
-        if kernel is not None:
-            STATS["disk_hits"] += 1
-        else:
-            STATS["disk_misses"] += 1
-    if kernel is None:
-        kernel = _compile_native(key, signature, jk, program, disk)
-    _cache_put(signature, kernel)
-    return kernel
+    _built, failed = _acquire([program], per_run=True)
+    if signature in failed:
+        raise NativeUnavailable(failed[signature])
+    return _NATIVE_CACHE[signature]
+
+
+def precompile(programs, profile=None) -> int:
+    """Acquire a sweep campaign's kernels behind one batched ``cc``.
+
+    Populates the memory cache (and the shared disk cache) so the
+    campaign's runs — including forked sweep workers — hit warm
+    entries instead of paying one ``cc`` each.  Returns the number of
+    kernels built; 0 when there is nothing to do or native is
+    unavailable.  Never raises for a toolchain problem or an injected
+    compile fault: the per-run acquisition meets those again, where
+    the resilient chain records the degradation.
+
+    Runs outside the verifier's stat windows, so it folds its own
+    native and jit STATS deltas (compiler, load and jit materialize
+    seconds, and the cache counters of the jit kernels it loads) into
+    ``profile`` directly.
+    """
+    if not programs:
+        return 0
+    from repro.machine.backend import jit_compile_stats
+
+    before = jit_compile_stats() if profile is not None else {}
+    built = 0
+    try:
+        if simd_supported():    # probes, if any, count in the profile
+            built, _failed = _acquire(programs, per_run=False)
+    except (FaultInjected, NativeUnavailable):
+        pass
+    STATS["precompiled"] += built
+    if profile is not None:
+        profile.fold_engine_stats(before, jit_compile_stats())
+    return built
+
+
+def build_failure(program: VProgram) -> str | None:
+    """Why this program's kernel failed to build with the current
+    toolchain, or None (built, not tried, or native unavailable)."""
+    cc, identity = _compiler_identity()
+    if cc is None:
+        return None
+    return _FAILED.get(_disk_key(jit.program_signature(program), identity))
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1275,7 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     return bases, amounts, cvec
 
 
-def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
+def _invoke(kernel: _NativeKernel, env: interp.Env, lb: int, n: int) -> None:
     """One C steady-loop call; every check precedes every mutation.
 
     Raises :class:`~repro.machine.steady.Unbatchable` (window check) or
@@ -1178,7 +1293,7 @@ def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
         c_cvec = as_ctypes_u8(cbuf)
     vregs = aligned_view(plan.vregs_len)
     for name, offset in plan.seed_offsets:
-        vregs[offset:offset + V] = interp._read_vreg(env, name)
+        vregs[offset:offset + V] = interp.read_vreg(env, name)
 
     mem_buf = env.mem.raw()
     c_mem = _u8_array(len(mem_buf)).from_buffer(mem_buf)

@@ -66,12 +66,12 @@ class NumpyBackend:
                                   _finish)
 
 
-def _finish(env: interp._Env) -> bool:
+def _finish(env: interp.Env) -> bool:
     """Sections through the interpreter, the steady loop batched."""
     program = env.program
-    interp._exec_stmts(env, program.preheader, i=None)
+    interp.exec_stmts(env, program.preheader, i=None)
     for section in program.prologue:
-        interp._exec_section(env, section)
+        interp.exec_section(env, section)
     fell_back = False
     if program.steady is not None:
         shape = steady.analyze(program)
@@ -81,11 +81,11 @@ def _finish(env: interp._Env) -> bool:
             fell_back = steady.run_steady(env, program.steady, shape.table,
                                           partial(_execute, shape))
     for section in program.epilogue:
-        interp._exec_section(env, section)
+        interp.exec_section(env, section)
     return fell_back
 
 
-def _execute(shape: steady.SteadyShape, env: interp._Env, lb: int,
+def _execute(shape: steady.SteadyShape, env: interp.Env, lb: int,
              n: int) -> None:
     """One batched steady loop: the model's lane functions, walked."""
     table = shape.table

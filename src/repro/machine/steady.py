@@ -323,7 +323,7 @@ def _topo_order(seq: tuple, assign_pos: dict[str, int],
 # ---------------------------------------------------------------------------
 
 def peek_s(env, expr: SExpr) -> int:
-    """``interp._eval_s`` without the SCALAR bumps."""
+    """``interp.eval_s`` without the SCALAR bumps."""
     if isinstance(expr, SConst):
         return expr.value
     if isinstance(expr, SVar):
@@ -469,7 +469,7 @@ def splat(operand: SExpr, dtype, V: int):
 
 def reg_row(env, name: str, V: int) -> np.ndarray:
     """A register's current value as one invariant row."""
-    return np.frombuffer(interp._read_vreg(env, name),
+    return np.frombuffer(interp.read_vreg(env, name),
                          dtype=np.uint8).reshape(1, V)
 
 
@@ -526,7 +526,7 @@ def buffers(table: SteadyTable, env, lb: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Structural counter rules (mirroring interp._exec_stmts / _eval_v)
+# Structural counter rules (mirroring interp.exec_stmts / _eval_v)
 # ---------------------------------------------------------------------------
 
 def count_stmt(counters: OpCounters, stmt: VStmt) -> None:
@@ -574,7 +574,7 @@ def _count_vexpr(counters: OpCounters, expr: VExpr) -> None:
 
 
 def count_sbins(counters: OpCounters, operand) -> None:
-    """The SCALAR bumps ``interp._eval_s`` makes evaluating ``operand``."""
+    """The SCALAR bumps ``interp.eval_s`` makes evaluating ``operand``."""
     if isinstance(operand, SExpr):
         sbins = _sbin_count(operand)
         if sbins:
@@ -606,7 +606,7 @@ def run_guarded(program, space, mem, bindings, trace,
     if trace is not None:
         return run_vector(program, space, mem, bindings, trace)
     faults.fault("execute")  # before any state mutates: degradation-safe
-    env = interp._Env(program, space, mem, bindings or RunBindings(), None)
+    env = interp.Env(program, space, mem, bindings or RunBindings(), None)
     env.counters.bump(CALL, 2)
     if program.guard_min_trip is not None:
         env.counters.bump(BRANCH)
@@ -632,8 +632,8 @@ def run_steady(env, loop, table: SteadyTable | None, execute) -> bool:
     cannot batch.  A batched run is counted by ``table``; the
     per-iteration path runs the interpreter's own statement helpers.
     """
-    lb = interp._eval_s(env, loop.lb)
-    ub = interp._eval_s(env, loop.ub)
+    lb = interp.eval_s(env, loop.lb)
+    ub = interp.eval_s(env, loop.ub)
     if loop.step > 0:
         n = len(range(lb, ub, loop.step))
         if n == 0:
@@ -650,6 +650,6 @@ def run_steady(env, loop, table: SteadyTable | None, execute) -> bool:
     for i in range(lb, ub, loop.step):
         env.counters.bump(SCALAR, pointers)
         env.counters.bump(BRANCH)
-        interp._exec_stmts(env, loop.body, i)
-        interp._exec_stmts(env, loop.bottom, i)
+        interp.exec_stmts(env, loop.body, i)
+        interp.exec_stmts(env, loop.bottom, i)
     return True

@@ -181,26 +181,15 @@ class PhaseProfile:
             lines.append(f"jit kernels: {materialized} materialized, "
                          f"{compiles} source "
                          f"compile{'s' if compiles != 1 else ''}")
-        mode_simd = self.counts.get("native_mode_simd", 0)
-        mode_scalar = self.counts.get("native_mode_scalar", 0)
-        if mode_simd or mode_scalar:
-            # Kernel acquisitions per emitter mode (disk-key
-            # resolutions, so warm loads count too) plus the probe
-            # outcomes that picked the mode.
-            mode = "vector-ext" if mode_simd >= mode_scalar else "scalar-lane"
-            line = (f"native emitter: {mode} "
-                    f"({mode_simd} vector-ext / {mode_scalar} scalar-lane "
-                    f"kernel acquisitions)")
-            probes = self.counts.get("native_simd_probes", 0)
+        probes = self.counts.get("native_simd_probes", 0)
+        flag_probes = self.counts.get("native_flag_probes", 0)
+        if probes or flag_probes:
+            # Probe compiles started; a warm process reads the
+            # persisted outcomes and starts none.
             failures = self.counts.get("native_simd_probe_failures", 0)
-            if probes:
-                line += f", {probes} simd probe{'s' if probes != 1 else ''}"
-                if failures:
-                    line += f" ({failures} failed)"
-            flag_probes = self.counts.get("native_flag_probes", 0)
-            if flag_probes:
-                line += f", {flag_probes} flag probe{'s' if flag_probes != 1 else ''}"
-            lines.append(line)
+            failed = f" ({failures} failed)" if failures else ""
+            lines.append(f"native probes: {probes} simd{failed}, "
+                         f"{flag_probes} flag")
         invocations = self.counts.get("native_cc_invocations", 0)
         if invocations:
             kernels = self.counts.get("native_tu_kernels", 0)

@@ -583,22 +583,19 @@ class ServeApp:
         """Compile the program's native kernel ahead of execution.
 
         Raises on injected compile faults and on real (memoized) cc
-        failures so the breaker sees them; a missing compiler makes
-        this a cheap no-op and the resilient chain handles tier
-        selection at execution time.
+        failures so the breaker sees them; without a usable compiler
+        (none, or one failing the vector-extension probe) this is a
+        cheap no-op and the resilient chain handles tier selection at
+        execution time.
         """
         faults.fault("compile")
         from repro.machine import compilequeue, native
 
         with self._compile_lock:
             compilequeue.precompile([program])
-            cc, identity = native._compiler_identity()
-            if cc is not None:
-                signature = self._program_signature(program)
-                key = native._disk_key(signature, identity)
-                reason = native._FAILED.get(key)
-                if reason is not None:
-                    raise ServeError(f"native compile failed: {reason}")
+            reason = native.build_failure(program)
+            if reason is not None:
+                raise ServeError(f"native compile failed: {reason}")
 
     # -- /sweep -------------------------------------------------------
 

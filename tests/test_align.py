@@ -23,7 +23,7 @@ from repro.align import (
 from repro.errors import AlignmentError
 from repro.ir import ArrayDecl, INT16, INT32, LoopBuilder, Ref, figure1_loop
 from repro.machine import ArraySpace
-from repro.machine.interp import _eval_s, _Env  # noqa: F401 - exercised below
+from repro.machine.interp import eval_s, Env  # noqa: F401 - exercised below
 from repro.vir.vexpr import SBase, SBin, SConst
 
 

@@ -1,14 +1,15 @@
-"""The batched native compile pipeline.
+"""The native tier's batched build and its campaign entry.
 
-``test_native.py`` pins the per-kernel acquisition machinery; this
-file pins the pipeline that amortizes it — multi-kernel translation
-units behind one ``cc`` invocation (:func:`compile_requests` /
-:func:`precompile`), one disk entry per built ``.so`` that every
-batch-mate's meta names, compiler re-resolution under ``REPRO_CC``, the
-concurrent-writer atomicity of disk entries, and the worker
-right-sizing that fixed the jobs=2 sweep regression.  The differential
-property holds both acquisition modes — per-kernel and precompiled —
-byte-identical to the bytes oracle on random sweep configs.
+``test_native.py`` pins per-run acquisition; this file pins the build
+that amortizes it — multi-kernel translation units behind one ``cc``
+invocation (``native.compile_requests``, reached per campaign through
+``compilequeue.precompile``), one disk entry per built ``.so`` that
+every batch-mate's meta names, compiler re-resolution under
+``REPRO_CC``, the concurrent-writer atomicity of disk entries, and the
+worker right-sizing that fixed the jobs=2 sweep regression.  The
+differential property holds both entries of the one acquisition core —
+per-run and precompiled — byte-identical to the bytes oracle on random
+sweep configs.
 """
 
 from __future__ import annotations
@@ -214,14 +215,16 @@ class TestBatchedTranslationUnits:
             requests.append(native.build_request(
                 signature, key, jit.get_kernel(program), program))
         requests[1].kernel_src = "void broken(void) { this is not C; }"
-        loaded, failures, cc_s, _load_s = compilequeue.compile_requests(
-            requests, disk)
-        assert set(loaded) == {requests[0].signature,
-                               requests[2].signature}
-        assert set(failures) == {requests[1].signature}
-        assert "exit" in failures[requests[1].signature]
+        before = dict(native.STATS)
+        assert native.compile_requests(requests, disk) == 2
+        assert set(native._NATIVE_CACHE) == {requests[0].signature,
+                                             requests[2].signature}
+        assert set(native._FAILED) == {requests[1].key}
+        assert "exit" in native._FAILED[requests[1].key]
         # one failed batch attempt + one singleton per request
-        assert cc_s > 0.0
+        assert native.STATS["cc_invocations"] == \
+            before["cc_invocations"] + 4
+        assert native.STATS["cc_s"] > before["cc_s"]
 
     @needs_cc
     def test_native_profile_lists_the_jit_kernels_precompile_loads(
@@ -269,7 +272,8 @@ class TestCompilerResolution:
 
         program = simdize(build_fig1(trip=103), 16,
                           SimdOptions(policy="zero", reuse="sp")).program
-        monkeypatch.setattr(compilequeue, "_run_cc", broken_cc)
+        native.simd_supported()  # probes meet the real compiler
+        monkeypatch.setattr(native, "run_cc", broken_cc)
         with pytest.raises(native.NativeUnavailable):
             native.get_native_kernel(program)
         assert native._FAILED
@@ -374,9 +378,11 @@ class TestModeDifferential:
     def test_acquisition_mode_never_changes_bytes(self, tmp_path_factory,
                                                   offset_reassoc, trip,
                                                   index):
-        """per-kernel vs precompiled acquisition: identical memory
+        """per-run vs precompiled acquisition: identical memory
         images and counters, both equal to the bytes oracle, on random
-        fig11/fig12 configs."""
+        fig11/fig12 configs.  A warm campaign reads each signature's
+        meta from disk once, and every per-run acquisition after it is
+        a memory hit."""
         pairs = figure_configs(offset_reassoc, count=1, trip=trip)
         _scheme, cfg = pairs[index % len(pairs)]
         syn = synthesize(cfg.params, cfg.seed, cfg.V)
@@ -402,9 +408,20 @@ class TestModeDifferential:
             native.clear_memory_cache()
             if mode == "precompiled":
                 assert compilequeue.precompile([program]) == 1
+                native.clear_memory_cache()
+                before = dict(native.STATS)
+                assert compilequeue.precompile([program]) == 0
+                assert native.STATS["disk_hits"] == before["disk_hits"] + 1
+            before = dict(native.STATS)
             results[mode] = run_once("native")
             kernel = native.get_native_kernel(program)
             assert kernel.cfn is not None, mode
+            if mode == "precompiled":
+                assert native.STATS["memory_hits"] == \
+                    before["memory_hits"] + 2
+                assert native.STATS["memory_misses"] == \
+                    before["memory_misses"]
+                assert native.STATS["disk_hits"] == before["disk_hits"]
         for mode, got in results.items():
             assert got == oracle, f"{mode} diverged from bytes oracle"
 
@@ -425,16 +442,19 @@ class TestCcTimeout:
 
     @needs_cc
     def test_hung_cc_is_killed_and_run_degrades(self, tmp_path, monkeypatch):
-        """A compiler that hangs is killed at the budget: the whole
-        process group dies, the signature is charged as an ordinary cc
-        failure (memoized, degradable), and the stats record the kill."""
+        """A compiler that passes the probes but hangs on the kernel
+        build is killed at the budget: the whole process group dies,
+        the signature is charged as an ordinary cc failure (memoized,
+        degradable), and the stats record the kill."""
         from repro import run_and_verify
 
+        real, _identity = native._compiler_identity()
         fake = tmp_path / "hangcc"
         fake.write_text(
             '#!/bin/sh\n'
             'for a in "$@"; do\n'
             '  [ "$a" = --version ] && { echo fakecc 1.0; exit 0; }\n'
+            f'  [ "$a" = -fsyntax-only ] && exec "{real}" "$@"\n'
             'done\n'
             'sleep 30\n')
         fake.chmod(0o755)

@@ -30,7 +30,7 @@ pytestmark = pytest.mark.skipif(not numpy_available(),
 
 if numpy_available():
     from repro.cache import get_cache
-    from repro.machine import compilequeue, jit, native
+    from repro.machine import jit, native
 
 HAVE_CC = numpy_available() and native._compiler_identity()[0] is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no host C compiler")
@@ -305,8 +305,8 @@ class TestDegradation:
 
         # Probes run through the same seam; resolve them with the real
         # compiler first, so only the kernel compile meets the broken one.
-        native.emitter_mode()
-        monkeypatch.setattr(compilequeue, "_run_cc", broken_cc)
+        native.simd_supported()
+        monkeypatch.setattr(native, "run_cc", broken_cc)
         program = fig1_program()
         with pytest.raises(native.NativeUnavailable, match="exploding"):
             native.get_native_kernel(program)
@@ -322,8 +322,8 @@ class TestDegradation:
         def broken_cc(cmd, **kwargs):
             return types.SimpleNamespace(returncode=1, stdout="", stderr="")
 
-        native.emitter_mode()  # probes meet the real compiler
-        monkeypatch.setattr(compilequeue, "_run_cc", broken_cc)
+        native.simd_supported()  # probes meet the real compiler
+        monkeypatch.setattr(native, "run_cc", broken_cc)
         report = run_and_verify(fig1_program(), backend="native")
         assert report.fallback is not None
         assert report.fallback["tier"] == "jit"

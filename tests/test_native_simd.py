@@ -1,23 +1,20 @@
-"""The vector-extension emitter mode: parity, probing, fallback.
+"""The vector-extension emitter: probing, unavailability, cache hygiene.
 
-The native tier now carries two emitters — the portable scalar-lane
-one and a vector-extension one mapping ``simdal_vec`` onto
-``__attribute__((vector_size))`` types with aligned loads/stores.
-These tests pin the contract around the second mode:
+The native tier compiles every kernel against the vector-extension
+helpers (``simdal_vec`` as an ``__attribute__((vector_size))`` type
+with aligned loads/stores); ``test_differential.py``'s native axis and
+``test_backend.py``'s figure-sweep parity hold it byte-identical to the
+bytes oracle.  These tests pin the contract around it:
 
-* **differential parity** — scalar-lane, vector-extension, and the
-  bytes oracle produce byte-identical memories and bit-identical
-  counters, on fixed figures and on hypothesis-drawn loops;
-* **capability probing** — a toolchain that rejects the vector
-  idioms (probed with a real ``cc`` wrapper that refuses any TU
-  containing ``vector_size``) silently lands the tier on the
-  scalar-lane emitter with correct results, no degradation to jit;
+* **capability probing** — a toolchain that rejects the vector idioms
+  (probed with a real ``cc`` wrapper that refuses any TU containing
+  ``vector_size``) leaves native unavailable: one warning per process,
+  every run degrades to jit with the oracle's bytes and counters;
 * **cache hygiene** — ``reset_compiler_cache`` clears the flag and
   capability memos, ``REPRO_CC_FLAGS`` changes re-resolve without a
-  reset, ``set_simd_mode`` drops the in-process kernel cache, and the
-  disk key separates modes and flag sets;
+  reset, and the disk key separates flag sets;
 * **persisted probes** — a process that finds the probe entry starts
-  no probe ``cc`` and resolves the same flags and mode, a new
+  no probe ``cc`` and resolves the same flags and emitter, a new
   ``REPRO_CC_FLAGS`` value or ``reset_compiler_cache`` probes again,
   and a probe killed at ``REPRO_CC_TIMEOUT`` is never persisted.
 
@@ -34,14 +31,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
 
-from repro.errors import PolicyError
 from repro.machine import RunBindings, get_backend, numpy_available
+from repro.machine.backend import get_resilient_backend
 from repro.simdize import SimdOptions, fill_random, make_space, simdize
 
 from conftest import build_fig1
-from test_differential import differential_case
 
 pytestmark = pytest.mark.skipif(not numpy_available(),
                                 reason="numpy not installed")
@@ -61,7 +56,6 @@ def _fresh_caches():
     jit.clear_memory_cache()
     native.clear_memory_cache()
     yield
-    native.set_simd_mode(None)
     jit.clear_memory_cache()
     native.clear_memory_cache()
 
@@ -73,117 +67,6 @@ def _fresh_probes():
     native.reset_compiler_cache()
     yield
     native.reset_compiler_cache()
-
-
-def run_both_modes(program, trip=None, seed=9):
-    """(bytes, scalar-lane native, vector-ext native) outcome tuples
-    for one program on clones of one random memory image."""
-    loop = program.source
-    rand = random.Random(seed)
-    space = make_space(loop, program.V, rand)
-    base = space.make_memory()
-    fill_random(space, base, rand)
-    bindings = RunBindings(trip=trip)
-
-    def execute(name):
-        mem = base.clone()
-        run = get_backend(name).run(program, space, mem, bindings)
-        return (mem.snapshot(), run.counters.as_dict(),
-                run.trip, run.used_fallback)
-
-    outcomes = {"bytes": execute("bytes")}
-    for label, mode in (("scalar-lane", False), ("vector-ext", True)):
-        native.set_simd_mode(mode)
-        outcomes[label] = execute("native")
-    native.set_simd_mode(None)
-    return outcomes
-
-
-def assert_all_equal(outcomes):
-    b = outcomes["bytes"]
-    for name, got in outcomes.items():
-        if name == "bytes":
-            continue
-        assert b[0] == got[0], f"final memory differs (bytes vs {name})"
-        assert b[1] == got[1], \
-            f"operation counters differ (bytes vs {name})"
-        assert b[2:] == got[2:]
-        assert got[3] is False, f"{name} degraded instead of running native"
-
-
-class TestModeParity:
-    @needs_simd
-    @pytest.mark.parametrize("policy", ["zero", "eager", "lazy", "dominant"])
-    def test_fig1_both_modes_match_bytes(self, policy):
-        program = simdize(build_fig1(trip=100), 16,
-                          SimdOptions(policy=policy, reuse="sp")).program
-        assert_all_equal(run_both_modes(program))
-
-    @needs_simd
-    def test_both_emitters_actually_ran(self):
-        """The parity above must exercise *both* preludes, not one
-        kernel twice: each mode emits its own C source."""
-        before = (native.STATS["simd_kernels"],
-                  native.STATS["scalar_kernels"])
-        program = simdize(build_fig1(trip=67), 16, SimdOptions()).program
-        run_both_modes(program)
-        after = (native.STATS["simd_kernels"],
-                 native.STATS["scalar_kernels"])
-        assert after[0] > before[0], "no vector-ext kernel was emitted"
-        assert after[1] > before[1], "no scalar-lane kernel was emitted"
-
-    @needs_simd
-    def test_figure_sweep_config_both_modes(self):
-        """One Figure-11 sweep config (runtime alignment, runtime
-        trip) through both emitters — the shape the fig11 CSV
-        acceptance check exercises in bulk."""
-        from repro.bench import figure_configs
-        from repro.bench.runner import _cached_simdize
-        from repro.bench.synth import synthesize
-
-        label, config = next(iter(figure_configs(False, count=1, trip=67)))
-        syn = synthesize(config.params, config.seed, config.V)
-        result = _cached_simdize(syn.loop, config.V, config.options)
-        rand = random.Random(config.seed ^ 0x5EED)
-        space = make_space(syn.loop, config.V, rand, syn.base_residues)
-        base = space.make_memory()
-        fill_random(space, base, rand)
-        trip = config.params.trip if syn.loop.runtime_upper else None
-        bindings = RunBindings(trip=trip)
-
-        outcomes = {}
-        mem = base.clone()
-        run = get_backend("bytes").run(result.program, space, mem, bindings)
-        outcomes["bytes"] = (mem.snapshot(), run.counters.as_dict(),
-                             run.trip, run.used_fallback)
-        for name, mode in (("scalar-lane", False), ("vector-ext", True)):
-            native.set_simd_mode(mode)
-            mem = base.clone()
-            run = get_backend("native").run(result.program, space, mem,
-                                            bindings)
-            outcomes[name] = (mem.snapshot(), run.counters.as_dict(),
-                              run.trip, run.used_fallback)
-        assert_all_equal(outcomes)
-
-    @needs_simd
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(differential_case())
-    def test_modes_agree_on_random_loops(self, case):
-        syn, options = case
-        try:
-            result = simdize(syn.loop, 16, options)
-        except PolicyError:
-            assume(False)
-        trip = syn.params.trip if syn.loop.runtime_upper else None
-        outcomes = run_both_modes(result.program, trip=trip,
-                                  seed=syn.seed ^ 0xA11)
-        b = outcomes["bytes"]
-        for name in ("scalar-lane", "vector-ext"):
-            got = outcomes[name]
-            assert b[0] == got[0], f"final memory differs (bytes vs {name})"
-            assert b[1] == got[1]
-            assert b[2] == got[2]
 
 
 class TestProbeFallback:
@@ -211,45 +94,54 @@ class TestProbeFallback:
         return str(script)
 
     @needs_cc
-    def test_probe_failure_falls_back_silently(self, monkeypatch, novec_cc,
-                                               _fresh_probes):
+    def test_probe_failure_degrades_to_jit(self, monkeypatch, novec_cc,
+                                           _fresh_probes, recwarn):
+        """A compiler that builds plain C but fails the probe leaves
+        native unavailable: one warning per process, every run degrades
+        to jit with the oracle's bytes and counters, and a second
+        process reads the persisted answer instead of probing."""
         monkeypatch.setenv("REPRO_CC", novec_cc)
+        monkeypatch.setattr(native, "_WARNED", False)
         failures = native.STATS["simd_probe_failures"]
         assert native.simd_supported() is False
         assert native.STATS["simd_probe_failures"] == failures + 1
-        assert native.emitter_mode() == "scalar-lane"
+        assert native.emitter_mode() == "unavailable"
 
-        # The tier still compiles and runs — on the scalar-lane
-        # emitter, byte-identical to the oracle, no jit degradation.
         program = simdize(build_fig1(trip=100), 16, SimdOptions()).program
         loop = program.source
         rand = random.Random(3)
         space = make_space(loop, program.V, rand)
         base = space.make_memory()
         fill_random(space, base, rand)
-        runs = {}
-        for name in ("bytes", "native"):
+
+        def execute(backend):
             mem = base.clone()
-            run = get_backend(name).run(program, space, mem, RunBindings())
-            runs[name] = (mem.snapshot(), run.counters.as_dict(),
-                          run.trip, run.used_fallback)
-        assert runs["bytes"] == runs["native"]
-        assert runs["native"][3] is False
-        kernel = native.get_native_kernel(program)
-        assert kernel.cfn is not None
+            run = backend.run(program, space, mem, RunBindings())
+            return (mem.snapshot(), run.counters.as_dict(), run.trip,
+                    run.used_fallback), run.fallback
 
-    @needs_cc
-    def test_env_opt_out_forces_scalar_lane(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_SIMD", "0")
-        assert native.simd_enabled() is False
-        assert native.emitter_mode() == "scalar-lane"
+        oracle, _ = execute(get_backend("bytes"))
+        for _ in range(2):
+            got, fallback = execute(get_resilient_backend("native"))
+            assert got == oracle
+            assert fallback["tier"] == "jit"
+            assert fallback["phase"] == "compile"
+            assert "vector-extension probe" in fallback["reason"]
+        warned = [w for w in recwarn.list
+                  if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == 1
+        assert "vector-extension probe" in str(warned[0].message)
+        assert native.STATS["simd_probe_failures"] == failures + 1
 
-    def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_SIMD", "0")
-        native.set_simd_mode(True)
-        assert native.simd_enabled() is True
-        native.set_simd_mode(False)
-        assert native.simd_enabled() is False
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        child = json.loads(proc.stdout)
+        assert child["mode"] == "unavailable"
+        assert child["probes"] == 0
+        assert child["probe_cc"] == []
 
 
 class TestCompilerCacheHygiene:
@@ -279,43 +171,24 @@ class TestCompilerCacheHygiene:
 
     def test_cc_flags_env_changes_disk_key(self, monkeypatch,
                                            _fresh_probes):
-        native.set_simd_mode(False)
         monkeypatch.setenv("REPRO_CC_FLAGS", "-O2")
         key_o2 = native._disk_key("sig", "cc-id")
         monkeypatch.setenv("REPRO_CC_FLAGS", "-Os")
         key_os = native._disk_key("sig", "cc-id")
         assert key_o2 != key_os
 
-    def test_disk_key_separates_modes(self):
-        native.set_simd_mode(True)
-        key_simd = native._disk_key("sig", "cc-id")
-        native.set_simd_mode(False)
-        key_scalar = native._disk_key("sig", "cc-id")
-        assert ":simd:" in key_simd
-        assert ":scalar:" in key_scalar
-        assert key_simd != key_scalar
-
-    @needs_cc
-    def test_set_simd_mode_drops_kernel_cache(self):
-        program = simdize(build_fig1(trip=50), 16, SimdOptions()).program
-        native.set_simd_mode(False)
-        native.get_native_kernel(program)
-        assert len(native._NATIVE_CACHE) > 0
-        native.set_simd_mode(True)
-        assert len(native._NATIVE_CACHE) == 0
-
 
 #: Run in a fresh interpreter: resolve the probes with a spy on every
 #: compiler subprocess, and print what was resolved and started.
 _CHILD = """
 import json
-from repro.machine import compilequeue, native
+from repro.machine import native
 started = []
-real = compilequeue._run_cc
+real = native.run_cc
 def spy(argv, budget=None):
     started.append(argv)
     return real(argv, budget)
-compilequeue._run_cc = spy
+native.run_cc = spy
 print(json.dumps({
     "flags": list(native.compiler_flags()),
     "mode": native.emitter_mode(),

@@ -478,6 +478,101 @@ class TestCircuitBreaker:
                 await srv.close()
         run(scenario())
 
+    @needs_numpy
+    def test_failing_compiler_counts_one_breaker_failure(self, monkeypatch):
+        """A compiler that passes the probes but fails every kernel
+        build fails the warm-up: each native request counts one breaker
+        failure and is served on jit with the serve-level record."""
+        import types
+
+        from repro.machine import jit, native
+
+        if not native.simd_supported():     # probes meet the real compiler
+            pytest.skip("no usable host C compiler")
+
+        def broken_cc(argv, budget=None):
+            return types.SimpleNamespace(returncode=1, stdout="",
+                                         stderr="induced toolchain failure")
+
+        monkeypatch.setattr(native, "run_cc", broken_cc)
+        jit.clear_memory_cache()
+        native.clear_memory_cache()
+
+        async def scenario():
+            srv = await _start(_config(breaker_threshold=2,
+                                       breaker_cooldown=10.0))
+            try:
+                for seed, state in ((3, "closed"), (4, "open")):
+                    status, body = await srv.fetch(
+                        "POST", "/verify",
+                        {"source": SRC, "seed": seed, "backend": "native"})
+                    assert status == 200
+                    doc = json.loads(body)
+                    assert doc["backend"] == "jit"
+                    assert doc["degraded"]["failed"] == ["native"]
+                    assert "induced toolchain failure" in \
+                        doc["degraded"]["reason"]
+                    assert srv.app.breaker.state == state
+                assert srv.app.breaker.trips == 1
+                assert srv.app.counters["degraded_native"] == 2
+            finally:
+                await srv.close()
+        try:
+            run(scenario())
+        finally:
+            native.clear_memory_cache()     # forget the memoized failure
+
+    @needs_numpy
+    def test_probe_failing_compiler_leaves_breaker_closed(self, monkeypatch,
+                                                          tmp_path):
+        """With a compiler that fails the vector-extension probe native
+        is unavailable: the warm-up is a no-op, the breaker stays
+        closed, and the resilient chain serves the request on jit with
+        its degradation record."""
+        from repro.machine import jit, native
+
+        real, _identity = native._compiler_identity()
+        if real is None:
+            pytest.skip("no host C compiler")
+        script = tmp_path / "novec-cc"
+        script.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            '  case "$arg" in\n'
+            '    *.c) grep -q vector_size "$arg" && exit 1 ;;\n'
+            "  esac\n"
+            "done\n"
+            f'exec "{real}" "$@"\n')
+        script.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(script))
+        monkeypatch.setattr(native, "_WARNED", False)
+        native.reset_compiler_cache()
+        jit.clear_memory_cache()
+        native.clear_memory_cache()
+
+        async def scenario():
+            srv = await _start(_config(breaker_threshold=1))
+            try:
+                status, body = await srv.fetch(
+                    "POST", "/verify",
+                    {"source": SRC, "seed": 2, "backend": "native"})
+                assert status == 200
+                doc = json.loads(body)
+                assert doc["degraded"] is None
+                assert doc["fallback"]["tier"] == "jit"
+                assert doc["fallback"]["failed"] == ["native"]
+                assert "vector-extension probe" in doc["fallback"]["reason"]
+                assert srv.app.breaker.state == "closed"
+                assert srv.app.breaker.trips == 0
+            finally:
+                await srv.close()
+        try:
+            with pytest.warns(RuntimeWarning, match="vector-extension probe"):
+                run(scenario())
+        finally:
+            monkeypatch.delenv("REPRO_CC")
+            native.reset_compiler_cache()
+
 
 class TestSweepParity:
     def test_sweep_body_is_byte_identical_to_cli(self, capsys):
