@@ -531,22 +531,23 @@ def run_cc(argv, budget=None):
     """
     if budget is None:
         budget = cc_timeout()
-    proc = subprocess.Popen(
+    # The context manager closes the pipes and reaps the process on
+    # every exit, the timeout's included.
+    with subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         start_new_session=True,
-    )
-    try:
-        stdout, stderr = proc.communicate(timeout=budget)
-    except subprocess.TimeoutExpired:
+    ) as proc:
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError, OSError):
-            proc.kill()
-        proc.wait()
-        STATS["cc_timeouts"] += 1
-        return subprocess.CompletedProcess(
-            argv, None, "",
-            f"cc timed out after {budget:g}s (REPRO_CC_TIMEOUT)")
+            stdout, stderr = proc.communicate(timeout=budget)
+        except subprocess.TimeoutExpired:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError, OSError):
+                proc.kill()
+            STATS["cc_timeouts"] += 1
+            return subprocess.CompletedProcess(
+                argv, None, "",
+                f"cc timed out after {budget:g}s (REPRO_CC_TIMEOUT)")
     return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
