@@ -25,16 +25,20 @@ class CodegenCtx:
     loop: Loop
     V: int
     preheader: list[VStmt] = field(default_factory=list)
+    #: Data length and blocking factor, fixed for the run.
+    D: int = field(init=False)
+    B: int = field(init=False)
+    #: (id(graph node), displacement, residue) -> (node, lowered
+    #: expression): a node is lowered once per displacement and
+    #: residue however many sections ask, and the expressions share
+    #: it.  The entry holds the node, so its ``id`` stays its own.
+    lowered: dict[tuple[int, int, int], tuple[object, object]] = field(default_factory=dict)
     _counters: dict[str, int] = field(default_factory=dict)
     _hoisted: dict[object, SReg] = field(default_factory=dict)
 
-    @property
-    def D(self) -> int:
-        return self.loop.dtype.size
-
-    @property
-    def B(self) -> int:
-        return self.V // self.D
+    def __post_init__(self) -> None:
+        self.D = self.loop.dtype.size
+        self.B = self.V // self.D
 
     def fresh(self, prefix: str) -> str:
         """A new unique register name with the given prefix."""

@@ -117,19 +117,28 @@ def plan_shift(ctx: CodegenCtx, node: RShiftStream, residue: int) -> ShiftPlan |
 def gen_expr(ctx: CodegenCtx, node: RNode, disp: int = 0, residue: int = 0) -> VExpr:
     """Non-pipelined ``GenSimdExpr``: lower ``node`` displaced by ``disp``
     elements (``disp = k*B`` realizes the paper's ``i -> i + kB``) for a
-    program point whose counter is ≡ ``residue`` (mod B)."""
+    program point whose counter is ≡ ``residue`` (mod B).
+
+    Each (node, displacement, residue) is lowered once per run
+    (``ctx.lowered``); later requests share the expression."""
+    key = (id(node), disp, residue)
+    done = ctx.lowered.get(key)
+    if done is not None:
+        return done[1]
     if isinstance(node, RLoad):
-        return VLoadE(Addr(node.ref.array.name, node.ref.offset + disp))
-    if isinstance(node, RSplat):
-        return gen_splat(ctx, node)
-    if isinstance(node, RIota):
-        return VIotaE(disp, ctx.loop.dtype)
-    if isinstance(node, ROp):
-        inputs = [gen_expr(ctx, child, disp, residue) for child in node.inputs]
-        return fold_op(node, inputs)
-    if isinstance(node, RShiftStream):
-        return gen_shift_stream(ctx, node, disp, residue)
-    raise CodegenError(f"unknown graph node {type(node).__name__}")
+        expr: VExpr = VLoadE(Addr(node.ref.array.name, node.ref.offset + disp))
+    elif isinstance(node, RSplat):
+        expr = gen_splat(ctx, node)
+    elif isinstance(node, RIota):
+        expr = VIotaE(disp, ctx.loop.dtype)
+    elif isinstance(node, ROp):
+        expr = fold_op(node, [gen_expr(ctx, child, disp, residue) for child in node.inputs])
+    elif isinstance(node, RShiftStream):
+        expr = gen_shift_stream(ctx, node, disp, residue)
+    else:
+        raise CodegenError(f"unknown graph node {type(node).__name__}")
+    ctx.lowered[key] = (node, expr)
+    return expr
 
 
 def gen_splat(ctx: CodegenCtx, node: RSplat) -> VExpr:

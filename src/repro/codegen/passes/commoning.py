@@ -20,22 +20,9 @@ loop (the copies are later removed by unrolling, as in the paper).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.vir.program import VProgram
-from repro.vir.vexpr import (
-    VBinE,
-    VExpr,
-    VIotaE,
-    VLoadE,
-    VRegE,
-    VShiftPairE,
-    VSpliceE,
-    displace,
-    is_pure,
-    walk,
-)
-from repro.vir.vstmt import Section, SetV, VStmt, VStoreS
+from repro.vir.vexpr import BINARY_KINDS, ExprFacts, VExpr, VRegE, map_operands
+from repro.vir.vstmt import Section, SetV, VStmt, VStoreS, map_expr
 
 _pc_counter = 0
 
@@ -52,12 +39,13 @@ def predictive_commoning(program: VProgram, max_rounds: int = 64) -> VProgram:
     if steady is None:
         return program
 
+    facts = ExprFacts()  # kept across rounds: a node's facts never change
     init_stmts: list[VStmt] = []
     for _ in range(max_rounds):
-        chain = _best_chain(steady.body, program.B)
+        chain = _best_chain(steady.body, program.B, facts)
         if chain is None:
             break
-        _apply_chain(program, chain, init_stmts)
+        _apply_chain(program, chain, init_stmts, facts)
 
     if init_stmts:
         program.prologue.append(
@@ -70,82 +58,75 @@ def predictive_commoning(program: VProgram, max_rounds: int = 64) -> VProgram:
 # Chain discovery
 # ---------------------------------------------------------------------------
 
-def _candidates(body: list[VStmt]) -> Counter:
-    """All pure, memory-dependent subexpressions of the body."""
-    found: Counter[VExpr] = Counter()
+def _candidates(body: list[VStmt], facts: ExprFacts) -> dict[tuple, VExpr]:
+    """Every pure, memory-dependent subexpression of the body, by its
+    displacement class and anchor, in preorder of first occurrence."""
+    found: dict[tuple, VExpr] = {}
+    pure, varying, place = facts.pure, facts.varying, facts.place
     for stmt in body:
         expr = _stmt_expr(stmt)
         if expr is None:
             continue
-        for node in walk(expr):
-            if is_pure(node) and _depends_on_i(node):
-                found[node] += 1
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            n = facts.number(node)
+            if pure[n] and varying[n] and place[n] not in found:
+                found[place[n]] = node
+            if type(node) in BINARY_KINDS:
+                stack.append(node.b)
+                stack.append(node.a)
     return found
 
 
-def _depends_on_i(expr: VExpr) -> bool:
-    return any(isinstance(n, (VLoadE, VIotaE)) for n in walk(expr))
-
-
-def _best_chain(body: list[VStmt], B: int) -> list[VExpr] | None:
+def _best_chain(body: list[VStmt], B: int, facts: ExprFacts) -> list[VExpr] | None:
     """The most profitable displacement chain, or ``None`` when done.
 
     Profit favours longer chains of larger expressions: each chain link
     saves one recomputation of the whole subexpression per iteration.
+    Ties go to the chain whose head occurs first.  ``e[i+B]`` is the
+    candidate of ``e``'s shape whose anchor is ``B`` further, so no
+    displaced copy is ever built.
     """
-    present = _candidates(body)
-    chains: list[list[VExpr]] = []
-    for expr in present:
-        if displace(expr, -B) in present:
+    present = _candidates(body, facts)
+    best: list[tuple] | None = None
+    best_profit = (0, 0)
+    for shape, anchor in present:
+        if (shape, anchor - B) in present or (shape, anchor + B) not in present:
             continue  # not a chain head
-        succ = displace(expr, B)
-        if succ not in present:
-            continue
-        chain = [expr]
-        while succ in present:
-            chain.append(succ)
-            succ = displace(succ, B)
-        chains.append(chain)
-    if not chains:
-        return None
-
-    def profit(chain: list[VExpr]) -> tuple[int, int]:
-        size = sum(1 for _ in walk(chain[0]))
-        return ((len(chain) - 1) * size, size)
-
-    return max(chains, key=profit)
+        chain = [(shape, anchor)]
+        while (shape, chain[-1][1] + B) in present:
+            chain.append((shape, chain[-1][1] + B))
+        size = facts.size[facts.number(present[chain[0]])]
+        profit = ((len(chain) - 1) * size, size)
+        if best is None or profit > best_profit:
+            best, best_profit = chain, profit
+    return None if best is None else [present[link] for link in best]
 
 
 # ---------------------------------------------------------------------------
 # Chain application
 # ---------------------------------------------------------------------------
 
-def _apply_chain(program: VProgram, chain: list[VExpr], init_stmts: list[VStmt]) -> None:
+def _apply_chain(
+    program: VProgram, chain: list[VExpr], init_stmts: list[VStmt], facts: ExprFacts
+) -> None:
     steady = program.steady
     m = len(chain) - 1
     regs = [_fresh("vpc") for _ in chain]
-    replacement = {chain[k]: VRegE(regs[k]) for k in range(len(chain))}
+    replacement = {facts.number(chain[k]): VRegE(regs[k]) for k in range(len(chain))}
+    # Chain links are displacements of one another, so all have this
+    # size: a smaller node holds none, and one of this size is a link
+    # or holds none.
+    link_size = facts.size[facts.number(chain[0])]
 
     def rewrite(expr: VExpr) -> VExpr:
-        if expr in replacement:
-            return replacement[expr]
-        if isinstance(expr, VBinE):
-            return VBinE(expr.op, rewrite(expr.a), rewrite(expr.b), expr.dtype)
-        if isinstance(expr, VShiftPairE):
-            return VShiftPairE(rewrite(expr.a), rewrite(expr.b), expr.shift)
-        if isinstance(expr, VSpliceE):
-            return VSpliceE(rewrite(expr.a), rewrite(expr.b), expr.point)
-        return expr
+        n = facts.number(expr)
+        if facts.size[n] <= link_size:
+            return replacement.get(n, expr)
+        return map_operands(expr, rewrite)
 
-    new_body: list[VStmt] = [SetV(regs[m], chain[m])]
-    for stmt in steady.body:
-        if isinstance(stmt, SetV) and not stmt.is_copy:
-            new_body.append(SetV(stmt.reg, rewrite(stmt.expr)))
-        elif isinstance(stmt, VStoreS):
-            new_body.append(VStoreS(stmt.addr, rewrite(stmt.src)))
-        else:
-            new_body.append(stmt)
-    steady.body = new_body
+    steady.body = [SetV(regs[m], chain[m])] + [map_expr(s, rewrite) for s in steady.body]
 
     # Initialise the carried values for the first steady iteration.
     for k in range(m):

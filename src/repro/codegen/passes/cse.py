@@ -20,22 +20,9 @@ counter values, so sharing across sections would be wrong).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.vir.program import VProgram
-from repro.vir.vexpr import (
-    VBinE,
-    VExpr,
-    VIotaE,
-    VLoadE,
-    VRegE,
-    VShiftPairE,
-    VSpliceE,
-    VSplatE,
-    is_pure,
-    walk,
-)
-from repro.vir.vstmt import Section, SetV, VStmt, VStoreS
+from repro.vir.vexpr import BINARY_KINDS, ExprFacts, VExpr, VRegE, map_operands
+from repro.vir.vstmt import SetV, VStmt, VStoreS, map_expr
 
 _cse_counter = 0
 
@@ -48,12 +35,12 @@ def _fresh(prefix: str) -> str:
 
 def eliminate_common_subexprs(program: VProgram) -> VProgram:
     """Hoist invariants to the preheader; CSE the body and each section."""
+    facts = ExprFacts()
     if program.steady is not None:
-        hoisted = _hoist_invariants(program, program.steady.body)
-        program.steady.body = hoisted
-        program.steady.body = _cse_stmts(program.steady.body, "vcse_")
+        hoisted = _hoist_invariants(program, program.steady.body, facts)
+        program.steady.body = _cse_stmts(hoisted, "vcse_", facts)
     for sec in program.prologue + program.epilogue:
-        sec.stmts = _cse_stmts(sec.stmts, f"vcse_{sec.label}_")
+        sec.stmts = _cse_stmts(sec.stmts, f"vcse_{sec.label}_", facts)
     return program
 
 
@@ -61,73 +48,63 @@ def eliminate_common_subexprs(program: VProgram) -> VProgram:
 # Invariant hoisting
 # ---------------------------------------------------------------------------
 
-def _is_invariant(expr: VExpr) -> bool:
-    """Pure and independent of the loop counter (no memory access)."""
-    if isinstance(expr, (VLoadE, VIotaE)):
-        return False
-    if isinstance(expr, VRegE):
-        return False
-    if isinstance(expr, VSplatE):
-        return True
-    if isinstance(expr, (VBinE, VShiftPairE, VSpliceE)):
-        return all(_is_invariant(c) for c in expr.children())
-    return False
-
-
-def _hoist_invariants(program: VProgram, stmts: list[VStmt]) -> list[VStmt]:
-    mapping: dict[VExpr, VRegE] = {}
+def _hoist_invariants(program: VProgram, stmts: list[VStmt], facts: ExprFacts) -> list[VStmt]:
+    """Replace each invariant (pure and independent of the loop counter:
+    splats and arithmetic over them) by a preheader register."""
+    mapping: dict[int, VRegE] = {}
 
     def rewrite(expr: VExpr) -> VExpr:
-        if _is_invariant(expr) and not isinstance(expr, VRegE):
-            if expr not in mapping:
-                reg = _fresh("vinv")
-                program.preheader.append(SetV(reg, expr))
-                mapping[expr] = VRegE(reg)
-            return mapping[expr]
-        return _rebuild(expr, rewrite)
+        n = facts.number(expr)
+        if facts.pure[n] and not facts.varying[n]:
+            reg = mapping.get(n)
+            if reg is None:
+                name = _fresh("vinv")
+                program.preheader.append(SetV(name, expr))
+                reg = mapping[n] = VRegE(name)
+            return reg
+        return map_operands(expr, rewrite)
 
-    return _rewrite_stmts(stmts, rewrite)
+    return [map_expr(stmt, rewrite) for stmt in stmts]
 
 
 # ---------------------------------------------------------------------------
 # CSE proper
 # ---------------------------------------------------------------------------
 
-def _cse_stmts(stmts: list[VStmt], prefix: str) -> list[VStmt]:
-    counts: Counter[VExpr] = Counter()
+def _cse_stmts(stmts: list[VStmt], prefix: str, facts: ExprFacts) -> list[VStmt]:
+    counts: dict[int, int] = {}
     for stmt in stmts:
         expr = _stmt_expr(stmt)
-        if expr is not None:
-            for node in walk(expr):
-                if is_pure(node) and _worthwhile(node):
-                    counts[node] += 1
+        if expr is None:
+            continue
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            n = facts.number(node)
+            if facts.pure[n]:
+                counts[n] = counts.get(n, 0) + 1
+            if type(node) in BINARY_KINDS:
+                stack.append(node.b)
+                stack.append(node.a)
 
-    defined: dict[VExpr, VRegE] = {}
+    defined: dict[int, VRegE] = {}
     out: list[VStmt] = []
 
     def rewrite(expr: VExpr) -> VExpr:
-        if expr in defined:
-            return defined[expr]
-        if is_pure(expr) and _worthwhile(expr) and counts[expr] >= 2:
-            reg = _fresh(prefix)
-            out.append(SetV(reg, _rebuild(expr, rewrite)))
-            defined[expr] = VRegE(reg)
-            return defined[expr]
-        return _rebuild(expr, rewrite)
+        n = facts.number(expr)
+        reg = defined.get(n)
+        if reg is not None:
+            return reg
+        if counts.get(n, 0) >= 2:
+            name = _fresh(prefix)
+            out.append(SetV(name, map_operands(expr, rewrite)))
+            reg = defined[n] = VRegE(name)
+            return reg
+        return map_operands(expr, rewrite)
 
     for stmt in stmts:
-        if isinstance(stmt, SetV) and not stmt.is_copy:
-            out.append(SetV(stmt.reg, rewrite(stmt.expr)))
-        elif isinstance(stmt, VStoreS):
-            out.append(VStoreS(stmt.addr, rewrite(stmt.src)))
-        else:
-            out.append(stmt)
+        out.append(map_expr(stmt, rewrite))
     return out
-
-
-def _worthwhile(expr: VExpr) -> bool:
-    """Is factoring this expression into a register a saving?"""
-    return not isinstance(expr, VRegE)
 
 
 def _stmt_expr(stmt: VStmt) -> VExpr | None:
@@ -136,25 +113,3 @@ def _stmt_expr(stmt: VStmt) -> VExpr | None:
     if isinstance(stmt, VStoreS):
         return stmt.src
     return None
-
-
-def _rebuild(expr: VExpr, rewrite) -> VExpr:
-    if isinstance(expr, VBinE):
-        return VBinE(expr.op, rewrite(expr.a), rewrite(expr.b), expr.dtype)
-    if isinstance(expr, VShiftPairE):
-        return VShiftPairE(rewrite(expr.a), rewrite(expr.b), expr.shift)
-    if isinstance(expr, VSpliceE):
-        return VSpliceE(rewrite(expr.a), rewrite(expr.b), expr.point)
-    return expr
-
-
-def _rewrite_stmts(stmts: list[VStmt], rewrite) -> list[VStmt]:
-    out: list[VStmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, SetV) and not stmt.is_copy:
-            out.append(SetV(stmt.reg, rewrite(stmt.expr)))
-        elif isinstance(stmt, VStoreS):
-            out.append(VStoreS(stmt.addr, rewrite(stmt.src)))
-        else:
-            out.append(stmt)
-    return out

@@ -1,90 +1,129 @@
 """Dead-code elimination for vector programs.
 
 Removes ``SetV``/``SetS`` definitions whose registers are never read
-anywhere in the program.  Runs to a fixpoint (removing a dead use-site
-can make its operands dead too).  Deliberately conservative: a register
-read anywhere — any section, the steady body, bottom copies, or scalar
-positions (shift amounts, splice points, bounds, conditions) — is live.
+anywhere in the program, and then the definitions that only those
+read, until every remaining definition is read.  Deliberately
+conservative: a register read anywhere — any section, the steady
+body, bottom copies, or scalar positions (shift amounts, splice
+points, bounds, conditions) — is live, and registers that only read
+each other (a rotation cycle) stay.
+
+The pass counts every register's reads once, then works through a
+worklist: removing a definition drops the reads it made, and a
+register whose count reaches zero has all its definitions removed.
+That is the fixpoint of "remove every definition nobody reads",
+reached with one walk of the program.
 """
 
 from __future__ import annotations
 
 from repro.vir.program import VProgram
-from repro.vir.vexpr import SBin, SExpr, SReg, VExpr, VRegE, VShiftPairE, VSpliceE, VSplatE, walk
+from repro.vir.vexpr import BINARY_KINDS, SBin, SExpr, SReg, VExpr, VRegE, VShiftPairE, VSpliceE, VSplatE
 from repro.vir.vstmt import SetS, SetV, VStmt, VStoreS
+
+#: A register: ``("v", name)`` for a vector one, ``("s", name)`` for a scalar one.
+Reg = tuple[str, str]
 
 
 def eliminate_dead_code(program: VProgram) -> VProgram:
-    while _sweep(program):
-        pass
+    owners = _stmt_lists(program)
+    lists = [getattr(owner, attr) for owner, attr in owners]
+    reads: dict[Reg, int] = {}
+    defs: dict[Reg, list[tuple[int, int]]] = {}
+    made: dict[tuple[int, int], list[Reg]] = {}  # position -> reads of a def
+
+    def note(names: list[Reg]) -> None:
+        for reg in names:
+            reads[reg] = reads.get(reg, 0) + 1
+
+    for sec in program.prologue + program.epilogue:
+        note(_scalar_reads(sec.i_expr))
+        note(_scalar_reads(sec.cond))
+    if program.steady is not None:
+        note(_scalar_reads(program.steady.lb))
+        note(_scalar_reads(program.steady.ub))
+    for k, stmts in enumerate(lists):
+        for j, stmt in enumerate(stmts):
+            names = _stmt_reads(stmt)
+            note(names)
+            reg = _defined(stmt)
+            if reg is not None:
+                defs.setdefault(reg, []).append((k, j))
+                made[(k, j)] = names
+
+    dead: set[tuple[int, int]] = set()
+    work = [reg for reg in defs if not reads.get(reg)]
+    while work:
+        for pos in defs[work.pop()]:
+            dead.add(pos)
+            for reg in made[pos]:
+                reads[reg] -= 1
+                if not reads[reg] and reg in defs:
+                    work.append(reg)
+
+    if dead:
+        for k, (owner, attr) in enumerate(owners):
+            setattr(owner, attr, [s for j, s in enumerate(lists[k]) if (k, j) not in dead])
+    program.prologue = [s for s in program.prologue if s.stmts]
+    program.epilogue = [s for s in program.epilogue if s.stmts]
     return program
 
 
-def _sweep(program: VProgram) -> bool:
-    used_v: set[str] = set()
-    used_s: set[str] = set()
-
-    def scan_s(expr: SExpr | int | None) -> None:
-        if expr is None or isinstance(expr, int):
-            return
-        if isinstance(expr, SReg):
-            used_s.add(expr.name)
-        elif isinstance(expr, SBin):
-            scan_s(expr.left)
-            scan_s(expr.right)
-
-    def scan_v(expr: VExpr) -> None:
-        for node in walk(expr):
-            if isinstance(node, VRegE):
-                used_v.add(node.name)
-            elif isinstance(node, VShiftPairE):
-                scan_s(node.shift)
-            elif isinstance(node, VSpliceE):
-                scan_s(node.point)
-            elif isinstance(node, VSplatE):
-                scan_s(node.operand)
-
-    def scan_stmts(stmts: list[VStmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, SetS):
-                scan_s(stmt.expr)
-            elif isinstance(stmt, SetV):
-                scan_v(stmt.expr)
-            elif isinstance(stmt, VStoreS):
-                scan_v(stmt.src)
-
-    scan_stmts(program.preheader)
-    for sec in program.prologue + program.epilogue:
-        scan_s(sec.i_expr)
-        scan_s(sec.cond)
-        scan_stmts(sec.stmts)
+def _stmt_lists(program: VProgram) -> list[tuple[object, str]]:
+    """Every statement list of the program, as (owner, attribute)."""
+    owners: list[tuple[object, str]] = [(program, "preheader")]
+    owners += [(sec, "stmts") for sec in program.prologue + program.epilogue]
     if program.steady is not None:
-        scan_s(program.steady.lb)
-        scan_s(program.steady.ub)
-        scan_stmts(program.steady.body)
-        scan_stmts(program.steady.bottom)
+        owners += [(program.steady, "body"), (program.steady, "bottom")]
+    return owners
 
-    removed = False
 
-    def prune(stmts: list[VStmt]) -> list[VStmt]:
-        nonlocal removed
-        kept: list[VStmt] = []
-        for stmt in stmts:
-            if isinstance(stmt, SetV) and stmt.reg not in used_v:
-                removed = True
-                continue
-            if isinstance(stmt, SetS) and stmt.reg not in used_s:
-                removed = True
-                continue
-            kept.append(stmt)
-        return kept
+def _defined(stmt: VStmt) -> Reg | None:
+    if isinstance(stmt, SetV):
+        return ("v", stmt.reg)
+    if isinstance(stmt, SetS):
+        return ("s", stmt.reg)
+    return None
 
-    program.preheader = prune(program.preheader)
-    for sec in program.prologue + program.epilogue:
-        sec.stmts = prune(sec.stmts)
-    if program.steady is not None:
-        program.steady.body = prune(program.steady.body)
-        program.steady.bottom = prune(program.steady.bottom)
-    program.prologue = [s for s in program.prologue if s.stmts]
-    program.epilogue = [s for s in program.epilogue if s.stmts]
-    return removed
+
+def _stmt_reads(stmt: VStmt) -> list[Reg]:
+    if isinstance(stmt, SetS):
+        return _scalar_reads(stmt.expr)
+    if isinstance(stmt, SetV):
+        return _vector_reads(stmt.expr)
+    if isinstance(stmt, VStoreS):
+        return _vector_reads(stmt.src)
+    return []
+
+
+def _scalar_reads(expr: SExpr | int | None) -> list[Reg]:
+    names: list[Reg] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SReg):
+            names.append(("s", node.name))
+        elif isinstance(node, SBin):
+            stack.append(node.right)
+            stack.append(node.left)
+    return names
+
+
+def _vector_reads(expr: VExpr) -> list[Reg]:
+    names: list[Reg] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is VRegE:
+            names.append(("v", node.name))
+        elif kind in BINARY_KINDS:
+            stack.append(node.b)
+            stack.append(node.a)
+            if kind is VShiftPairE:
+                names += _scalar_reads(node.shift)
+            elif kind is VSpliceE:
+                names += _scalar_reads(node.point)
+        elif kind is VSplatE:
+            names += _scalar_reads(node.operand)
+    return names

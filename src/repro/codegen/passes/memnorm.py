@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from repro.ir.expr import ArrayDecl
 from repro.vir.program import VProgram
-from repro.vir.vexpr import SConst, VBinE, VExpr, VLoadE, VShiftPairE, VSpliceE, Addr
-from repro.vir.vstmt import SetV, VStmt, VStoreS
+from repro.vir.vexpr import Addr, SConst, VExpr, VLoadE, map_operands
+from repro.vir.vstmt import VStmt, map_expr
 
 
 def normalize_memory(program: VProgram) -> VProgram:
@@ -42,32 +42,16 @@ def normalize_memory(program: VProgram) -> VProgram:
 def _normalize_stmts(
     stmts: list[VStmt], arrays: dict[str, ArrayDecl], B: int, residue: int
 ) -> list[VStmt]:
-    def norm_addr(addr: Addr) -> Addr:
+    def rewrite(expr: VExpr) -> VExpr:
+        if type(expr) is not VLoadE:
+            return map_operands(expr, rewrite)
+        addr = expr.addr
         decl = arrays.get(addr.array)
         if decl is None or decl.align is None:
-            return addr
+            return expr
         lane = (decl.align // decl.dtype.size + addr.elem + residue) % B
-        return Addr(addr.array, addr.elem - lane)
+        return VLoadE(Addr(addr.array, addr.elem - lane)) if lane else expr
 
-    def rewrite(expr: VExpr) -> VExpr:
-        if isinstance(expr, VLoadE):
-            return VLoadE(norm_addr(expr.addr))
-        if isinstance(expr, VBinE):
-            return VBinE(expr.op, rewrite(expr.a), rewrite(expr.b), expr.dtype)
-        if isinstance(expr, VShiftPairE):
-            return VShiftPairE(rewrite(expr.a), rewrite(expr.b), expr.shift)
-        if isinstance(expr, VSpliceE):
-            return VSpliceE(rewrite(expr.a), rewrite(expr.b), expr.point)
-        return expr
-
-    out: list[VStmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, SetV) and not stmt.is_copy:
-            out.append(SetV(stmt.reg, rewrite(stmt.expr)))
-        elif isinstance(stmt, VStoreS):
-            # Store addresses keep their natural form; stores are unique
-            # per statement so normalization buys no redundancy there.
-            out.append(VStoreS(stmt.addr, rewrite(stmt.src)))
-        else:
-            out.append(stmt)
-    return out
+    # Store addresses keep their natural form; stores are unique per
+    # statement so normalization buys no redundancy there.
+    return [map_expr(stmt, rewrite) for stmt in stmts]

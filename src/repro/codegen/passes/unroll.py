@@ -21,15 +21,14 @@ from __future__ import annotations
 from repro.errors import CodegenError
 from repro.vir.program import VProgram
 from repro.vir.vexpr import (
+    BINARY_KINDS,
     SConst,
     SExpr,
-    VBinE,
     VExpr,
     VIotaE,
     VLoadE,
     VRegE,
-    VShiftPairE,
-    VSpliceE,
+    map_operands,
     s_add,
     s_bin,
     s_div,
@@ -120,29 +119,17 @@ def _carried_regs(body: list[VStmt], bottom: list[VStmt]) -> set[str]:
 
 
 def _reg_reads(expr: VExpr) -> list[str]:
-    if isinstance(expr, VRegE):
-        return [expr.name]
-    out: list[str] = []
-    for child in expr.children():
-        out.extend(_reg_reads(child))
-    return out
-
-
-def _subst(expr: VExpr, delta: int, env: dict[str, VExpr]) -> VExpr:
-    """Displace addresses by ``delta`` elements and resolve register reads."""
-    if isinstance(expr, VLoadE):
-        return VLoadE(expr.addr.displaced(delta))
-    if isinstance(expr, VIotaE):
-        return VIotaE(expr.bias + delta, expr.dtype)
-    if isinstance(expr, VRegE):
-        return env.get(expr.name, expr)
-    if isinstance(expr, VBinE):
-        return VBinE(expr.op, _subst(expr.a, delta, env), _subst(expr.b, delta, env), expr.dtype)
-    if isinstance(expr, VShiftPairE):
-        return VShiftPairE(_subst(expr.a, delta, env), _subst(expr.b, delta, env), expr.shift)
-    if isinstance(expr, VSpliceE):
-        return VSpliceE(_subst(expr.a, delta, env), _subst(expr.b, delta, env), expr.point)
-    return expr
+    """The names of the registers ``expr`` reads, one per read."""
+    names: list[str] = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if type(node) is VRegE:
+            names.append(node.name)
+        elif type(node) in BINARY_KINDS:
+            stack.append(node.b)
+            stack.append(node.a)
+    return names
 
 
 def _expand(
@@ -157,22 +144,34 @@ def _expand(
     env: dict[str, VExpr] = {}
     out: list[VStmt] = []
     last_original_read: dict[str, int] = {}
+    delta = 0
 
     def note_reads(expr: VExpr) -> None:
         for name in _reg_reads(expr):
             last_original_read[name] = len(out)
 
+    def subst(expr: VExpr) -> VExpr:
+        """Displace addresses by ``delta`` elements and resolve register reads."""
+        kind = type(expr)
+        if kind is VLoadE:
+            return VLoadE(expr.addr.displaced(delta)) if delta else expr
+        if kind is VIotaE:
+            return VIotaE(expr.bias + delta, expr.dtype) if delta else expr
+        if kind is VRegE:
+            return env.get(expr.name, expr)
+        return map_operands(expr, subst)
+
     for u in range(factor):
         delta = u * B
         for stmt in body:
             if isinstance(stmt, SetV):
-                rhs = _subst(stmt.expr, delta, env)
+                rhs = subst(stmt.expr)
                 note_reads(rhs)
                 versioned = f"{stmt.reg}.u{u}"
                 out.append(SetV(versioned, rhs))
                 env[stmt.reg] = VRegE(versioned)
             elif isinstance(stmt, VStoreS):
-                rhs = _subst(stmt.src, delta, env)
+                rhs = subst(stmt.src)
                 note_reads(rhs)
                 out.append(VStoreS(stmt.addr.displaced(delta), rhs))
         for stmt in bottom:
@@ -221,15 +220,10 @@ def _finalize_carried(
         return body, residual
 
     def rn_expr(expr: VExpr) -> VExpr:
-        if isinstance(expr, VRegE):
-            return VRegE(rename.get(expr.name, expr.name))
-        if isinstance(expr, VBinE):
-            return VBinE(expr.op, rn_expr(expr.a), rn_expr(expr.b), expr.dtype)
-        if isinstance(expr, VShiftPairE):
-            return VShiftPairE(rn_expr(expr.a), rn_expr(expr.b), expr.shift)
-        if isinstance(expr, VSpliceE):
-            return VSpliceE(rn_expr(expr.a), rn_expr(expr.b), expr.point)
-        return expr
+        if type(expr) is VRegE:
+            name = rename.get(expr.name)
+            return expr if name is None else VRegE(name)
+        return map_operands(expr, rn_expr)
 
     renamed_body: list[VStmt] = []
     for stmt in body:

@@ -15,11 +15,18 @@ Addresses are kept symbolic: :class:`Addr` denotes
 by the enclosing program section.  Substituting ``i -> i + B`` (the
 paper's ``Substitute`` helper, Figure 7) is therefore just ``elem + B``
 — see :func:`displace`.
+
+Vector expressions are trees that the passes hash, compare and walk
+many times, so each node caches its structural hash, and
+:class:`ExprFacts` derives the per-node facts the passes ask for
+(value number, purity, loop-counter dependence, size, displacement
+class) once per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from repro.errors import CodegenError
@@ -178,7 +185,7 @@ class Addr:
 
     def displaced(self, delta: int) -> "Addr":
         """The address with ``i -> i + delta`` substituted."""
-        return replace(self, elem=self.elem + delta)
+        return Addr(self.array, self.elem + delta)
 
     def __str__(self) -> str:
         if self.elem == 0:
@@ -192,15 +199,44 @@ class Addr:
 # ---------------------------------------------------------------------------
 
 class VExpr:
-    """Base class of vector-valued expressions."""
+    """Base class of vector-valued expressions.
 
-    __slots__ = ()
+    ``_hash`` holds the node's structural hash once something asks for
+    it (see :func:`_hash_once`); it is never set by the constructor.
+    """
+
+    __slots__ = ("_hash",)
     __reduce__ = constructor_reduce
 
     def children(self) -> tuple["VExpr", ...]:
         return ()
 
 
+def _hash_once(cls):
+    """Make ``cls`` hash its fields once per node, on first use.
+
+    The hash a frozen dataclass generates re-hashes the whole subtree
+    on every dict lookup; this one reads its children's cached hashes,
+    so hashing a node is O(1) after its children were hashed.  The
+    slot is filled lazily, so building or unpickling a node does no
+    extra work, and pickles never carry it (string hashes differ
+    between processes).
+    """
+    fields = attrgetter(*cls.__match_args__)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(fields(self))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VLoadE(VExpr):
     """Truncating vector load (paper's ``vload``)."""
@@ -211,6 +247,7 @@ class VLoadE(VExpr):
         return f"vload({self.addr})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VShiftPairE(VExpr):
     """Select bytes ``shift..shift+V-1`` of ``a ++ b`` (paper's ``vshiftpair``)."""
@@ -226,6 +263,7 @@ class VShiftPairE(VExpr):
         return f"vshiftpair({self.a}, {self.b}, {self.shift})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VSpliceE(VExpr):
     """First ``point`` bytes of ``a`` then rest of ``b`` (paper's ``vsplice``)."""
@@ -241,6 +279,7 @@ class VSpliceE(VExpr):
         return f"vsplice({self.a}, {self.b}, {self.point})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VSplatE(VExpr):
     """Replicate a loop-invariant scalar into every lane."""
@@ -252,6 +291,7 @@ class VSplatE(VExpr):
         return f"vsplat({self.operand})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VBinE(VExpr):
     """Lane-wise arithmetic on two vectors."""
@@ -268,6 +308,7 @@ class VBinE(VExpr):
         return f"v{self.op.name}({self.a}, {self.b})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VIotaE(VExpr):
     """The vectorized loop counter (extension; see ``ir.LoopIndex``).
@@ -291,6 +332,7 @@ class VIotaE(VExpr):
         return f"viota(i {sign} {abs(self.bias)})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class VRegE(VExpr):
     """A vector register defined earlier by a ``SetV`` statement."""
@@ -327,6 +369,29 @@ def displace(expr: VExpr, delta: int) -> VExpr:
     raise CodegenError(f"unknown vector expression {type(expr).__name__}")
 
 
+#: The vector expressions with two vector operands, ``a`` and ``b``.
+BINARY_KINDS = (VBinE, VShiftPairE, VSpliceE)
+
+
+def map_operands(expr: VExpr, fn) -> VExpr:
+    """``expr`` with ``fn`` applied to its vector operands.
+
+    Returns ``expr`` itself when no operand changes, so a rewrite that
+    touches nothing builds nothing and keeps shared subtrees shared.
+    """
+    kind = type(expr)
+    if kind not in BINARY_KINDS:
+        return expr
+    a, b = fn(expr.a), fn(expr.b)
+    if a is expr.a and b is expr.b:
+        return expr
+    if kind is VBinE:
+        return VBinE(expr.op, a, b, expr.dtype)
+    if kind is VShiftPairE:
+        return VShiftPairE(a, b, expr.shift)
+    return VSpliceE(a, b, expr.point)
+
+
 def is_pure(expr: VExpr) -> bool:
     """True when the expression contains no register references."""
     if isinstance(expr, VRegE):
@@ -339,3 +404,90 @@ def walk(expr: VExpr):
     yield expr
     for child in expr.children():
         yield from walk(child)
+
+
+class ExprFacts:
+    """What the passes need to know about vector expressions, per node.
+
+    :meth:`number` gives an expression its *value number*: two
+    expressions get the same number exactly when they are structurally
+    equal.  Per number it records whether the expression is pure (no
+    register reads), whether it varies with the loop counter (holds a
+    load or an iota), its node count, and its displacement class:
+    ``place[n] == (shape, anchor)``, where two expressions share a
+    shape exactly when one is the other with ``i -> i + d`` substituted
+    (:func:`displace`), and then their anchors (the first load's
+    element or iota's bias, preorder) differ by ``d``.
+
+    A node object is numbered once, from its children's numbers,
+    and the memo keeps the node alive so its ``id`` is not reused; the
+    facts of a new value are derived once.  Numbering a program is
+    therefore one bottom-up walk however often a pass asks about it.
+    """
+
+    __slots__ = ("_seen", "_values", "_shapes", "pure", "varying", "size", "place")
+
+    def __init__(self) -> None:
+        self._seen: dict[int, tuple[VExpr, int]] = {}
+        self._values: dict[tuple, int] = {}
+        self._shapes: dict[tuple, int] = {}
+        self.pure: list[bool] = []
+        self.varying: list[bool] = []
+        self.size: list[int] = []
+        self.place: list[tuple[int, int | None]] = []
+
+    def number(self, expr: VExpr) -> int:
+        seen = self._seen.get(id(expr))
+        if seen is not None:
+            return seen[1]
+        kind = type(expr)
+        if kind in BINARY_KINDS:
+            a = self.number(expr.a)
+            b = self.number(expr.b)
+            if kind is VBinE:
+                key = (kind, a, b, expr.op, expr.dtype)
+            else:
+                key = (kind, a, b, expr.shift if kind is VShiftPairE else expr.point)
+        elif kind is VLoadE:
+            key = (kind, expr.addr)
+        elif kind is VIotaE:
+            key = (kind, expr.bias, expr.dtype)
+        elif kind is VSplatE:
+            key = (kind, expr.operand, expr.dtype)
+        elif kind is VRegE:
+            key = (kind, expr.name)
+        else:
+            raise CodegenError(f"unknown vector expression {kind.__name__}")
+        n = self._values.get(key)
+        if n is None:
+            n = self._values[key] = len(self.pure)
+            self._derive(key)
+        self._seen[id(expr)] = (expr, n)
+        return n
+
+    def _derive(self, key: tuple) -> None:
+        """Append the facts of the new value ``key`` describes."""
+        kind = key[0]
+        if kind is VLoadE:
+            pure, varying, size = True, True, 1
+            shape, anchor = (kind, key[1].array), key[1].elem
+        elif kind is VIotaE:
+            pure, varying, size = True, True, 1
+            shape, anchor = (kind, key[2]), key[1]
+        elif kind is VSplatE or kind is VRegE:
+            pure, varying, size = kind is VSplatE, False, 1
+            shape, anchor = key, None
+        else:
+            a, b = key[1], key[2]
+            pure = self.pure[a] and self.pure[b]
+            varying = self.varying[a] or self.varying[b]
+            size = 1 + self.size[a] + self.size[b]
+            (shape_a, anchor_a), (shape_b, anchor_b) = self.place[a], self.place[b]
+            anchor = anchor_a if anchor_a is not None else anchor_b
+            shape = (kind, shape_a, None if anchor_a is None else anchor_a - anchor,
+                     shape_b, None if anchor_b is None else anchor_b - anchor) + key[3:]
+        shape_no = self._shapes.setdefault(shape, len(self._shapes))
+        self.pure.append(pure)
+        self.varying.append(varying)
+        self.size.append(size)
+        self.place.append((shape_no, anchor))

@@ -53,6 +53,20 @@ class VStoreS(VStmt):
         return f"vstore({self.addr}, {self.src});"
 
 
+def map_expr(stmt: VStmt, fn) -> VStmt:
+    """``stmt`` with ``fn`` applied to its vector expression: the value
+    of a ``SetV`` that is not a copy, or a store's source.  Other
+    statements, and any whose expression ``fn`` leaves as it is, come
+    back unchanged."""
+    if isinstance(stmt, SetV) and not stmt.is_copy:
+        expr = fn(stmt.expr)
+        return stmt if expr is stmt.expr else SetV(stmt.reg, expr)
+    if isinstance(stmt, VStoreS):
+        expr = fn(stmt.src)
+        return stmt if expr is stmt.src else VStoreS(stmt.addr, expr)
+    return stmt
+
+
 @dataclass
 class Section:
     """A straight-line run of statements executed with a fixed loop counter.
