@@ -58,7 +58,9 @@ from repro.simdize.verify import fill_random, make_space, verify_equivalence
 #: Bump when SimdizeResult's shape (or anything it transitively pickles)
 #: changes: stale disk entries must miss, not deserialize wrongly.
 #: v2: IR nodes are slotted and pickle through their constructors.
-SIMDIZE_CACHE_VERSION = 2
+#: v3: pass temporaries are numbered per program, so one structure has
+#: one name set (and a program carries its ``temp_counts``).
+SIMDIZE_CACHE_VERSION = 3
 
 #: Per-process simdize memo: (loop signature, V, options) -> result.
 #: Bounded LRU — a hit moves the entry to the back, eviction takes the

@@ -24,15 +24,6 @@ from repro.vir.program import VProgram
 from repro.vir.vexpr import BINARY_KINDS, ExprFacts, VExpr, VRegE, map_operands
 from repro.vir.vstmt import Section, SetV, VStmt, VStoreS, map_expr
 
-_pc_counter = 0
-
-
-def _fresh(prefix: str) -> str:
-    global _pc_counter
-    _pc_counter += 1
-    return f"{prefix}{_pc_counter}"
-
-
 def predictive_commoning(program: VProgram, max_rounds: int = 64) -> VProgram:
     """Carry next-iteration values across the steady loop in registers."""
     steady = program.steady
@@ -113,7 +104,7 @@ def _apply_chain(
 ) -> None:
     steady = program.steady
     m = len(chain) - 1
-    regs = [_fresh("vpc") for _ in chain]
+    regs = [program.fresh_temp("pc", "vpc") for _ in chain]
     replacement = {facts.number(chain[k]): VRegE(regs[k]) for k in range(len(chain))}
     # Chain links are displacements of one another, so all have this
     # size: a smaller node holds none, and one of this size is a link

@@ -24,23 +24,14 @@ from repro.vir.program import VProgram
 from repro.vir.vexpr import BINARY_KINDS, ExprFacts, VExpr, VRegE, map_operands
 from repro.vir.vstmt import SetV, VStmt, VStoreS, map_expr
 
-_cse_counter = 0
-
-
-def _fresh(prefix: str) -> str:
-    global _cse_counter
-    _cse_counter += 1
-    return f"{prefix}{_cse_counter}"
-
-
 def eliminate_common_subexprs(program: VProgram) -> VProgram:
     """Hoist invariants to the preheader; CSE the body and each section."""
     facts = ExprFacts()
     if program.steady is not None:
         hoisted = _hoist_invariants(program, program.steady.body, facts)
-        program.steady.body = _cse_stmts(hoisted, "vcse_", facts)
+        program.steady.body = _cse_stmts(program, hoisted, "vcse_", facts)
     for sec in program.prologue + program.epilogue:
-        sec.stmts = _cse_stmts(sec.stmts, f"vcse_{sec.label}_", facts)
+        sec.stmts = _cse_stmts(program, sec.stmts, f"vcse_{sec.label}_", facts)
     return program
 
 
@@ -58,7 +49,7 @@ def _hoist_invariants(program: VProgram, stmts: list[VStmt], facts: ExprFacts) -
         if facts.pure[n] and not facts.varying[n]:
             reg = mapping.get(n)
             if reg is None:
-                name = _fresh("vinv")
+                name = program.fresh_temp("cse", "vinv")
                 program.preheader.append(SetV(name, expr))
                 reg = mapping[n] = VRegE(name)
             return reg
@@ -71,7 +62,9 @@ def _hoist_invariants(program: VProgram, stmts: list[VStmt], facts: ExprFacts) -
 # CSE proper
 # ---------------------------------------------------------------------------
 
-def _cse_stmts(stmts: list[VStmt], prefix: str, facts: ExprFacts) -> list[VStmt]:
+def _cse_stmts(
+    program: VProgram, stmts: list[VStmt], prefix: str, facts: ExprFacts
+) -> list[VStmt]:
     counts: dict[int, int] = {}
     for stmt in stmts:
         expr = _stmt_expr(stmt)
@@ -96,7 +89,7 @@ def _cse_stmts(stmts: list[VStmt], prefix: str, facts: ExprFacts) -> list[VStmt]
         if reg is not None:
             return reg
         if counts.get(n, 0) >= 2:
-            name = _fresh(prefix)
+            name = program.fresh_temp("cse", prefix)
             out.append(SetV(name, map_operands(expr, rewrite)))
             reg = defined[n] = VRegE(name)
             return reg

@@ -786,10 +786,11 @@ def reset_compiler_cache() -> None:
     toolchain (or pointing ``REPRO_CC``/``REPRO_CC_FLAGS`` somewhere
     sane) call this to retry cold.  Clears the flag resolution and the
     vector-extension capability probe along with the compiler identity
-    — they are functions of the same toolchain — and the next
-    resolution ignores their persisted outcomes: it probes again and
-    overwrites the disk entry.  The warn-once flag survives — one
-    native-unavailable warning per process is enough.
+    — they are functions of the same toolchain — and the per-signature
+    unavailability memo, and the next resolution ignores their
+    persisted outcomes: it probes again and overwrites the disk entry.
+    The warn-once flag survives — one native-unavailable warning per
+    process is enough.
     """
     global _CC, _FLAGS, _SIMD, _PROBED, _REPROBE
     _CC = None
@@ -798,22 +799,31 @@ def reset_compiler_cache() -> None:
     _PROBED = None
     _REPROBE = True
     _FAILED.clear()
+    _UNAVAILABLE.clear()
+
+
+def _compiler_problem() -> str | None:
+    """Why native has no usable compiler, or None when it has one."""
+    cc, _identity = _compiler_identity()
+    if cc is None:
+        return "no C compiler available for the native backend"
+    if not simd_supported():
+        return f"C compiler {cc} fails the vector-extension probe"
+    return None
 
 
 def _require_compiler() -> tuple[str, str]:
     """(compiler, identity), or :class:`NativeUnavailable` when there is
     no compiler or it fails the vector-extension probe."""
     global _WARNED
-    cc, identity = _compiler_identity()
-    if cc is None:
-        found = "no C compiler found (tried $CC, gcc, cc, clang)"
-        reason = "no C compiler available for the native backend"
-    elif not simd_supported():
-        found = reason = f"C compiler {cc} fails the vector-extension probe"
-    else:
-        return cc, identity
+    reason = _compiler_problem()
+    if reason is None:
+        return _compiler_identity()
     if not _WARNED:
         _WARNED = True
+        found = reason
+        if _compiler_identity()[0] is None:
+            found = "no C compiler found (tried $CC, gcc, cc, clang)"
         warnings.warn(
             f"{found}; the native backend degrades to the jit tier for "
             "this process",
@@ -879,6 +889,15 @@ _NATIVE_CACHE_MAX = 128
 #: :func:`reset_compiler_cache` — naturally un-poisons the signature.
 _FAILED: dict[str, str] = {}
 
+#: Why native cannot run a signature in this process — no usable
+#: compiler, or a memoized build failure — keyed by the signature and
+#: the toolchain request (``REPRO_CC``/``CC``, ``REPRO_CC_FLAGS``), so
+#: switching toolchains un-poisons it as ``_FAILED``'s key does.  A
+#: later run of the signature raises at once instead of re-entering
+#: acquisition (a jit kernel lookup and a compiler check) just before
+#: the resilient chain looks the same jit kernel up.
+_UNAVAILABLE: dict[tuple[str, tuple[str, str | None]], str] = {}
+
 #: Loaded shared objects by the SHA-256 of their bytes: every signature
 #: built into one ``.so`` binds its symbols from one handle.
 _LIBS: dict[str, ctypes.CDLL] = {}
@@ -910,10 +929,11 @@ def _cache_put(signature: str, kernel: _NativeKernel) -> None:
 
 def clear_memory_cache() -> None:
     """Drop loaded kernels, ``.so`` handles and memoized cc failures
-    (tests use this to force disk loads)."""
+    and unavailability (tests use this to force disk loads)."""
     _NATIVE_CACHE.clear()
     _LIBS.clear()
     _FAILED.clear()
+    _UNAVAILABLE.clear()
 
 
 def _library(disk, digest: str):
@@ -1051,6 +1071,11 @@ def _acquire(programs, per_run: bool) -> tuple[int, dict[str, str]]:
         if signature in seen or signature in _NATIVE_CACHE:
             continue
         seen.add(signature)
+        if per_run and _compiler_problem() and steady.analyze(program) is not None:
+            # A batchable loop with no usable compiler: fail before
+            # looking up the jit kernel the resilient chain runs next.
+            _fault("compile")
+            _require_compiler()
         jk = jit.get_kernel(program)
         if jk.spec.table is None:
             # The steady loop itself is unbatchable: there is nothing for
@@ -1090,7 +1115,8 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
     """The loaded native kernel for this program's signature (cached).
 
     Raises :class:`NativeUnavailable` when the host has no usable
-    compiler or this signature's build failed (memoized).
+    compiler or this signature's build failed; the reason is memoized
+    per signature, so later runs raise without acquiring.
     """
     signature = jit.program_signature(program)
     kernel = _NATIVE_CACHE.get(signature)
@@ -1099,8 +1125,18 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
         STATS["memory_hits"] += 1
         return kernel
     STATS["memory_misses"] += 1
-    _built, failed = _acquire([program], per_run=True)
+    key = (signature, _env_key())
+    reason = _UNAVAILABLE.get(key)
+    if reason is not None:
+        _fault("compile")  # fires per run, as on the acquisition path
+        raise NativeUnavailable(reason)
+    try:
+        _built, failed = _acquire([program], per_run=True)
+    except NativeUnavailable as exc:
+        _UNAVAILABLE[key] = str(exc)
+        raise
     if signature in failed:
+        _UNAVAILABLE[key] = failed[signature]
         raise NativeUnavailable(failed[signature])
     return _NATIVE_CACHE[signature]
 

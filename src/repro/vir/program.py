@@ -51,6 +51,9 @@ class VProgram:
     #: Residue of the steady loop counter modulo B (``LB mod B``); lets
     #: passes reason about which aligned vector an address truncates to.
     steady_residue: int = 0
+    #: Last number handed out per temporary-name counter (see
+    #: :meth:`fresh_temp`).
+    temp_counts: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def D(self) -> int:
@@ -60,6 +63,19 @@ class VProgram:
     def B(self) -> int:
         """Blocking factor: data elements per vector (paper eq. 7)."""
         return self.V // self.D
+
+    def fresh_temp(self, counter: str, prefix: str) -> str:
+        """A new register name: ``prefix`` and the next number of this
+        program's ``counter``.
+
+        The passes name their temporaries here, so a name depends on
+        the program alone and never on what the process lowered
+        before: structurally equal programs print, and key kernels,
+        the same.
+        """
+        n = self.temp_counts.get(counter, 0) + 1
+        self.temp_counts[counter] = n
+        return f"{prefix}{n}"
 
     # -- introspection helpers (used by passes, cost model, and tests) ----
 

@@ -14,8 +14,13 @@ tiers.  Everything needing a real compiler is guarded by ``needs_cc``;
 the degradation tests run anywhere numpy does.
 """
 
+import os
 import random
+import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +333,99 @@ class TestDegradation:
         assert report.fallback is not None
         assert report.fallback["tier"] == "jit"
         assert report.fallback["phase"] == "compile"
+
+
+class TestUnavailableMemo:
+    """Once native cannot run a signature, later runs raise at once."""
+
+    @staticmethod
+    def _lookups() -> int:
+        return jit.STATS["memory_hits"] + jit.STATS["memory_misses"]
+
+    def test_each_run_looks_the_jit_kernel_up_once(self, monkeypatch):
+        """Without a compiler, two native runs of a batchable loop make
+        as many jit kernel lookups as two jit runs (the resilient
+        chain's only), and the second run does not re-enter
+        acquisition; reset_compiler_cache() forgets the signature."""
+        from repro import run_and_verify
+
+        program = fig1_program()
+        before = self._lookups()
+        for _ in range(2):
+            run_and_verify(program, backend="jit")
+        jit_lookups = self._lookups() - before
+
+        monkeypatch.setattr(native, "_CC", (native._cc_env(), (None, "none")))
+        monkeypatch.setattr(native, "_WARNED", True)
+        acquired = []
+        acquire = native._acquire
+
+        def counting(programs, per_run):
+            acquired.append(per_run)
+            return acquire(programs, per_run)
+
+        monkeypatch.setattr(native, "_acquire", counting)
+        before = self._lookups()
+        for _ in range(2):
+            report = run_and_verify(program, backend="native")
+            assert report.fallback["tier"] == "jit"
+            assert "no C compiler" in report.fallback["reason"]
+        assert self._lookups() - before == jit_lookups
+        assert acquired == [True]
+
+        native.reset_compiler_cache()
+        monkeypatch.setattr(native, "_CC", (native._cc_env(), (None, "none")))
+        with pytest.raises(native.NativeUnavailable):
+            native.get_native_kernel(program)
+        assert acquired == [True, True]
+
+    def test_compile_fault_still_fires_per_run(self, monkeypatch):
+        """A memoized signature still meets REPRO_FAULT=compile:* on
+        every run, where acquisition would have met it."""
+        from repro.errors import FaultInjected
+
+        program = fig1_program()
+        monkeypatch.setattr(native, "_CC", (native._cc_env(), (None, "none")))
+        monkeypatch.setattr(native, "_WARNED", True)
+        with pytest.raises(native.NativeUnavailable):
+            native.get_native_kernel(program)
+        monkeypatch.setenv("REPRO_FAULT", "compile:raise")
+        faults.reload()
+        for _ in range(2):
+            with pytest.raises(FaultInjected):
+                native.get_native_kernel(program)
+
+    def test_failing_compiler_cli_looks_kernels_up_like_jit(self, tmp_path):
+        """``repro bench fig11 --count 2 --trip-count 67 --backend
+        native --profile`` under a compiler that fails every compile
+        (the vector-extension probe included) prints the jit run's
+        figure and as many ``kernel_memory`` lookups (28, not 56)."""
+        cc = tmp_path / "failing-cc"
+        cc.write_text('#!/bin/sh\n'
+                      'if [ "$1" = "--version" ]; then echo "failing-cc 1.0"; exit 0; fi\n'
+                      'echo "induced toolchain failure" >&2\n'
+                      'exit 1\n')
+        cc.chmod(0o755)
+        root = Path(__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(root / "src"), REPRO_CC=str(cc))
+
+        def bench(backend):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "bench", "fig11", "--count", "2",
+                 "--trip-count", "67", "--backend", backend, "--cache-dir", "",
+                 "--profile"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            figure = proc.stdout.split("\n\n")[0]
+            lookups = re.search(r"kernel_memory\s+\d+/(\d+) hits", proc.stdout)
+            return figure, int(lookups.group(1)), proc.stdout
+
+        jit_figure, jit_lookups, _ = bench("jit")
+        native_figure, native_lookups, out = bench("native")
+        assert native_figure == jit_figure
+        assert native_lookups == jit_lookups == 28
+        assert "degraded_to_jit          28" in out
 
 
 class TestProfileIntegration:
