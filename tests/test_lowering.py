@@ -6,9 +6,10 @@
 * The passes agree with the quadratic reference passes of
   ``reference_passes.py`` on the random loops of
   ``test_driver_equivalence.py``.
-* Each pass's work grows at most linearly with the program it sees.
-  Work is counted, not timed: every Python and builtin call a pass
-  makes, under ``sys.setprofile``.
+* Each pass's work grows at most linearly with the program it sees,
+  as unrolling or the number of loads grows it.  Work is counted, not
+  timed: every Python and builtin call a pass makes, under
+  ``sys.setprofile``.
 """
 
 import json
@@ -157,12 +158,19 @@ def _pass_work(loop, V, options) -> dict[str, tuple[int, int]]:
     return work
 
 
+def _assert_linear(per_node: dict[str, list[float]]) -> None:
+    """Each pass makes at most twice as many calls per node as at the
+    smallest program it ran on."""
+    assert set(per_node) == {name for _, name in PASSES}
+    for name, ratios in per_node.items():
+        assert max(ratios) <= 2 * ratios[0], (name, ratios)
+
+
 def test_pass_work_grows_linearly_with_unrolling():
-    """fig11 config 45 at unroll 1, 2, 4 and 8: each pass makes at most
-    twice as many calls per node as at the smallest factor it ran at.
-    Unrolling grows the programs the unroll pass and DCE see 2–4×, so
-    a pass whose calls grew with the square of its program would make
-    more than twice as many per node."""
+    """fig11 config 45 at unroll 1, 2, 4 and 8.  Unrolling grows the
+    programs the unroll pass and DCE see 2–4×, so a pass whose calls
+    grew with the square of its program would make more than twice as
+    many per node."""
     config = FIG11[45]
     loop = synthesize(config.params, config.seed, config.V).loop
     per_node: dict[str, list[float]] = {}
@@ -170,7 +178,20 @@ def test_pass_work_grows_linearly_with_unrolling():
         work = _pass_work(loop, config.V, replace(config.options, unroll=factor))
         for name, (calls, nodes) in work.items():
             per_node.setdefault(name, []).append(calls / nodes)
-    assert set(per_node) == {name for _, name in PASSES}
     assert len(per_node["unroll_steady"]) == 3    # not run at unroll 1
-    for name, ratios in per_node.items():
-        assert max(ratios) <= 2 * ratios[0], (name, ratios)
+    _assert_linear(per_node)
+
+
+def test_pass_work_grows_linearly_with_loads():
+    """fig11 config 45's loop drawn with 3, 6, 12 and 24 loads, at
+    unroll 2: more loads make deeper expressions, more CSE candidates
+    and more displacement chains for PC to common, one round each."""
+    config = FIG11[45]
+    per_node: dict[str, list[float]] = {}
+    for loads in (3, 6, 12, 24):
+        params = replace(config.params, loads=loads)
+        loop = synthesize(params, config.seed, config.V).loop
+        work = _pass_work(loop, config.V, replace(config.options, unroll=2))
+        for name, (calls, nodes) in work.items():
+            per_node.setdefault(name, []).append(calls / nodes)
+    _assert_linear(per_node)
