@@ -24,6 +24,7 @@ from repro.vir.program import VProgram
 from repro.vir.vexpr import BINARY_KINDS, ExprFacts, VExpr, VRegE, map_operands
 from repro.vir.vstmt import SetV, VStmt, VStoreS, map_expr
 
+
 def eliminate_common_subexprs(program: VProgram) -> VProgram:
     """Hoist invariants to the preheader; CSE the body and each section."""
     facts = ExprFacts()

@@ -17,42 +17,40 @@ reached with one walk of the program.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.vir.program import VProgram
-from repro.vir.vexpr import BINARY_KINDS, SBin, SExpr, SReg, VExpr, VRegE, VShiftPairE, VSpliceE, VSplatE
-from repro.vir.vstmt import SetS, SetV, VStmt, VStoreS
+from repro.vir.vexpr import SBin, SReg, VBinE, VRegE, VShiftPairE, VSpliceE, VSplatE
+from repro.vir.vstmt import SetS, SetV, VStoreS
 
 #: A register: ``("v", name)`` for a vector one, ``("s", name)`` for a scalar one.
 Reg = tuple[str, str]
 
 
 def eliminate_dead_code(program: VProgram) -> VProgram:
-    owners = _stmt_lists(program)
-    lists = [getattr(owner, attr) for owner, attr in owners]
-    reads: dict[Reg, int] = {}
-    defs: dict[Reg, list[tuple[int, int]]] = {}
-    made: dict[tuple[int, int], list[Reg]] = {}  # position -> reads of a def
-
-    def note(names: list[Reg]) -> None:
-        for reg in names:
-            reads[reg] = reads.get(reg, 0) + 1
-
+    owners: list[tuple[object, str]] = [(program, "preheader")]
+    owners += [(sec, "stmts") for sec in program.prologue + program.epilogue]
+    reads: Counter[Reg] = Counter()
     for sec in program.prologue + program.epilogue:
-        note(_scalar_reads(sec.i_expr))
-        note(_scalar_reads(sec.cond))
+        reads.update(_reads(sec.i_expr) + _reads(sec.cond))
     if program.steady is not None:
-        note(_scalar_reads(program.steady.lb))
-        note(_scalar_reads(program.steady.ub))
+        owners += [(program.steady, "body"), (program.steady, "bottom")]
+        reads.update(_reads(program.steady.lb) + _reads(program.steady.ub))
+
+    lists = [getattr(owner, attr) for owner, attr in owners]
+    defs: dict[Reg, list[tuple[int, int]]] = {}
+    made: dict[tuple[int, int], list[Reg]] = {}   # definition -> its reads
     for k, stmts in enumerate(lists):
         for j, stmt in enumerate(stmts):
-            names = _stmt_reads(stmt)
-            note(names)
-            reg = _defined(stmt)
-            if reg is not None:
+            names = _reads(stmt.src if isinstance(stmt, VStoreS) else stmt.expr)
+            reads.update(names)
+            if isinstance(stmt, (SetV, SetS)):
+                reg = ("v" if isinstance(stmt, SetV) else "s", stmt.reg)
                 defs.setdefault(reg, []).append((k, j))
                 made[(k, j)] = names
 
     dead: set[tuple[int, int]] = set()
-    work = [reg for reg in defs if not reads.get(reg)]
+    work = [reg for reg in defs if not reads[reg]]
     while work:
         for pos in defs[work.pop()]:
             dead.add(pos)
@@ -69,47 +67,8 @@ def eliminate_dead_code(program: VProgram) -> VProgram:
     return program
 
 
-def _stmt_lists(program: VProgram) -> list[tuple[object, str]]:
-    """Every statement list of the program, as (owner, attribute)."""
-    owners: list[tuple[object, str]] = [(program, "preheader")]
-    owners += [(sec, "stmts") for sec in program.prologue + program.epilogue]
-    if program.steady is not None:
-        owners += [(program.steady, "body"), (program.steady, "bottom")]
-    return owners
-
-
-def _defined(stmt: VStmt) -> Reg | None:
-    if isinstance(stmt, SetV):
-        return ("v", stmt.reg)
-    if isinstance(stmt, SetS):
-        return ("s", stmt.reg)
-    return None
-
-
-def _stmt_reads(stmt: VStmt) -> list[Reg]:
-    if isinstance(stmt, SetS):
-        return _scalar_reads(stmt.expr)
-    if isinstance(stmt, SetV):
-        return _vector_reads(stmt.expr)
-    if isinstance(stmt, VStoreS):
-        return _vector_reads(stmt.src)
-    return []
-
-
-def _scalar_reads(expr: SExpr | int | None) -> list[Reg]:
-    names: list[Reg] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SReg):
-            names.append(("s", node.name))
-        elif isinstance(node, SBin):
-            stack.append(node.right)
-            stack.append(node.left)
-    return names
-
-
-def _vector_reads(expr: VExpr) -> list[Reg]:
+def _reads(expr) -> list[Reg]:
+    """The registers a vector or scalar expression reads, one per read."""
     names: list[Reg] = []
     stack = [expr]
     while stack:
@@ -117,13 +76,16 @@ def _vector_reads(expr: VExpr) -> list[Reg]:
         kind = type(node)
         if kind is VRegE:
             names.append(("v", node.name))
-        elif kind in BINARY_KINDS:
-            stack.append(node.b)
-            stack.append(node.a)
-            if kind is VShiftPairE:
-                names += _scalar_reads(node.shift)
-            elif kind is VSpliceE:
-                names += _scalar_reads(node.point)
+        elif kind is SReg:
+            names.append(("s", node.name))
+        elif kind is VBinE:
+            stack += (node.a, node.b)
+        elif kind is VShiftPairE:
+            stack += (node.a, node.b, node.shift)
+        elif kind is VSpliceE:
+            stack += (node.a, node.b, node.point)
         elif kind is VSplatE:
-            names += _scalar_reads(node.operand)
+            stack.append(node.operand)
+        elif kind is SBin:
+            stack += (node.left, node.right)
     return names

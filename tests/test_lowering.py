@@ -13,6 +13,7 @@
 """
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -65,7 +66,7 @@ def test_lowering_does_not_depend_on_history():
     after 30 other configs."""
     pytest.importorskip("numpy")
     assert FIG11[45].scheme == "ZERO-pc"
-    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _HISTORY], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
