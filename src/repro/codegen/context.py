@@ -33,6 +33,8 @@ class CodegenCtx:
     #: residue however many sections ask, and the expressions share
     #: it.  The entry holds the node, so its ``id`` stays its own.
     lowered: dict[tuple[int, int, int], tuple[object, object]] = field(default_factory=dict)
+    #: (id(shift node), residue) -> (node, shift plan), the same way.
+    plans: dict[tuple[int, int], tuple[object, object]] = field(default_factory=dict)
     _counters: dict[str, int] = field(default_factory=dict)
     _hoisted: dict[object, SReg] = field(default_factory=dict)
 

@@ -73,8 +73,16 @@ def plan_shift(ctx: CodegenCtx, node: RShiftStream, residue: int) -> ShiftPlan |
     """Decide register pair and amount for a ``vshiftstream`` node.
 
     ``residue`` is the loop-counter residue (in elements, mod B) of the
-    program point the generated code will execute at.
+    program point the generated code will execute at.  Memoized per
+    node and residue in ``ctx.plans``.
     """
+    key = (id(node), residue)
+    if key not in ctx.plans:
+        ctx.plans[key] = (node, _plan_shift(ctx, node, residue))
+    return ctx.plans[key][1]
+
+
+def _plan_shift(ctx: CodegenCtx, node: RShiftStream, residue: int) -> ShiftPlan | None:
     V = ctx.V
     rho = (residue % ctx.B) * ctx.D
     src_off = node.src.offset(V)

@@ -145,7 +145,7 @@ class _Body:
                 if v not in self.occ:
                     self.occ[v] = deque()
                     self.count[v] = 0
-                    shape, anchor = facts.place[v]
+                    shape, anchor = facts.place(v)
                     self.classes.setdefault(shape, {})[anchor] = v
                 if top:
                     self.occ[v].appendleft(p)
@@ -170,7 +170,7 @@ class _Body:
     def _score(self, v: int) -> None:
         """Push the chains around ``v``'s anchor with their current
         profit and head key."""
-        shape, anchor = self.facts.place[v]
+        shape, anchor = self.facts.place(v)
         B = self.B
         for at in (anchor - B, anchor, anchor + B):
             if self._present(shape, at) is None:

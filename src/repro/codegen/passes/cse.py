@@ -21,7 +21,7 @@ counter values, so sharing across sections would be wrong).
 from __future__ import annotations
 
 from repro.vir.program import VProgram
-from repro.vir.vexpr import BINARY_KINDS, ExprFacts, VExpr, VRegE, map_operands
+from repro.vir.vexpr import ExprFacts, VExpr, VRegE, map_operands
 from repro.vir.vstmt import SetV, VStmt, VStoreS, map_expr
 
 
@@ -47,6 +47,8 @@ def _hoist_invariants(program: VProgram, stmts: list[VStmt], facts: ExprFacts) -
 
     def rewrite(expr: VExpr) -> VExpr:
         n = facts.number(expr)
+        if not facts.splats[n]:
+            return expr     # invariants are built from splats
         if facts.pure[n] and not facts.varying[n]:
             reg = mapping.get(n)
             if reg is None:
@@ -67,19 +69,17 @@ def _cse_stmts(
     program: VProgram, stmts: list[VStmt], prefix: str, facts: ExprFacts
 ) -> list[VStmt]:
     counts: dict[int, int] = {}
+    pure, operands = facts.pure, facts.operands
     for stmt in stmts:
         expr = _stmt_expr(stmt)
         if expr is None:
             continue
-        stack = [expr]
+        stack = [facts.number(expr)]
         while stack:
-            node = stack.pop()
-            n = facts.number(node)
-            if facts.pure[n]:
+            n = stack.pop()
+            if pure[n]:
                 counts[n] = counts.get(n, 0) + 1
-            if type(node) in BINARY_KINDS:
-                stack.append(node.b)
-                stack.append(node.a)
+            stack += operands[n]
 
     defined: dict[int, VRegE] = {}
     out: list[VStmt] = []

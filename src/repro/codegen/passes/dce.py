@@ -40,9 +40,16 @@ def eliminate_dead_code(program: VProgram) -> VProgram:
     lists = [getattr(owner, attr) for owner, attr in owners]
     defs: dict[Reg, list[tuple[int, int]]] = {}
     made: dict[tuple[int, int], list[Reg]] = {}   # definition -> its reads
+    # Unrolling's fix-up sections repeat the steady body's statement
+    # objects: read each object once.
+    seen: dict[int, tuple[object, list[Reg]]] = {}
     for k, stmts in enumerate(lists):
         for j, stmt in enumerate(stmts):
-            names = _reads(stmt.src if isinstance(stmt, VStoreS) else stmt.expr)
+            known = seen.get(id(stmt))
+            if known is None:
+                expr = stmt.src if isinstance(stmt, VStoreS) else stmt.expr
+                known = seen[id(stmt)] = (stmt, _reads(expr))
+            names = known[1]
             reads.update(names)
             if isinstance(stmt, (SetV, SetS)):
                 reg = ("v" if isinstance(stmt, SetV) else "s", stmt.reg)

@@ -411,13 +411,14 @@ class ExprFacts:
 
     :meth:`number` gives an expression its *value number*: two
     expressions get the same number exactly when they are structurally
-    equal.  Per number it records whether the expression is pure (no
-    register reads), whether it varies with the loop counter (holds a
-    load or an iota), its node count, and its displacement class:
-    ``place[n] == (shape, anchor)``, where two expressions share a
-    shape exactly when one is the other with ``i -> i + d`` substituted
-    (:func:`displace`), and then their anchors (the first load's
-    element or iota's bias, preorder) differ by ``d``.
+    equal.  Per number it records its operands' numbers, whether the
+    expression is pure (no register reads), whether it varies with the
+    loop counter (holds a load or an iota), whether it holds a splat,
+    and its node count.  :meth:`place` gives its displacement class,
+    ``(shape, anchor)``: two expressions share a shape exactly when one
+    is the other with ``i -> i + d`` substituted (:func:`displace`),
+    and then their anchors (the first load's element or iota's bias,
+    preorder) differ by ``d``.
 
     A node object is numbered once, from its children's numbers,
     and the memo keeps the node alive so its ``id`` is not reused; the
@@ -425,16 +426,20 @@ class ExprFacts:
     therefore one bottom-up walk however often a pass asks about it.
     """
 
-    __slots__ = ("_seen", "_values", "_shapes", "pure", "varying", "size", "place")
+    __slots__ = ("_seen", "_values", "_keys", "_places", "_shapes",
+                 "operands", "pure", "varying", "splats", "size")
 
     def __init__(self) -> None:
         self._seen: dict[int, tuple[VExpr, int]] = {}
         self._values: dict[tuple, int] = {}
+        self._keys: list[tuple] = []
+        self._places: dict[int, tuple[int, int | None]] = {}
         self._shapes: dict[tuple, int] = {}
+        self.operands: list[tuple[int, ...]] = []
         self.pure: list[bool] = []
         self.varying: list[bool] = []
+        self.splats: list[bool] = []
         self.size: list[int] = []
-        self.place: list[tuple[int, int | None]] = []
 
     def number(self, expr: VExpr) -> int:
         seen = self._seen.get(id(expr))
@@ -449,7 +454,7 @@ class ExprFacts:
             else:
                 key = (kind, a, b, expr.shift if kind is VShiftPairE else expr.point)
         elif kind is VLoadE:
-            key = (kind, expr.addr)
+            key = (kind, expr.addr.array, expr.addr.elem)
         elif kind is VIotaE:
             key = (kind, expr.bias, expr.dtype)
         elif kind is VSplatE:
@@ -460,7 +465,7 @@ class ExprFacts:
             raise CodegenError(f"unknown vector expression {kind.__name__}")
         n = self._values.get(key)
         if n is None:
-            n = self._values[key] = len(self.pure)
+            n = self._values[key] = len(self._keys)
             self._derive(key)
         self._seen[id(expr)] = (expr, n)
         return n
@@ -468,26 +473,39 @@ class ExprFacts:
     def _derive(self, key: tuple) -> None:
         """Append the facts of the new value ``key`` describes."""
         kind = key[0]
+        self._keys.append(key)
+        if kind in BINARY_KINDS:
+            a, b = key[1], key[2]
+            self.operands.append((a, b))
+            self.pure.append(self.pure[a] and self.pure[b])
+            self.varying.append(self.varying[a] or self.varying[b])
+            self.splats.append(self.splats[a] or self.splats[b])
+            self.size.append(1 + self.size[a] + self.size[b])
+        else:
+            self.operands.append(())
+            self.pure.append(kind is not VRegE)
+            self.varying.append(kind is VLoadE or kind is VIotaE)
+            self.splats.append(kind is VSplatE)
+            self.size.append(1)
+
+    def place(self, n: int) -> tuple[int, int | None]:
+        """``(shape, anchor)`` of value ``n``; the anchor is None for an
+        expression that does not vary with the loop counter."""
+        place = self._places.get(n)
+        if place is not None:
+            return place
+        key = self._keys[n]
+        kind = key[0]
         if kind is VLoadE:
-            pure, varying, size = True, True, 1
-            shape, anchor = (kind, key[1].array), key[1].elem
+            shape, anchor = (kind, key[1]), key[2]          # array, element
         elif kind is VIotaE:
-            pure, varying, size = True, True, 1
-            shape, anchor = (kind, key[2]), key[1]
-        elif kind is VSplatE or kind is VRegE:
-            pure, varying, size = kind is VSplatE, False, 1
+            shape, anchor = (kind, key[2]), key[1]          # dtype, bias
+        elif kind not in BINARY_KINDS:
             shape, anchor = key, None
         else:
-            a, b = key[1], key[2]
-            pure = self.pure[a] and self.pure[b]
-            varying = self.varying[a] or self.varying[b]
-            size = 1 + self.size[a] + self.size[b]
-            (shape_a, anchor_a), (shape_b, anchor_b) = self.place[a], self.place[b]
+            (shape_a, anchor_a), (shape_b, anchor_b) = self.place(key[1]), self.place(key[2])
             anchor = anchor_a if anchor_a is not None else anchor_b
             shape = (kind, shape_a, None if anchor_a is None else anchor_a - anchor,
                      shape_b, None if anchor_b is None else anchor_b - anchor) + key[3:]
-        shape_no = self._shapes.setdefault(shape, len(self._shapes))
-        self.pure.append(pure)
-        self.varying.append(varying)
-        self.size.append(size)
-        self.place.append((shape_no, anchor))
+        place = self._places[n] = (self._shapes.setdefault(shape, len(self._shapes)), anchor)
+        return place
