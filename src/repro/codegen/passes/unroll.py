@@ -191,12 +191,17 @@ def _finalize_carried(
     Renaming a versioned definition to the carried name is safe only if
     every read of the carried register's *incoming* value happens before
     that definition (otherwise the redefined value would be observed too
-    early), and no other carried register claims the same definition.
+    early) — a residual copy of that incoming value included — and no
+    other carried register claims the same definition.
     """
     def_pos = {s.reg: k for k, s in enumerate(body) if isinstance(s, SetV)}
     rename: dict[str, str] = {}
     residual: list[VStmt] = []
     claimed: set[str] = set()
+    # Carried registers whose incoming value a residual copy reads.
+    copied = {env[reg].name for reg in carried
+              if isinstance(env.get(reg), VRegE)
+              and env[reg].name not in def_pos}
 
     for reg in sorted(carried):
         final = env.get(reg)
@@ -209,6 +214,7 @@ def _finalize_carried(
             pos is not None
             and source not in claimed
             and last_original_read.get(reg, -1) < pos
+            and reg not in copied
         )
         if safe:
             rename[source] = reg
@@ -217,7 +223,7 @@ def _finalize_carried(
             residual.append(SetV(reg, VRegE(source)))
 
     if not rename:
-        return body, residual
+        return body, _sequence(residual)
 
     def rn_expr(expr: VExpr) -> VExpr:
         if type(expr) is VRegE:
@@ -233,4 +239,25 @@ def _finalize_carried(
             assert isinstance(stmt, VStoreS)
             renamed_body.append(VStoreS(stmt.addr, rn_expr(stmt.src)))
     residual = [SetV(s.reg, rn_expr(s.expr)) for s in residual]  # type: ignore[arg-type]
-    return renamed_body, residual
+    return renamed_body, _sequence(residual)
+
+
+def _sequence(copies: list[VStmt]) -> list[VStmt]:
+    """Order the residual copies, which act as one parallel copy, so
+    that no copy overwrites a register another copy has yet to read.
+
+    Each step takes the first copy in the given order whose target no
+    other pending copy reads, so an order that is already safe stays as
+    it is.
+    """
+    pending = list(copies)
+    ordered: list[VStmt] = []
+    while pending:
+        for k, copy in enumerate(pending):
+            if not any(other.expr.name == copy.reg  # type: ignore[union-attr]
+                       for other in pending if other is not copy):
+                break
+        else:
+            raise CodegenError("residual register copies form a cycle")
+        ordered.append(pending.pop(k))
+    return ordered

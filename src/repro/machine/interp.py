@@ -5,6 +5,11 @@ cycle-accurate simulator.  It executes the structured vector program on
 a byte-addressable memory with AltiVec truncation semantics and tallies
 every operation by category (see :mod:`repro.machine.counters` and the
 cost model in ``DESIGN.md`` §5).
+
+:func:`count_ops` derives the same tallies without executing: the
+numpy, jit and native tiers take their counters from it, and this
+interpreter keeps counting as it runs, as the oracle it is checked
+against.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from repro.machine.counters import (
     VSTORE,
 )
 from repro.machine.memory import Memory
-from repro.machine.scalar import RunBindings, run_scalar
+from repro.machine.scalar import RunBindings, reference_counters, run_scalar
 from repro.machine.trace import Trace
 from repro.machine import vector as vec
 from repro.vir.program import VProgram, SteadyLoop
@@ -123,8 +128,6 @@ def run_vector(
             scalar = run_scalar(program.source, space, mem, env.bindings)
             env.counters.merge(scalar.counters)
             return VectorRunResult(env.counters, env.trip, used_fallback=True)
-    elif env.trip != program.source.upper and isinstance(program.source.upper, int):
-        raise MachineError("compile-time trip count mismatch")
 
     exec_stmts(env, program.preheader, i=None)
     for section in program.prologue:
@@ -203,6 +206,17 @@ def read_vreg(env: Env, name: str) -> bytes:
 
 
 def eval_s(env: Env, expr: SExpr) -> int:
+    if isinstance(expr, SBin):
+        left = eval_s(env, expr.left)
+        right = eval_s(env, expr.right)
+        env.counters.bump(SCALAR)
+        return S_OPS[expr.op](left, right)
+    return peek_s(env, expr)
+
+
+def peek_s(env: Env, expr: SExpr) -> int:
+    """:func:`eval_s` without the SCALAR bumps, for an operand whose
+    operations are counted by structure instead."""
     if isinstance(expr, SConst):
         return expr.value
     if isinstance(expr, SVar):
@@ -218,10 +232,7 @@ def eval_s(env: Env, expr: SExpr) -> int:
         except KeyError:
             raise MachineError(f"scalar register {expr.name!r} read before being set") from None
     if isinstance(expr, SBin):
-        left = eval_s(env, expr.left)
-        right = eval_s(env, expr.right)
-        env.counters.bump(SCALAR)
-        return S_OPS[expr.op](left, right)
+        return S_OPS[expr.op](peek_s(env, expr.left), peek_s(env, expr.right))
     raise MachineError(f"unknown scalar expression {type(expr).__name__}")
 
 
@@ -268,3 +279,141 @@ def _eval_v(env: Env, expr: VExpr, i: int | None) -> bytes:
         lanes = [dtype.wrap(m * B + lane) for lane in range(B)]
         return vec.from_lanes(lanes, dtype)
     raise MachineError(f"unknown vector expression {type(expr).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Static counts: what run_vector tallies, derived without executing
+# ---------------------------------------------------------------------------
+
+#: Per vector expression form: the category one evaluation bumps, and
+#: the scalar operand it evaluates.
+_V_COUNTS = {VLoadE: (VLOAD, None), VShiftPairE: (VPERM, "shift"),
+             VSpliceE: (VSEL, "point"), VSplatE: (VSPLAT, "operand"),
+             VBinE: (VARITH, None), VIotaE: (VARITH, None),
+             VRegE: (None, None)}
+
+
+def count_ops(program: VProgram, space: ArraySpace,
+              bindings: RunBindings | None = None) -> OpCounters:
+    """The counters :func:`run_vector` tallies, without running it.
+
+    Only what decides a count is evaluated: the scalar statements, the
+    section conditions and the steady bounds.  Every vector statement
+    is counted by its structure, the steady body once per iteration,
+    and at or below the runtime guard the scalar loop counts as
+    :func:`~repro.machine.scalar.reference_counters` says.  No memory
+    is read, so operations per datum are a property of the program
+    and its bindings, whichever tier produced the memory image.
+
+    The structural half depends on the program alone; it is derived
+    once and kept on the program, as the jit signature is, so a
+    repeated run only evaluates a few scalar expressions.
+    """
+    env = Env(program, space, None, bindings or RunBindings())
+    counters = env.counters
+    counters.bump(CALL, 2)
+    if program.guard_min_trip is not None:
+        counters.bump(BRANCH)
+        if env.trip <= program.guard_min_trip:
+            counters.merge(reference_counters(program.source, env.trip))
+            return counters
+    plan = getattr(program, "_op_counts", None)
+    if plan is None:
+        plan = program._op_counts = _count_plan(program)
+    for cond, bounds, counts, sets in plan:
+        if bounds is not None:  # the steady loop
+            lb, ub, step = bounds
+            times = len(range(peek_s(env, lb), peek_s(env, ub), step))
+        else:
+            times = 1 if cond is None or peek_s(env, cond) else 0
+        for category, count in counts:
+            counters.bump(category, count * times)
+        if sets:
+            for _ in range(times):
+                for stmt in sets:
+                    env.sregs[stmt.reg] = peek_s(env, stmt.expr)
+    return counters
+
+
+def _count_plan(program: VProgram) -> tuple:
+    """The structural half of :func:`count_ops`, as picklable tuples.
+
+    A step ``(cond, bounds, counts, sets)`` is what one block counts
+    each time it runs and the scalar statements it evaluates, in
+    program order; the steady loop's ``bounds`` are ``(lb, ub, step)``.
+    What every vectorized run counts — the preheader, the
+    unconditional sections, each condition and the steady bounds —
+    sums into the first step.
+    """
+    fixed = OpCounters()
+    steps: list = []
+
+    def add(cond, bounds, counts, stmts, i_expr=None) -> None:
+        _count_s(counts, i_expr)
+        _count_stmts(counts, stmts)
+        if cond is not None:
+            fixed.bump(BRANCH)
+            _count_s(fixed, cond)
+        elif bounds is None:
+            fixed.merge(counts)
+            counts = OpCounters()
+        sets = tuple(s for s in stmts if isinstance(s, SetS))
+        if cond is not None or bounds is not None or sets:
+            steps.append((cond, bounds, tuple(counts.counts.items()), sets))
+
+    add(None, None, OpCounters(), program.preheader)
+    for section in program.prologue:
+        add(section.cond, None, OpCounters(), section.stmts, section.i_expr)
+    loop = program.steady
+    if loop is not None:
+        _count_s(fixed, loop.lb)
+        _count_s(fixed, loop.ub)
+        per_iter = OpCounters()
+        # The modelled per-iteration overhead, as _exec_steady bumps it.
+        per_iter.bump(SCALAR, program.pointer_count())
+        per_iter.bump(BRANCH)
+        add(None, (loop.lb, loop.ub, loop.step), per_iter,
+            list(loop.body) + list(loop.bottom))
+    for section in program.epilogue:
+        add(section.cond, None, OpCounters(), section.stmts, section.i_expr)
+    return ((None, None, tuple(fixed.counts.items()), ()), *steps)
+
+
+def _count_stmts(counters: OpCounters, stmts) -> None:
+    """Bump what one :func:`exec_stmts` of ``stmts`` counts."""
+    for stmt in stmts:
+        if isinstance(stmt, SetS):
+            _count_s(counters, stmt.expr)
+        elif isinstance(stmt, SetV) and stmt.is_copy:
+            counters.bump(VCOPY)
+        elif isinstance(stmt, SetV):
+            _count_v(counters, stmt.expr)
+        elif isinstance(stmt, VStoreS):
+            _count_v(counters, stmt.src)
+            counters.bump(VSTORE)
+        else:
+            raise MachineError(f"unknown statement {type(stmt).__name__}")
+
+
+def _count_v(counters: OpCounters, expr: VExpr) -> None:
+    """Bump what one :func:`_eval_v` of ``expr`` counts."""
+    try:
+        category, operand = _V_COUNTS[type(expr)]
+    except KeyError:
+        raise MachineError(
+            f"unknown vector expression {type(expr).__name__}") from None
+    if category is not None:
+        counters.bump(category)
+    if operand is not None:
+        _count_s(counters, getattr(expr, operand))
+    for child in expr.children():
+        _count_v(counters, child)
+
+
+def _count_s(counters: OpCounters, operand) -> None:
+    """Bump what :func:`eval_s` counts evaluating ``operand``: one
+    SCALAR per ``SBin``; a literal amount (or none) counts nothing."""
+    if isinstance(operand, SBin):
+        counters.bump(SCALAR)
+        _count_s(counters, operand.left)
+        _count_s(counters, operand.right)

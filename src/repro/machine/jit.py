@@ -10,23 +10,23 @@ that per-call work is redundant.  This engine does the paper's
 compile-time/runtime split (§5) one level up: everything decidable
 from the *program text* — the model's structural analysis, the order
 of the lane calls, which shift amounts are literals, straight-lined
-prologue/epilogue splices, structural operation counts — is decided
-**once**, lowered to Python source, ``compile()``d, and cached; the
-materialized kernel only does the per-*run* work (the model's window
-check, then its lane functions).  "Batched" throughout means
-vectorised across the steady loop's iterations: one kernel call
-executes exactly one run.
+prologue/epilogue splices — is decided **once**, lowered to Python
+source, ``compile()``d, and cached; the materialized kernel only does
+the per-*run* work (the model's window check, then its lane
+functions).  "Batched" throughout means vectorised across the steady
+loop's iterations: one kernel call executes exactly one run.  Kernels
+do not count: every result's counters come from
+:func:`repro.machine.interp.count_ops`.
 
 Correctness contract is npbackend's, verbatim: final memory bytes and
 :class:`~repro.machine.counters.OpCounters` are bit-identical to the
 byte interpreter, and ``used_fallback`` matches the numpy engine — both
 tiers take batchability, the window check (raising
 :class:`~repro.machine.steady.Unbatchable` *before any memory
-mutation* so the per-iteration fallback stays exact), the lane
-semantics and the steady counters from :mod:`repro.machine.steady`,
-and the inlined sections call the same byte-level
-:mod:`repro.machine.vector` helpers the interpreter calls, with their
-counter bumps precomputed into per-section constants.
+mutation* so the per-iteration fallback stays exact) and the lane
+semantics from :mod:`repro.machine.steady`, and the inlined sections
+call the same byte-level :mod:`repro.machine.vector` helpers the
+interpreter calls.
 
 Kernels are cached at two tiers keyed on the program's structural
 signature (:func:`program_signature`):
@@ -69,7 +69,6 @@ from repro.errors import MachineError
 from repro.faults import fault as _fault
 from repro.machine import interp, steady
 from repro.machine import vector as vec
-from repro.machine.counters import BRANCH, OpCounters
 from repro.machine.interp import VectorRunResult
 from repro.vir.program import VProgram
 from repro.vir.vexpr import (
@@ -98,7 +97,9 @@ from repro.vir.vstmt import Section, SetS, SetV, VStmt, VStoreS
 #: and index windows in its table order.
 #: v5: entries carry the marshalled code object of their source.
 #: v6: the IR nodes in a spec pickle through their constructors.
-KERNEL_CODE_VERSION = 6
+#: v7: kernels stop counting; a v6 source would call a helper the
+#: namespace no longer holds.
+KERNEL_CODE_VERSION = 7
 
 #: The bytecode format this interpreter writes and reads: marshalled
 #: code from another interpreter is unusable, so it keys every entry.
@@ -129,10 +130,10 @@ class _CantCompile(Exception):
 # The signature must distinguish every program property the emitted
 # kernel bakes in: V, D, step, the upper-bound symbol (it decides which
 # SVar reads the runtime trip), statement forms and order in every
-# phase, addresses, op/dtype pairs, and scalar operand *structure* (an
-# ``SConst(4)`` and a literal ``4`` count SCALAR differently in
-# steady.count_sbins, so scalar expressions serialize with type tags —
-# ``str()`` would collide ``SVar("n")`` with ``SReg("n")``).
+# phase, addresses, op/dtype pairs, and scalar operand *structure*.
+# Scalar expressions serialize with type tags: a kernel inlines a
+# literal shift amount but reads an ``SConst`` operand at run time, and
+# ``str()`` would collide ``SVar("n")`` with ``SReg("n")``.
 
 def _sig_s(expr) -> str:
     if isinstance(expr, int):
@@ -189,8 +190,8 @@ def program_signature(program: VProgram) -> str:
     """A string determining the program's compiled kernel.
 
     Two programs with equal signatures get the same kernel: every
-    baked-in property (stride, windows, ops, counts, pointer count,
-    section shapes) is a function of the serialized structure.
+    baked-in property (stride, windows, ops, section shapes) is a
+    function of the serialized structure.
     Programs are immutable after simdize, so the string is memoized on
     the instance; a plain string keeps the program picklable.
     """
@@ -253,7 +254,6 @@ class _KernelSpec:
     bbinops: tuple = ()    # (op name, DataType) per byte-mode vbinop
     bsplats: tuple = ()    # DataType per byte-mode splat factory
     biotas: tuple = ()     # (bias, DataType) per byte-mode iota factory
-    counts: tuple = ()     # aggregated OpCounters dicts (_cnt{k})
 
 
 @dataclass
@@ -411,9 +411,7 @@ class _SectionEmitter:
     The emitted code calls the same :mod:`repro.machine.vector` and
     :class:`~repro.machine.memory.Memory` primitives the interpreter
     calls — same byte semantics, same exceptions — but with the
-    recursive dispatch flattened away and all counter bumps aggregated
-    into per-block constants (``_cnt{k}``) computed at compile time
-    from the model's structural counter rules.
+    recursive dispatch flattened away, and it counts nothing.
     """
 
     def __init__(self, V: int, upper):
@@ -427,7 +425,6 @@ class _SectionEmitter:
         self._bsplat_idx: dict = {}
         self.biotas: list = []
         self._biota_idx: dict = {}
-        self.counts: list = []
 
     def _array(self, name: str) -> str:
         idx = self._array_idx.get(name)
@@ -444,13 +441,6 @@ class _SectionEmitter:
             table.append(key)
             index[key] = idx
         return f"{prefix}{idx}"
-
-    def _count(self, counters: OpCounters) -> str | None:
-        if not counters.counts:
-            return None
-        idx = len(self.counts)
-        self.counts.append(dict(counters.counts))
-        return f"_cnt{idx}"
 
     # -- expression source -----------------------------------------------
 
@@ -535,38 +525,15 @@ class _SectionEmitter:
         else:
             raise _CantCompile(type(stmt).__name__)
 
-    def _count_stmts(self, stmts: list[VStmt]) -> OpCounters:
-        """One execution's counter bumps, mirroring interp.exec_stmts."""
-        pc = OpCounters()
-        for stmt in stmts:
-            steady.count_stmt(pc, stmt)
-        return pc
-
     def emit_function(self, name: str, preheader: list[VStmt],
                       sections: list[Section]) -> str:
         body: list[str] = []
-        if preheader:
-            pc = self._count_stmts(preheader)
-            for stmt in preheader:
-                self._stmt_lines(stmt, False, body, "    ")
-            cnt = self._count(pc)
-            if cnt is not None:
-                body.append(f"    _bump_all(c, {cnt})")
+        for stmt in preheader:
+            self._stmt_lines(stmt, False, body, "    ")
         for section in sections:
             body.append(f"    # {section.label}")
             has_i = section.i_expr is not None
-            taken = OpCounters()
-            if has_i:
-                steady.count_sbins(taken, section.i_expr)
-            taken.merge(self._count_stmts(section.stmts))
             if section.cond is not None:
-                # The interpreter bumps BRANCH and evaluates the
-                # condition (counting its SBins) whether or not the
-                # section runs; only the body is conditional.
-                head = OpCounters()
-                head.bump(BRANCH)
-                steady.count_sbins(head, section.cond)
-                body.append(f"    _bump_all(c, {self._count(head)})")
                 body.append(f"    if {self.scalar_src(section.cond)}:")
                 indent = "        "
             else:
@@ -576,14 +543,10 @@ class _SectionEmitter:
                 inner.append(f"{indent}i0 = {self.scalar_src(section.i_expr)}")
             for stmt in section.stmts:
                 self._stmt_lines(stmt, has_i, inner, indent)
-            cnt = self._count(taken)
-            if cnt is not None:
-                inner.append(f"{indent}_bump_all(c, {cnt})")
             if not inner:
                 inner.append(f"{indent}pass")
             body.extend(inner)
         hoists = [
-            "    c = env.counters",
             "    vregs = env.vregs",
             "    sregs = env.sregs",
             "    b = env.bindings",
@@ -615,7 +578,6 @@ def _emit_sections(program: VProgram, spec_fields: dict) -> bool:
         bbinops=tuple(em.bbinops),
         bsplats=tuple(em.bsplats),
         biotas=tuple(em.biotas),
-        counts=tuple(em.counts),
     )
     spec_fields["_pre_src"] = pre
     spec_fields["_post_src"] = post
@@ -745,11 +707,6 @@ def _die(message):
     raise MachineError(message)
 
 
-def _bump_all(counters, counts):
-    for category, amount in counts.items():
-        counters.bump(category, amount)
-
-
 def _compile_source(spec: _KernelSpec) -> types.CodeType:
     STATS["source_compiles"] += 1
     return compile(spec.source, "<repro-jit-kernel>", "exec")
@@ -783,7 +740,6 @@ def _materialize(spec: _KernelSpec, code: types.CodeType) -> tuple:
         "_rs": _read_sreg,
         "_rv": _read_vreg,
         "_die": _die,
-        "_bump_all": _bump_all,
     }
     table = spec.table
     if table is not None:
@@ -808,8 +764,6 @@ def _materialize(spec: _KernelSpec, code: types.CodeType) -> tuple:
             ns[f"_spb{idx}"] = _make_byte_splat(dtype, spec.V)
         for idx, (bias, dtype) in enumerate(spec.biotas):
             ns[f"_iob{idx}"] = _make_byte_iota(bias, dtype, spec.V)
-        for idx, counts in enumerate(spec.counts):
-            ns[f"_cnt{idx}"] = counts
     exec(code, ns)
     return ns.get("_kernel"), ns.get("_pre"), ns.get("_post")
 
@@ -902,7 +856,7 @@ class JitBackend:
         return get_kernel(program)
 
     def _steady(self, env, loop, kernel) -> bool:
-        return steady.run_steady(env, loop, kernel.spec.table, kernel.fn)
+        return steady.run_steady(env, loop, kernel.fn)
 
     def run(
         self,

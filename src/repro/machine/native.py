@@ -21,9 +21,8 @@ function, one ctypes call for the steady loop, then jit's ``post``.
 The split that keeps figures exact:
 
 * everything value-dependent — scalar registers, the sections, guard
-  fallback, trip resolution, and all counter bookkeeping — resolves in
-  Python, so the section semantics live in the interpreter and jit
-  only;
+  fallback and trip resolution — resolves in Python, so the section
+  semantics live in the interpreter and jit only;
 * batchability, the window table and the per-run window/collision
   check come from the shared steady-loop model
   (:mod:`repro.machine.steady`), so native batches and falls back on
@@ -32,8 +31,8 @@ The split that keeps figures exact:
   pre-loop memory in sequential order too, so the C kernel executes
   the original statement sequence iteration by iteration and needs no
   snapshot buffer;
-* operation counters remain analytic
-  (:meth:`~repro.machine.steady.SteadyTable.bump`), so OPD tables are
+* nothing here counts: every result's counters come from
+  :func:`repro.machine.interp.count_ops`, so OPD tables are
   byte-identical to the bytes oracle.
 
 Every kernel is emitted with the vector-extension helpers
@@ -1306,7 +1305,7 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     else:
         consts = bytearray()
         for operand, dtype in plan.splats_dyn:
-            value = steady.peek_s(env, operand)
+            value = interp.peek_s(env, operand)
             consts += vec.vsplat(dtype.wrap(value), dtype, V)
         cvec = bytes(consts)
     return bases, amounts, cvec
@@ -1367,7 +1366,5 @@ class NativeBackend(JitBackend):
 
     def _steady(self, env, loop, kernel):
         if kernel.cfn is None:
-            jk = kernel.jk
-            return steady.run_steady(env, loop, jk.spec.table, jk.fn)
-        return steady.run_steady(env, loop, kernel.meta.table,
-                                 partial(_invoke, kernel))
+            return steady.run_steady(env, loop, kernel.jk.fn)
+        return steady.run_steady(env, loop, partial(_invoke, kernel))

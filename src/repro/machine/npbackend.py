@@ -9,12 +9,13 @@ load and store becomes a strided 2-D window over the array space
 becomes a whole-array slice/concatenate/arithmetic op.  Preheader,
 prologue and epilogue run through the interpreter unchanged.
 
-What batches, which runs fall back, how each row is computed and how
-the steady loop is counted all come from the shared steady-loop model
-(:mod:`repro.machine.steady`).  This module interprets that model: on
-every run it analyzes the program and walks its steady expressions
-through the model's lane functions.  The jit tier compiles the same
-walk once per program signature.
+What batches, which runs fall back and how each row is computed all
+come from the shared steady-loop model (:mod:`repro.machine.steady`).
+This module interprets that model: on every run it analyzes the
+program and walks its steady expressions through the model's lane
+functions.  The jit tier compiles the same walk once per program
+signature.  Nothing here counts: the result's counters come from
+:func:`repro.machine.interp.count_ops`.
 
 Correctness contract: final memory bytes and
 :class:`~repro.machine.counters.OpCounters` are identical to the byte
@@ -75,11 +76,9 @@ def _finish(env: interp.Env) -> bool:
     fell_back = False
     if program.steady is not None:
         shape = steady.analyze(program)
-        if shape is None:
-            fell_back = steady.run_steady(env, program.steady, None, None)
-        else:
-            fell_back = steady.run_steady(env, program.steady, shape.table,
-                                          partial(_execute, shape))
+        fell_back = steady.run_steady(
+            env, program.steady,
+            None if shape is None else partial(_execute, shape))
     for section in program.epilogue:
         interp.exec_section(env, section)
     return fell_back

@@ -165,17 +165,7 @@ def reference_counters(loop: Loop, trip: int) -> OpCounters:
 
 def ideal_scalar_ops(loop: Loop, trip: int) -> int:
     """Analytic ideal scalar op count (loads + arith + stores) — no execution."""
-    per_iter = 0
-    fixed = 0
-    for stmt in loop.statements:
-        per_iter += len(stmt.loads())
-        per_iter += sum(1 for n in stmt.expr.walk() if isinstance(n, BinOp))
-        if isinstance(stmt, Reduction):
-            per_iter += 1  # the accumulate op
-            fixed += 2     # initial load + final store of the accumulator
-        else:
-            per_iter += 1  # the store
-    return per_iter * trip + fixed
+    return reference_counters(loop, trip).total
 
 
 def ideal_scalar_opd(loop: Loop) -> float:

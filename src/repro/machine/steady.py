@@ -1,12 +1,11 @@
 """The steady-state loop model shared by the numpy, jit and native tiers.
 
-The paper's figures are operation counts of the steady-state loop its
-code generator emits (§5, operations per datum), so every execution
-tier must batch, fall back and count exactly as the bytes oracle
-(:mod:`repro.machine.interp`) does.  This module is the one place that
-says how.  :mod:`~repro.machine.npbackend` interprets the model on
-every run, :mod:`~repro.machine.jit` compiles it to Python source once
-per program signature, and :mod:`~repro.machine.native` lowers it to C.
+Every execution tier must leave memory exactly as the bytes oracle
+(:mod:`repro.machine.interp`) does, and the array tiers must batch and
+fall back on the same runs.  This module is the one place that says
+how.  :mod:`~repro.machine.npbackend` interprets the model on every
+run, :mod:`~repro.machine.jit` compiles it to Python source once per
+program signature, and :mod:`~repro.machine.native` lowers it to C.
 
 * :func:`analyze` is the structural batchability analysis.  A steady
   loop batches when its iteration byte stride ``step*D`` is a positive
@@ -17,24 +16,22 @@ per program signature, and :mod:`~repro.machine.native` lowers it to C.
   graph is acyclic except for reduction self-cycles
   ``acc = op(acc, rhs)`` over an exactly reassociable op, which batch
   as a seeded lane-wise fold.  Its :class:`SteadyTable` holds the
-  window table and the structural counts.
+  window table.
 * :meth:`SteadyTable.window_bases` is the per-run window/collision
   check.  It raises :class:`Unbatchable` before anything is mutated,
   so the per-iteration fallback stays exact.
-* :func:`peek_s` and :func:`amount` evaluate steady scalar operands
-  without counting them; they are loop-invariant, so their ``SBin``\\ s
-  are counted structurally.
+* :func:`amount` evaluates a steady shift amount or splice point,
+  without counting it.
 * The array-lane semantics work on ``uint8`` rows: shape ``(n, V)``,
   one row per iteration, or ``(1, V)`` for iteration-invariant values,
   which ufuncs and window stores broadcast.  :func:`binop`,
   :func:`fold`, :func:`iota` and :func:`splat` bind their compile-time
   constants once; :func:`window`, :func:`reg_row`, :func:`carried`,
   :func:`shiftpair` and :func:`splice` take everything per call.
-* :func:`count_stmt` and :func:`count_sbins` are the structural counter
-  rules: the bumps the interpreter makes executing a statement once.
 * :func:`run_guarded` and :func:`run_steady` are the run skeleton: the
-  guard and trip checks, then lb/ub, the batched call or the
-  per-iteration fallback, and the counter bump.
+  guard check, then lb/ub and the batched call or the per-iteration
+  fallback.  No tier counts: every result's counters come from
+  :func:`repro.machine.interp.count_ops`.
 
 This module is only imported when NumPy is present.
 """
@@ -49,30 +46,11 @@ from repro import faults
 from repro.errors import MachineError
 from repro.machine import interp
 from repro.machine import vector as vec
-from repro.machine.counters import (
-    BRANCH,
-    CALL,
-    OpCounters,
-    SCALAR,
-    VARITH,
-    VCOPY,
-    VLOAD,
-    VPERM,
-    VSEL,
-    VSPLAT,
-    VSTORE,
-)
 from repro.machine.interp import VectorRunResult, run_vector
 from repro.machine.npscalar import NumpyScalarBackend
 from repro.machine.scalar import RunBindings
 from repro.vir.vexpr import (
-    SBase,
-    SBin,
-    SConst,
     SExpr,
-    SReg,
-    SVar,
-    S_OPS,
     VBinE,
     VExpr,
     VIotaE,
@@ -83,7 +61,7 @@ from repro.vir.vexpr import (
     VSplatE,
     walk,
 )
-from repro.vir.vstmt import SetS, SetV, VStmt, VStoreS
+from repro.vir.vstmt import SetV, VStoreS
 
 
 class Unbatchable(Exception):
@@ -113,8 +91,7 @@ class SteadyTable:
 
     ``keys`` lists each accessed ``(array, elem)`` once.  A load or a
     store is ``(key index, statement position)``; window ``t`` of key
-    ``k`` starts at ``bases[k] + t*stride``.  ``per_iter`` holds one
-    iteration's structural counts as ``(category, count)`` pairs.
+    ``k`` starts at ``bases[k] + t*stride``.
     """
 
     V: int
@@ -123,8 +100,6 @@ class SteadyTable:
     keys: tuple
     loads: tuple
     stores: tuple
-    per_iter: tuple = ()
-    pointers: int = 0
 
     def window_bases(self, space, mem_size: int, lb: int,
                      n: int) -> tuple[list[int], bool]:
@@ -176,14 +151,6 @@ class SteadyTable:
                     raise Unbatchable
         return bases, snapshot
 
-    def bump(self, counters: OpCounters, n: int) -> None:
-        """Count ``n`` iterations: what the interpreter tallies per
-        iteration, ``n`` times."""
-        counters.bump(SCALAR, self.pointers * n)
-        counters.bump(BRANCH, n)
-        for category, count in self.per_iter:
-            counters.bump(category, count * n)
-
 
 @dataclass
 class SteadyShape:
@@ -211,7 +178,6 @@ def analyze(program) -> SteadyShape | None:
     index: dict[tuple, int] = {}
     loads: list = []
     stores: list = []
-    per_iter = OpCounters()
 
     def key(addr) -> int:
         return index.setdefault((addr.array, addr.elem), len(index))
@@ -238,7 +204,6 @@ def analyze(program) -> SteadyShape | None:
                 return None
         if isinstance(stmt, VStoreS):
             stores.append((key(stmt.addr), pos))
-        count_stmt(per_iter, stmt)
 
     reductions: dict[int, VExpr] = {}
     for pos, stmt in enumerate(seq):
@@ -250,8 +215,7 @@ def analyze(program) -> SteadyShape | None:
     if order is None:
         return None
     table = SteadyTable(V, loop.step, stride, tuple(index), tuple(loads),
-                        tuple(stores), tuple(per_iter.counts.items()),
-                        program.pointer_count())
+                        tuple(stores))
     return SteadyShape(seq, assign_pos, order, reductions, index, table)
 
 
@@ -318,37 +282,10 @@ def _topo_order(seq: tuple, assign_pos: dict[str, int],
     return tuple(order)
 
 
-# ---------------------------------------------------------------------------
-# Count-free scalar evaluation
-# ---------------------------------------------------------------------------
-
-def peek_s(env, expr: SExpr) -> int:
-    """``interp.eval_s`` without the SCALAR bumps."""
-    if isinstance(expr, SConst):
-        return expr.value
-    if isinstance(expr, SVar):
-        loop = env.program.source
-        if isinstance(loop.upper, str) and expr.name == loop.upper:
-            return env.trip
-        return env.bindings.scalar(expr.name)
-    if isinstance(expr, SBase):
-        return env.space[expr.array].base
-    if isinstance(expr, SReg):
-        try:
-            return env.sregs[expr.name]
-        except KeyError:
-            raise MachineError(
-                f"scalar register {expr.name!r} read before being set"
-            ) from None
-    if isinstance(expr, SBin):
-        return S_OPS[expr.op](peek_s(env, expr.left), peek_s(env, expr.right))
-    raise MachineError(f"unknown scalar expression {type(expr).__name__}")
-
-
 def amount(env, value, V: int, what: str) -> int:
     """A shift amount or splice point, literal or peeked, in ``[0, V]``."""
     if not isinstance(value, int):
-        value = peek_s(env, value)
+        value = interp.peek_s(env, value)
     if not 0 <= value <= V:
         raise MachineError(f"{what} {value} outside [0, {V}]")
     return value
@@ -461,7 +398,7 @@ def iota(bias: int, dtype, step: int, V: int):
 def splat(operand: SExpr, dtype, V: int):
     """The invariant row of ``vsplat(operand)``: ``f(env)``."""
     def splat_row(env):
-        data = vec.vsplat(dtype.wrap(peek_s(env, operand)), dtype, V)
+        data = vec.vsplat(dtype.wrap(interp.peek_s(env, operand)), dtype, V)
         return np.frombuffer(data, dtype=np.uint8).reshape(1, V)
 
     return splat_row
@@ -526,114 +463,48 @@ def buffers(table: SteadyTable, env, lb: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Structural counter rules (mirroring interp.exec_stmts / _eval_v)
-# ---------------------------------------------------------------------------
-
-def count_stmt(counters: OpCounters, stmt: VStmt) -> None:
-    """Bump what one interpreted execution of ``stmt`` counts."""
-    if isinstance(stmt, SetS):
-        count_sbins(counters, stmt.expr)
-    elif isinstance(stmt, SetV):
-        if stmt.is_copy:
-            counters.bump(VCOPY)
-        else:
-            _count_vexpr(counters, stmt.expr)
-    elif isinstance(stmt, VStoreS):
-        _count_vexpr(counters, stmt.src)
-        counters.bump(VSTORE)
-    else:
-        raise MachineError(f"unknown statement {type(stmt).__name__}")
-
-
-def _count_vexpr(counters: OpCounters, expr: VExpr) -> None:
-    if isinstance(expr, VLoadE):
-        counters.bump(VLOAD)
-    elif isinstance(expr, VRegE):
-        pass
-    elif isinstance(expr, VShiftPairE):
-        _count_vexpr(counters, expr.a)
-        _count_vexpr(counters, expr.b)
-        count_sbins(counters, expr.shift)
-        counters.bump(VPERM)
-    elif isinstance(expr, VSpliceE):
-        _count_vexpr(counters, expr.a)
-        _count_vexpr(counters, expr.b)
-        count_sbins(counters, expr.point)
-        counters.bump(VSEL)
-    elif isinstance(expr, VSplatE):
-        count_sbins(counters, expr.operand)
-        counters.bump(VSPLAT)
-    elif isinstance(expr, VBinE):
-        _count_vexpr(counters, expr.a)
-        _count_vexpr(counters, expr.b)
-        counters.bump(VARITH)
-    elif isinstance(expr, VIotaE):
-        counters.bump(VARITH)
-    else:
-        raise MachineError(f"unknown vector expression {type(expr).__name__}")
-
-
-def count_sbins(counters: OpCounters, operand) -> None:
-    """The SCALAR bumps ``interp.eval_s`` makes evaluating ``operand``."""
-    if isinstance(operand, SExpr):
-        sbins = _sbin_count(operand)
-        if sbins:
-            counters.bump(SCALAR, sbins)
-
-
-def _sbin_count(expr: SExpr) -> int:
-    if isinstance(expr, SBin):
-        return 1 + _sbin_count(expr.left) + _sbin_count(expr.right)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # The run skeleton
 # ---------------------------------------------------------------------------
 
 def run_guarded(program, space, mem, bindings, trace,
                 finish) -> VectorRunResult:
-    """One run's guard and trip checks, then ``finish(env)``.
+    """One run's guard check, then ``finish(env)``.
 
-    The same skeleton as :func:`repro.machine.interp.run_vector`: a
-    CALL/return pair, then the runtime guard's BRANCH and, at or below
-    the guard trip, the scalar loop, on the batched scalar engine,
-    whose memory and counters are the oracle's.  ``finish`` runs the
+    The same skeleton as :func:`repro.machine.interp.run_vector`: at or
+    below the runtime guard's trip the scalar loop runs, on the batched
+    scalar engine, whose memory is the oracle's.  ``finish`` runs the
     preheader, sections and steady loop and returns whether the
-    per-iteration fallback ran.  Traced runs stay on the byte
-    interpreter: batched execution has no per-access event stream.
+    per-iteration fallback ran.  The counters come from
+    :func:`~repro.machine.interp.count_ops`, after the run, so a run
+    that raises raises what the tier raised.  Traced runs stay on the
+    byte interpreter: batched execution has no per-access event stream.
     """
     if trace is not None:
         return run_vector(program, space, mem, bindings, trace)
     faults.fault("execute")  # before any state mutates: degradation-safe
     env = interp.Env(program, space, mem, bindings or RunBindings(), None)
-    env.counters.bump(CALL, 2)
-    if program.guard_min_trip is not None:
-        env.counters.bump(BRANCH)
-        if env.trip <= program.guard_min_trip:
-            scalar = NumpyScalarBackend().run(program.source, space, mem,
-                                              env.bindings)
-            env.counters.merge(scalar.counters)
-            return VectorRunResult(env.counters, env.trip, used_fallback=True)
-    elif (env.trip != program.source.upper
-          and isinstance(program.source.upper, int)):
-        raise MachineError("compile-time trip count mismatch")
-    fell_back = finish(env)
-    return VectorRunResult(env.counters, env.trip, used_fallback=fell_back)
+    if (program.guard_min_trip is not None
+            and env.trip <= program.guard_min_trip):
+        NumpyScalarBackend().run(program.source, space, mem, env.bindings)
+        fell_back = True
+    else:
+        fell_back = finish(env)
+    return VectorRunResult(interp.count_ops(program, space, env.bindings),
+                           env.trip, used_fallback=fell_back)
 
 
-def run_steady(env, loop, table: SteadyTable | None, execute) -> bool:
+def run_steady(env, loop, execute) -> bool:
     """The steady loop, batched when it can be; True when the
     per-iteration path ran.
 
     ``execute(env, lb, n)`` is a tier's batched loop for a program
-    :func:`analyze` accepted (None otherwise, and then ``table`` too);
-    it raises :class:`Unbatchable` before any mutation when this run
-    cannot batch.  A batched run is counted by ``table``; the
-    per-iteration path runs the interpreter's own statement helpers.
+    :func:`analyze` accepted (None otherwise); it raises
+    :class:`Unbatchable` before any mutation when this run cannot
+    batch.  The per-iteration path runs the interpreter's own
+    statement helpers.
     """
-    lb = interp.eval_s(env, loop.lb)
-    ub = interp.eval_s(env, loop.ub)
+    lb = interp.peek_s(env, loop.lb)
+    ub = interp.peek_s(env, loop.ub)
     if loop.step > 0:
         n = len(range(lb, ub, loop.step))
         if n == 0:
@@ -644,12 +515,8 @@ def run_steady(env, loop, table: SteadyTable | None, execute) -> bool:
             except Unbatchable:
                 pass  # nothing mutated yet: replay per iteration
             else:
-                table.bump(env.counters, n)
                 return False
-    pointers = env.program.pointer_count()
     for i in range(lb, ub, loop.step):
-        env.counters.bump(SCALAR, pointers)
-        env.counters.bump(BRANCH)
         interp.exec_stmts(env, loop.body, i)
         interp.exec_stmts(env, loop.bottom, i)
     return True

@@ -135,6 +135,51 @@ class TestUnrolling:
         assert len(fixups) == 4
         check_loop(loop, SimdOptions(reuse="sp", unroll=5))
 
+    def test_long_pc_chains_rotate_as_one_parallel_copy(self):
+        """The residual copies of a rotation chain named across a digit
+        boundary (``vpc9 <- vpc10 <- vpc11``) still read each register
+        before it is overwritten."""
+        from repro.bench.synth import SynthParams, synthesize
+
+        params = SynthParams(loads=3, statements=2, trip=16, bias=1.0,
+                             reuse=1.0, runtime_alignment=True)
+        syn = synthesize(params, seed=0)
+        check_loop(syn.loop, SimdOptions(policy="zero", reuse="pc", unroll=2),
+                   residues=syn.base_residues)
+
+    def test_rotation_copy_reads_the_incoming_value(self):
+        """A body definition is not renamed into a carried register
+        whose incoming value a residual copy still reads."""
+        from repro.codegen.passes.unroll import unroll_steady
+        from repro.ir.types import ADD, INT32
+        from repro.vir import (Addr, SConst, Section, SteadyLoop, VBinE,
+                               VProgram, VRegE)
+
+        loop = figure1_loop(trip=20, length=48)
+
+        def program():
+            # v1..v4 hold b[i], b[i+4], b[i+8], b[i+12]; the body reads
+            # only v1 and v2, so v4's incoming value is read by the
+            # rotation alone.
+            init = [SetV(f"v{k + 1}", VLoadE(Addr("b", 4 * k)))
+                    for k in range(4)]
+            body = [SetV("vn", VLoadE(Addr("b", 16))),
+                    VStoreS(Addr("a", 0),
+                            VBinE(ADD, VRegE("v1"), VRegE("v2"), INT32))]
+            bottom = [SetV("v1", VRegE("v2")), SetV("v2", VRegE("v3")),
+                      SetV("v3", VRegE("v4")), SetV("v4", VRegE("vn"))]
+            return VProgram(
+                source=loop, V=16,
+                prologue=[Section("init", init, i_expr=SConst(0))],
+                steady=SteadyLoop(SConst(0), SConst(16), 4, body, bottom))
+
+        memories = []
+        for factor in (1, 2):
+            space, mem = sequential_memory(loop)
+            run_vector(unroll_steady(program(), factor), space, mem)
+            memories.append(mem.snapshot())
+        assert memories[0] == memories[1]
+
 
 class TestMemNormAndCse:
     def test_memnorm_merges_same_vector_loads(self):
